@@ -1,8 +1,8 @@
 """Configuration ingestion, scan orchestration and result emission.
 
 Runs are driven by a single YAML file with nested sections and explicit
-units in the key names; every default is filled in eagerly and echoed into
-the provenance sidecar so output files are self-describing. Subcommands:
+units in the key names, each listed once, with its check and default, in
+``FIELDS``. Subcommands:
 
     simulate run --config cfg.yaml [--workers N] [--mode ...] [--out path]
     simulate validate --config cfg.yaml
@@ -15,13 +15,12 @@ The environment variable SIM_LOG (error|warn|info|debug) controls logging.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import os
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 import yaml
@@ -31,13 +30,14 @@ from .biphoton import (BiphotonAmplitude, CrystalSpec, FrequencyGrid, GridAxis,
                        PumpSpec, build_jsa, default_grid)
 from .model import ExcitonSystem, Level, LiouvilleOperatorSet
 from .pathways import HomSpec, format_term_table
-from .signal import (QuadratureSpec, default_quadrature, reference_time, scan,
-                     system_hash)
+from .signal import MODES, default_quadrature, scan, system_hash
 
 log = logging.getLogger("homspec")
 
 _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
                "info": logging.INFO, "debug": logging.DEBUG}
+
+_REQUIRED = object()  # Field.default of a key that must be given
 
 
 class ConfigError(ValueError):
@@ -48,10 +48,18 @@ class ConfigError(ValueError):
         self.path = path
 
 
-def _require(mapping: Dict[str, Any], key: str, path: str) -> Any:
-    if not isinstance(mapping, dict) or key not in mapping:
-        raise ConfigError(f"{path}.{key}", "required field is missing")
-    return mapping[key]
+def _record(item: Any, path: str, required: Tuple[str, ...],
+            optional: Tuple[str, ...] = ()) -> List[Any]:
+    """Values of the required keys of a mapping that has no unknown keys."""
+    if not isinstance(item, dict):
+        raise ConfigError(path, f"expected a mapping, got {item!r}")
+    for key in item:
+        if key not in required + optional:
+            raise ConfigError(f"{path}.{key}", "unknown key")
+    missing = [key for key in required if key not in item]
+    if missing:
+        raise ConfigError(f"{path}.{missing[0]}", "required field is missing")
+    return [item[key] for key in required]
 
 
 def _number(value: Any, path: str) -> float:
@@ -60,49 +68,162 @@ def _number(value: Any, path: str) -> float:
     return float(value)
 
 
+def _rate(value: Any, path: str) -> float:
+    rate = _number(value, path)
+    if rate < 0:
+        raise ConfigError(path, "rate must be >= 0")
+    return rate
+
+
+def _integer(low: int) -> Callable[[Any, str], int]:
+    def parse(value: Any, path: str) -> int:
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise ConfigError(path, f"expected an integer >= {low}, got {value!r}")
+        return value
+    return parse
+
+
+def _choice(*options: Any) -> Callable[[Any, str], Any]:
+    def parse(value: Any, path: str) -> Any:
+        if value not in options:
+            raise ConfigError(path, f"must be one of {options}, got {value!r}")
+        return value
+    return parse
+
+
+def _text(value: Any, path: str) -> str:
+    return str(value)
+
+
 def _complex_entry(value: Any, path: str) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
+    if isinstance(value, list) and len(value) == 2:  # [re, im]
         return complex(_number(value[0], path), _number(value[1], path))
-    raise ConfigError(path, f"expected number or [re, im] pair, got {value!r}")
+    return complex(_number(value, path))
+
+
+def _matrix(value: Any, path: str) -> np.ndarray:
+    if not isinstance(value, list) or any(
+            not isinstance(row, list) or len(row) != len(value[0]) for row in value):
+        raise ConfigError(path, "expected a matrix: a list of equal-length rows")
+    return np.array([[_complex_entry(v, f"{path}[{i}][{j}]") for j, v in enumerate(row)]
+                     for i, row in enumerate(value)], dtype=complex)
+
+
+def _records(value: Any, path: str, keys: Tuple[str, ...]) -> List[Tuple[str, list]]:
+    """Path and key values of each item of a list of mappings with ``keys``."""
+    if not isinstance(value, list):
+        raise ConfigError(path, f"expected a list, got {value!r}")
+    return [(f"{path}[{k}]", _record(item, f"{path}[{k}]", keys))
+            for k, item in enumerate(value)]
+
+
+def _levels(value: Any, path: str) -> List[Level]:
+    return [Level(str(label), str(manifold), _number(energy, f"{at}.energy_rad_per_fs"))
+            for at, (label, manifold, energy) in
+            _records(value, path, ("label", "manifold", "energy_rad_per_fs"))]
+
+
+def _pairs(value: Any, path: str) -> Dict[Tuple[str, str], float]:
+    return {(str(i), str(j)): _rate(rate, f"{at}.rate_per_fs")
+            for at, (i, j, rate) in _records(value, path, ("i", "j", "rate_per_fs"))}
 
 
 def _axis(value: Any, path: str) -> np.ndarray:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return np.array([float(value)])
     if isinstance(value, list):
-        return np.array([_number(v, path) for v in value])
-    if isinstance(value, dict):
-        start = _number(_require(value, "start", path), f"{path}.start")
-        stop = _number(_require(value, "stop", path), f"{path}.stop")
+        axis = np.array([_number(v, path) for v in value])
+    elif isinstance(value, dict):
+        start, stop = _record(value, path, ("start", "stop"), ("num", "step"))
+        start, stop = _number(start, f"{path}.start"), _number(stop, f"{path}.stop")
         if "num" in value:
-            num = value["num"]
-            if not isinstance(num, int) or num < 1:
-                raise ConfigError(f"{path}.num", "expected a positive integer")
-            return np.linspace(start, stop, num)
-        if "step" in value:
+            axis = np.linspace(start, stop, _integer(1)(value["num"], f"{path}.num"))
+        elif "step" in value:
             step = _number(value["step"], f"{path}.step")
             if step <= 0:
                 raise ConfigError(f"{path}.step", "step must be positive")
             n = int(np.floor((stop - start) / step + 1e-9)) + 1
-            return start + step * np.arange(n)
-        raise ConfigError(path, "axis range needs 'num' or 'step'")
-    raise ConfigError(path, f"expected number, list or range mapping, got {value!r}")
+            axis = start + step * np.arange(n)
+        else:
+            raise ConfigError(path, "axis range needs 'num' or 'step'")
+    else:
+        axis = np.array([_number(value, path)])
+    if axis.size == 0:
+        raise ConfigError(path, "axis must be non-empty")
+    if not np.all(np.diff(axis) > 0):
+        raise ConfigError(path, "axis must be strictly increasing")
+    return axis
+
+
+def _matrix_echo(matrix: np.ndarray) -> list:
+    return [[[float(v.real), float(v.imag)] for v in row] for row in matrix]
+
+
+@dataclass(frozen=True)
+class Field:
+    """One config value: ``parse(value, path)`` checks it or raises
+    ``ConfigError(path, ...)``; a missing or null key takes ``default``, also
+    parsed (``None`` stays unset); ``target`` is a ``RunConfig`` attribute or a
+    ``spec.argument`` of ``SPECS``; ``echo`` gives its YAML (``None``: not echoed)."""
+
+    path: str
+    target: str
+    parse: Callable[[Any, str], Any]
+    default: Any = _REQUIRED
+    echo: Optional[Callable[[Any], Any]] = lambda value: value
+
+
+FIELDS: Tuple[Field, ...] = (
+    Field("system.levels", "system.levels", _levels, echo=lambda levels: [
+        {"label": lv.label, "manifold": lv.manifold,
+         "energy_rad_per_fs": float(lv.energy)} for lv in levels]),
+    Field("system.dipoles_ge", "system.dipoles_ge", _matrix, echo=_matrix_echo),
+    Field("system.dipoles_ef", "system.dipoles_ef", _matrix, None, _matrix_echo),
+    Field("system.dephasing.default_per_fs", "system.dephasing_default", _rate, 0.0),
+    Field("system.dephasing.pairs", "system.dephasing_pairs", _pairs, [],
+          lambda pairs: [{"i": a, "j": b, "rate_per_fs": float(r)}
+                         for (a, b), r in sorted(pairs.items())]),
+    Field("system.initial_level", "system.initial_label", _text, None),
+    Field("pump.omega_p_rad_per_fs", "pump.omega_p", _number),
+    Field("pump.sigma_p_rad_per_fs", "pump.sigma_p", _number),
+    Field("crystal.omega_a_rad_per_fs", "crystal.omega_a", _number),
+    Field("crystal.omega_b_rad_per_fs", "crystal.omega_b", _number),
+    Field("crystal.T_a_fs", "crystal.T_a", _number),
+    Field("crystal.T_b_fs", "crystal.T_b", _number),
+    Field("preparation.theta_rad", "theta", _number, 0.0),
+    Field("preparation.delay_arm", "delay_arm", _choice("a", "b"), "a"),
+    Field("hom.t_coeff", "hom.t_coeff", _number, 1.0 / np.sqrt(2.0)),
+    Field("hom.r_coeff", "hom.r_coeff", _number, 1.0 / np.sqrt(2.0)),
+    Field("hom.bs_removed", "bs_removed", _choice(True, False), False, echo=None),
+    Field("scan.tau_fs", "tau_axis", _axis, echo=np.ndarray.tolist),
+    Field("scan.T_fs", "T_axis", _axis, echo=np.ndarray.tolist),
+    Field("scan.s_fs", "s_axis", _axis, echo=np.ndarray.tolist),
+    Field("grid.n", "grid_n", _integer(4), 256),
+    Field("grid.half_span_rad_per_fs", "grid_half_span", _number, None),
+    Field("quadrature.step_fs", "quad_step", _number, None),
+    Field("quadrature.cutoff_fs", "quad_cutoff", _number, None),
+    Field("quadrature.rule", "quad_rule", _choice("trapezoid", "simpson"), "trapezoid"),
+    Field("quadrature.t_ref_fs", "t_ref", _number, None),
+    Field("quadrature.t_ref_offset_fs", "t_ref_offset", _number, 0.0),
+    Field("mode", "mode", _choice(*MODES), "full"),
+    Field("output", "output", _text, "signal.dat"),
+    Field("workers", "workers", _integer(1), os.cpu_count() or 1),
+)
+
+# constructors that check across fields (level order, dipole shapes,
+# t^2 + r^2 = 1); their ValueError becomes a ConfigError naming the section
+SPECS: Dict[str, Callable[..., Any]] = {
+    "system": ExcitonSystem, "pump": PumpSpec, "crystal": CrystalSpec, "hom": HomSpec}
 
 
 @dataclass
 class RunConfig:
-    """Fully resolved run settings (defaults already applied)."""
+    """Fully resolved run settings (defaults already applied); see FIELDS."""
 
     system: ExcitonSystem
     pump: Optional[PumpSpec]
     crystal: Optional[CrystalSpec]
+    hom: HomSpec
     theta: float
     delay_arm: str
-    hom_t: float
-    hom_r: float
-    bs_removed: bool
     tau_axis: np.ndarray
     T_axis: np.ndarray
     s_axis: np.ndarray
@@ -115,65 +236,47 @@ class RunConfig:
     t_ref_offset: float
     mode: str
     output: str
-    workers: Optional[int]
-    raw: Dict[str, Any] = field(default_factory=dict, repr=False)
+    workers: int
+
+    @property
+    def hom_t(self) -> float:
+        return self.hom.t_coeff
 
 
-def _parse_system(data: Dict[str, Any]) -> ExcitonSystem:
-    sec = _require(data, "system", "config")
-    levels_raw = _require(sec, "levels", "system")
-    if not isinstance(levels_raw, list) or not levels_raw:
-        raise ConfigError("system.levels", "expected a non-empty list")
-    levels = []
-    for k, item in enumerate(levels_raw):
-        path = f"system.levels[{k}]"
-        label = str(_require(item, "label", path))
-        manifold = str(_require(item, "manifold", path))
-        energy = _number(_require(item, "energy_rad_per_fs", path),
-                         f"{path}.energy_rad_per_fs")
-        levels.append(Level(label, manifold, energy))
-    n_g = sum(1 for lv in levels if lv.manifold == "g")
-    n_e = sum(1 for lv in levels if lv.manifold == "e")
-    n_f = sum(1 for lv in levels if lv.manifold == "f")
-
-    def matrix(key, rows, cols, required):
-        if key not in sec:
-            if required:
-                raise ConfigError(f"system.{key}", "required field is missing")
-            return None
-        raw = sec[key]
-        if (not isinstance(raw, list) or len(raw) != rows
-                or any(not isinstance(r, list) or len(r) != cols for r in raw)):
-            raise ConfigError(f"system.{key}",
-                              f"expected a {rows}x{cols} matrix of entries")
-        return np.array([[_complex_entry(v, f"system.{key}[{i}][{j}]")
-                          for j, v in enumerate(row)]
-                         for i, row in enumerate(raw)])
-
-    dip_ge = matrix("dipoles_ge", n_e, n_g, required=True)
-    dip_ef = matrix("dipoles_ef", n_f, n_e, required=n_f > 0)
-
-    deph = sec.get("dephasing", {})
-    default = _number(deph.get("default_per_fs", 0.0), "system.dephasing.default_per_fs")
-    if default < 0:
-        raise ConfigError("system.dephasing.default_per_fs", "rate must be >= 0")
-    pairs = {}
-    for k, item in enumerate(deph.get("pairs", []) or []):
-        path = f"system.dephasing.pairs[{k}]"
-        rate = _number(_require(item, "rate_per_fs", path), f"{path}.rate_per_fs")
-        if rate < 0:
-            raise ConfigError(f"{path}.rate_per_fs", "rate must be >= 0")
-        pairs[(str(_require(item, "i", path)), str(_require(item, "j", path)))] = rate
-    try:
-        return ExcitonSystem(levels=levels, dipoles_ge=dip_ge, dipoles_ef=dip_ef,
-                             dephasing_default=default, dephasing_pairs=pairs,
-                             initial_label=sec.get("initial_level"))
-    except (ValueError, KeyError) as exc:
-        raise ConfigError("system", str(exc)) from exc
+def _check_keys(mapping: Dict[Any, Any], prefix: str = "") -> None:
+    known = {f.path for f in FIELDS}
+    for key, value in mapping.items():
+        path = f"{prefix}{key}"
+        if path in known:
+            continue
+        if not any(p.startswith(path + ".") for p in known):
+            raise ConfigError(path, "unknown key")
+        if not isinstance(value, dict):
+            raise ConfigError(path, f"expected a mapping, got {value!r}")
+        _check_keys(value, path + ".")
 
 
-def load_config(path: str) -> RunConfig:
-    """Parse and eagerly validate a run configuration file."""
+def _put(mapping: Dict[str, Any], path: str, value: Any) -> None:
+    *sections, key = path.split(".")
+    for section in sections:
+        mapping = mapping.setdefault(section, {})
+    mapping[key] = value
+
+
+def _parse(data: Dict[str, Any], f: Field) -> Any:
+    value = data
+    for key in f.path.split("."):
+        value = (value or {}).get(key)
+    if value is None:
+        if f.default is _REQUIRED:
+            raise ConfigError(f.path, "required field is missing")
+        value = f.default
+    return None if value is None else f.parse(value, f.path)
+
+
+def load_config(path: str, overrides: Optional[Mapping[str, Any]] = None) -> RunConfig:
+    """Parse and eagerly validate a run configuration file; ``overrides``
+    (YAML path -> value, ``None`` skipped) are written in before validation."""
     with open(path) as fh:
         try:
             data = yaml.safe_load(fh)
@@ -181,141 +284,36 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError("config", f"not parseable YAML: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config", "top level must be a mapping")
+    _check_keys(data)
+    for key, value in (overrides or {}).items():
+        if value is not None:
+            _put(data, key, value)
 
-    system = _parse_system(data)
-    mode = str(data.get("mode", "full"))
-    if mode not in ("full", "short_Te", "bs_removed"):
-        raise ConfigError("mode", f"must be full, short_Te or bs_removed, got {mode!r}")
-
-    pump = crystal = None
-    if mode != "short_Te":
-        psec = _require(data, "pump", "config")
+    # the narrow-amplitude limit builds no joint spectral amplitude
+    unused = ("pump", "crystal") if data.get("mode") == "short_Te" else ()
+    values = {f.target: _parse(data, f) for f in FIELDS
+              if f.target.partition(".")[0] not in unused}
+    if values.pop("bs_removed") and values["mode"] == "full":  # echoed as the mode
+        values["mode"] = "bs_removed"
+    for name, spec in SPECS.items():
+        args = {key.partition(".")[2]: values.pop(key)
+                for key in [k for k in values if k.startswith(name + ".")]}
         try:
-            pump = PumpSpec(
-                omega_p=_number(_require(psec, "omega_p_rad_per_fs", "pump"),
-                                "pump.omega_p_rad_per_fs"),
-                sigma_p=_number(_require(psec, "sigma_p_rad_per_fs", "pump"),
-                                "pump.sigma_p_rad_per_fs"),
-            )
-        except ValueError as exc:
-            raise ConfigError("pump", str(exc)) from exc
-        csec = _require(data, "crystal", "config")
-        try:
-            crystal = CrystalSpec(
-                omega_a=_number(_require(csec, "omega_a_rad_per_fs", "crystal"),
-                                "crystal.omega_a_rad_per_fs"),
-                omega_b=_number(_require(csec, "omega_b_rad_per_fs", "crystal"),
-                                "crystal.omega_b_rad_per_fs"),
-                T_a=_number(_require(csec, "T_a_fs", "crystal"), "crystal.T_a_fs"),
-                T_b=_number(_require(csec, "T_b_fs", "crystal"), "crystal.T_b_fs"),
-            )
-        except ValueError as exc:
-            raise ConfigError("crystal", str(exc)) from exc
-
-    prep = data.get("preparation", {})
-    theta = _number(prep.get("theta_rad", 0.0), "preparation.theta_rad")
-    delay_arm = str(prep.get("delay_arm", "a"))
-    if delay_arm not in ("a", "b"):
-        raise ConfigError("preparation.delay_arm", f"must be 'a' or 'b', got {delay_arm!r}")
-
-    hom = data.get("hom", {})
-    hom_t = _number(hom.get("t_coeff", 1.0 / np.sqrt(2.0)), "hom.t_coeff")
-    hom_r = _number(hom.get("r_coeff", 1.0 / np.sqrt(2.0)), "hom.r_coeff")
-    if abs(hom_t ** 2 + hom_r ** 2 - 1.0) > 1e-12:
-        raise ConfigError("hom", "t_coeff^2 + r_coeff^2 must equal 1")
-    bs_removed = bool(hom.get("bs_removed", False)) or mode == "bs_removed"
-
-    ssec = _require(data, "scan", "config")
-    tau_axis = _axis(_require(ssec, "tau_fs", "scan"), "scan.tau_fs")
-    T_axis = _axis(_require(ssec, "T_fs", "scan"), "scan.T_fs")
-    s_axis = _axis(_require(ssec, "s_fs", "scan"), "scan.s_fs")
-    for name, ax in (("tau_fs", tau_axis), ("T_fs", T_axis), ("s_fs", s_axis)):
-        if ax.size == 0:
-            raise ConfigError(f"scan.{name}", "axis must be non-empty")
-        if ax.size > 1 and not np.all(np.diff(ax) > 0):
-            raise ConfigError(f"scan.{name}", "axis must be strictly increasing")
-
-    gsec = data.get("grid", {})
-    grid_n = gsec.get("n", 256)
-    if not isinstance(grid_n, int) or grid_n < 4:
-        raise ConfigError("grid.n", "expected an integer >= 4")
-    half_span = gsec.get("half_span_rad_per_fs")
-    if half_span is not None:
-        half_span = _number(half_span, "grid.half_span_rad_per_fs")
-
-    qsec = data.get("quadrature", {})
-    quad_step = qsec.get("step_fs")
-    quad_step = None if quad_step is None else _number(quad_step, "quadrature.step_fs")
-    quad_cutoff = qsec.get("cutoff_fs")
-    quad_cutoff = None if quad_cutoff is None else _number(quad_cutoff,
-                                                           "quadrature.cutoff_fs")
-    quad_rule = str(qsec.get("rule", "trapezoid"))
-    if quad_rule not in ("trapezoid", "simpson"):
-        raise ConfigError("quadrature.rule", f"must be trapezoid or simpson, "
-                                             f"got {quad_rule!r}")
-    t_ref = qsec.get("t_ref_fs")
-    t_ref = None if t_ref is None else _number(t_ref, "quadrature.t_ref_fs")
-    t_ref_offset = _number(qsec.get("t_ref_offset_fs", 0.0),
-                           "quadrature.t_ref_offset_fs")
-
-    workers = data.get("workers")
-    if workers is not None and (not isinstance(workers, int) or workers < 1):
-        raise ConfigError("workers", "expected a positive integer")
-
-    return RunConfig(
-        system=system, pump=pump, crystal=crystal, theta=theta,
-        delay_arm=delay_arm, hom_t=hom_t, hom_r=hom_r, bs_removed=bs_removed,
-        tau_axis=tau_axis, T_axis=T_axis, s_axis=s_axis, grid_n=grid_n,
-        grid_half_span=half_span, quad_step=quad_step, quad_cutoff=quad_cutoff,
-        quad_rule=quad_rule, t_ref=t_ref, t_ref_offset=t_ref_offset, mode=mode,
-        output=str(data.get("output", "signal.dat")), workers=workers, raw=data,
-    )
+            values[name] = None if name in unused else spec(**args)
+        except (ValueError, KeyError) as exc:
+            raise ConfigError(name, str(exc)) from exc
+    return RunConfig(**values)
 
 
 def serialize_config(config: RunConfig) -> str:
     """YAML echo of the resolved configuration (defaults included)."""
-    sys_sec: Dict[str, Any] = {
-        "levels": [{"label": lv.label, "manifold": lv.manifold,
-                    "energy_rad_per_fs": float(lv.energy)}
-                   for lv in config.system.levels],
-        "dipoles_ge": [[[float(v.real), float(v.imag)] for v in row]
-                       for row in config.system.dipoles_ge],
-        "dephasing": {
-            "default_per_fs": float(config.system.dephasing_default),
-            "pairs": [{"i": a, "j": b, "rate_per_fs": float(r)}
-                      for (a, b), r in sorted(config.system.dephasing_pairs.items())],
-        },
-    }
-    if config.system.n_f:
-        sys_sec["dipoles_ef"] = [[[float(v.real), float(v.imag)] for v in row]
-                                 for row in config.system.dipoles_ef]
-    if config.system.initial_label is not None:
-        sys_sec["initial_level"] = config.system.initial_label
-    doc: Dict[str, Any] = {"system": sys_sec}
-    if config.pump is not None:
-        doc["pump"] = {"omega_p_rad_per_fs": config.pump.omega_p,
-                       "sigma_p_rad_per_fs": config.pump.sigma_p}
-    if config.crystal is not None:
-        doc["crystal"] = {"omega_a_rad_per_fs": config.crystal.omega_a,
-                          "omega_b_rad_per_fs": config.crystal.omega_b,
-                          "T_a_fs": config.crystal.T_a,
-                          "T_b_fs": config.crystal.T_b}
-    doc["preparation"] = {"theta_rad": config.theta, "delay_arm": config.delay_arm}
-    doc["hom"] = {"t_coeff": config.hom_t, "r_coeff": config.hom_r,
-                  "bs_removed": config.bs_removed}
-    doc["scan"] = {"tau_fs": config.tau_axis.tolist(),
-                   "T_fs": config.T_axis.tolist(),
-                   "s_fs": config.s_axis.tolist()}
-    doc["grid"] = {"n": config.grid_n,
-                   "half_span_rad_per_fs": config.grid_half_span}
-    doc["quadrature"] = {"step_fs": config.quad_step,
-                         "cutoff_fs": config.quad_cutoff,
-                         "rule": config.quad_rule,
-                         "t_ref_fs": config.t_ref,
-                         "t_ref_offset_fs": config.t_ref_offset}
-    doc["mode"] = config.mode
-    doc["output"] = config.output
-    doc["workers"] = config.workers
+    doc: Dict[str, Any] = {}
+    for f in FIELDS:
+        owner, _, name = f.target.rpartition(".")
+        holder = getattr(config, owner) if owner else config
+        if f.echo is not None and holder is not None:
+            value = getattr(holder, name)
+            _put(doc, f.path, None if value is None else f.echo(value))
     return yaml.safe_dump(doc, sort_keys=False)
 
 
@@ -343,13 +341,11 @@ def run(config: RunConfig) -> int:
     q = default_quadrature(ops, amp, step=config.quad_step,
                            cutoff=config.quad_cutoff, rule=config.quad_rule,
                            t_ref=config.t_ref, t_ref_offset=config.t_ref_offset)
-    hom = HomSpec(T=0.0, t_coeff=config.hom_t, r_coeff=config.hom_r)
-    mode = "bs_removed" if config.bs_removed and config.mode == "full" else config.mode
-    log.info("scan: mode=%s grid=%dx%dx%d workers=%s", mode,
+    log.info("scan: mode=%s grid=%dx%dx%d workers=%d", config.mode,
              config.tau_axis.size, config.T_axis.size, config.s_axis.size,
-             config.workers or "auto")
-    grid = scan(config.tau_axis, config.T_axis, config.s_axis, mode, amp, ops,
-                q, hom=hom, workers=config.workers)
+             config.workers)
+    grid = scan(config.tau_axis, config.T_axis, config.s_axis, config.mode, amp,
+                ops, q, hom=config.hom, workers=config.workers)
     grid.save(config.output)
     sidecar = {
         "config": yaml.safe_load(serialize_config(config)),
@@ -377,7 +373,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_run = sub.add_parser("run", help="execute a configured scan")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--workers", type=int, default=None)
-    p_run.add_argument("--mode", choices=("full", "short_Te", "bs_removed"))
+    p_run.add_argument("--mode", choices=MODES)
     p_run.add_argument("--out", default=None)
 
     p_val = sub.add_parser("validate", help="check a config file and exit")
@@ -394,16 +390,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            config = load_config(args.config)
-            if args.workers is not None:
-                config = dataclasses.replace(config, workers=args.workers)
+            flags = {"workers": args.workers, "output": args.out, "mode": args.mode}
             if args.mode is not None:
-                config = dataclasses.replace(config, mode=args.mode,
-                                             bs_removed=args.mode == "bs_removed"
-                                             or config.bs_removed)
-            if args.out is not None:
-                config = dataclasses.replace(config, output=args.out)
-            return run(config)
+                flags["hom.bs_removed"] = False  # the flag names the mode outright
+            return run(load_config(args.config, flags))
         if args.command == "validate":
             load_config(args.config)
             print("config ok")

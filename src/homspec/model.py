@@ -153,6 +153,7 @@ class ExcitonSystem:
             rev = self.dephasing_pairs.get((b, a))
             if rev is not None and rev != rate:
                 raise ValueError(f"asymmetric dephasing rates given for ({a}, {b})")
+        self.initial_index()  # the initial label names a g level
 
     # -- derived operators ----------------------------------------------------
 
@@ -229,7 +230,8 @@ class LiouvilleOperatorSet:
         self.eta = np.maximum(system.dephasing_matrix(), self.eta_floor)
         # coherence frequencies omega_i - omega_j for the |i><j| basis
         self.delta_omega = self.omega[:, None] - self.omega[None, :]
-        self._expansions: Dict[int, "CorrelatorExpansion"] = {}
+        self._expansions = {i: CorrelatorExpansion.build(self, seq)
+                            for i, seq in CORRELATOR_SEQUENCES.items()}
 
     @property
     def dim(self) -> int:
@@ -242,8 +244,6 @@ class LiouvilleOperatorSet:
         return LiouvilleState(rho)
 
     def expansion(self, i: int) -> "CorrelatorExpansion":
-        if i not in self._expansions:
-            self._expansions[i] = CorrelatorExpansion.build(self, CORRELATOR_SEQUENCES[i])
         return self._expansions[i]
 
 

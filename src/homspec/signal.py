@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -540,10 +542,15 @@ class SignalGrid:
                         meta[key] = val
                 elif line.strip():
                     rows.append([float(x) for x in line.split()])
-        values = np.array([r[3] for r in rows]).reshape(
-            axes["tau_values"].size, axes["T_values"].size, axes["s_values"].size)
-        return cls(axes["tau_values"], axes["T_values"], axes["s_values"],
-                   values, mode, meta)
+        tau, T, s = axes["tau_values"], axes["T_values"], axes["s_values"]
+        # serialize order: tau slowest, s fastest
+        expected = [[tv, Tv, sv] for tv in tau for Tv in T for sv in s]
+        for n, (row, want) in enumerate(itertools.zip_longest(rows, expected)):
+            if row is None or row[:3] != want or len(row) != 4:
+                raise ValueError(f"{path}: data row {n} is {row}, the header axes "
+                                 f"give {want}")
+        values = np.array([r[3] for r in rows]).reshape(tau.size, T.size, s.size)
+        return cls(tau, T, s, values, mode, meta)
 
 
 def system_hash(ops: LiouvilleOperatorSet) -> str:
@@ -567,11 +574,11 @@ def scan(tau_axis: Sequence[float], T_axis: Sequence[float],
          workers: Optional[int] = None) -> SignalGrid:
     """Evaluate the chosen signal over the lattice.
 
-    Points are independent and dispatched to a thread pool; results land in
-    disjoint array slots, so the output is deterministic for any worker
-    count. In short_Te mode every lattice point must satisfy tau >= -T and
-    s > 0; violations abort with the offending coordinates before any work
-    is dispatched.
+    Points are independent and dispatched to ``workers`` threads (default:
+    the CPU count); results land in disjoint array slots, so the output is
+    deterministic for any worker count. In short_Te mode every lattice point
+    must satisfy tau >= -T and s > 0; violations abort with the offending
+    coordinates before any work is dispatched.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -616,7 +623,9 @@ def scan(tau_axis: Sequence[float], T_axis: Sequence[float],
 
     jobs = [(i, j, k) for i in range(tau_axis.size)
             for j in range(T_axis.size) for k in range(s_axis.size)]
-    if workers is None or workers > 1:
+    if workers is None:
+        workers = os.cpu_count() or 1
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             for (i, j, k), val in zip(jobs, pool.map(lambda t: point(*t), jobs)):
                 values[i, j, k] = val

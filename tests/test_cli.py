@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 import yaml
@@ -91,6 +93,22 @@ class TestLoadConfig:
         assert [lv.label for lv in config.system.levels] == \
             [lv.label for lv in again.system.levels]
 
+    @pytest.mark.parametrize("key", ["quadrature.stepfs", "pump.sigma_p", "moda"])
+    def test_unknown_key_named(self, tmp_path, key):
+        cfg = write_config(tmp_path, {key: 0.5})
+        with pytest.raises(ConfigError, match=rf"^{key}: unknown key"):
+            load_config(cfg)
+
+    @pytest.mark.parametrize("key, value, path", [
+        ("hom", {"t_coeff": 0.9}, "hom"),
+        ("system.initial_level", "e0", "system"),
+        ("system.initial_level", "x0", "system"),
+    ])
+    def test_spec_checks_named_by_section(self, tmp_path, key, value, path):
+        with pytest.raises(ConfigError) as err:
+            load_config(write_config(tmp_path, {key: value}))
+        assert err.value.path == path
+
     def test_complex_dipole_entries(self, tmp_path):
         cfg = write_config(tmp_path, {"system.dipoles_ge": [[[0.6, 0.8]]]})
         config = load_config(cfg)
@@ -163,6 +181,47 @@ class TestMain:
         code = main(["run", "--config", str(cfg)])
         assert code == 1
         assert "s > 0" in capsys.readouterr().err
+
+    def test_mode_full_on_short_te_config_names_pump(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"mode": "short_Te",
+                                      "output": str(tmp_path / "o.dat")},
+                           drop=["pump", "crystal"])
+        assert main(["run", "--config", str(cfg), "--mode", "full"]) == 2
+        assert "pump" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_must_be_positive(self, tmp_path, capsys, workers):
+        cfg = write_config(tmp_path, {"output": str(tmp_path / "o.dat")})
+        assert main(["run", "--config", str(cfg), "--workers", workers]) == 2
+        assert "workers" in capsys.readouterr().err
+
+    def test_sidecar_records_default_workers(self, tmp_path):
+        out = tmp_path / "o.dat"
+        cfg = write_config(tmp_path, {"output": str(out), "scan.tau_fs": [1.0]})
+        assert main(["run", "--config", str(cfg)]) == 0
+        sidecar = yaml.safe_load((tmp_path / "o.dat.meta").read_text())
+        assert sidecar["workers"] == sidecar["config"]["workers"] == os.cpu_count()
+
+    @pytest.mark.parametrize("file_mode", ["full", "bs_removed", "short_Te"])
+    @pytest.mark.parametrize("bs_removed", [False, True])
+    @pytest.mark.parametrize("flag", [None, "full", "bs_removed", "short_Te"])
+    def test_mode_agrees_in_grid_and_sidecar(self, tmp_path, file_mode,
+                                             bs_removed, flag):
+        out = tmp_path / "o.dat"
+        cfg = write_config(tmp_path, {"output": str(out), "mode": file_mode,
+                                      "hom": {"bs_removed": bs_removed},
+                                      "scan.tau_fs": [1.0]})
+        argv = ["run", "--config", str(cfg)] + (["--mode", flag] if flag else [])
+        assert main(argv) == 0
+        expected = flag or ("bs_removed" if bs_removed and file_mode == "full"
+                            else file_mode)
+        echo = (tmp_path / "o.dat.meta").read_text()
+        assert SignalGrid.load(out).mode == expected
+        assert yaml.safe_load(echo)["config"]["mode"] == expected
+        config = yaml.safe_load(echo)["config"]
+        (tmp_path / "echo.yaml").write_text(yaml.safe_dump(config))
+        again = serialize_config(load_config(tmp_path / "echo.yaml"))
+        assert yaml.safe_load(again) == config
 
     def test_run_mode_override(self, tmp_path):
         out = tmp_path / "o.dat"

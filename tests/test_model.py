@@ -156,6 +156,21 @@ class TestCorrelator:
         assert vals[0] == 0
         assert vals[1] != 0
 
+    def test_operator_set_unchanged_by_evaluation(self, ladder, gauss_amp):
+        from homspec.signal import coincidence, default_quadrature
+
+        ops = LiouvilleOperatorSet(ladder)
+        before = {k: dict(v) if hasattr(v, "items") else v
+                  for k, v in vars(ops).items()}
+        q = default_quadrature(ops, gauss_amp)
+        coincidence(1.0, 2.0, 0.0, gauss_amp, ops, q)
+        assert vars(ops).keys() == before.keys()
+        for key, value in vars(ops).items():
+            if hasattr(value, "items"):
+                assert dict(value) == before[key], key
+            else:
+                assert value is before[key], key
+
     def test_hermiticity_restoration(self, ladder_ops):
         # pairing a sequence with its side-swapped, sense-swapped partner
         # (times (-1)^{#G}) restores a real trace on Hermitian input

@@ -283,6 +283,21 @@ class TestSignalGrid:
             SignalGrid(np.array([0.0]), np.array([0.0]), np.array([0.0]),
                        np.array([[[np.nan]]]), "full")
 
+    @pytest.mark.parametrize("edit, bad_row", [
+        (lambda rows: [rows[0], rows[2], rows[1]] + rows[3:], "data row 1"),
+        (lambda rows: rows[:-1], "data row 5 is None"),
+    ], ids=["swapped", "missing"])
+    def test_load_checks_rows_against_axes(self, tmp_path, edit, bad_row):
+        grid = SignalGrid(np.array([0.0, 1.0, 2.5]), np.array([1.0, 2.0]),
+                          np.array([3.0]), np.arange(6.0).reshape(3, 2, 1), "full")
+        lines = grid.serialize().splitlines()
+        header = [ln for ln in lines if ln.startswith("#")]
+        rows = [ln for ln in lines if not ln.startswith("#")]
+        path = tmp_path / "grid.dat"
+        path.write_text("\n".join(header + edit(rows)) + "\n")
+        with pytest.raises(ValueError, match=bad_row):
+            SignalGrid.load(path)
+
 
 class TestPathwayProbabilities:
     def test_valid_distribution(self, slow_ladder, quad):
