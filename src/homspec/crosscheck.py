@@ -272,16 +272,6 @@ def evolve_block_kets(bench: Benchmark, names: Sequence[str] = tuple(RESTRICTION
     return kets
 
 
-def exchange_pair_product(amps_bra, amps_ket, hom: HomSpec) -> complex:
-    """Pattern-weighted second-order pair product between two restrictions."""
-    t2, r2 = hom.t_coeff ** 2, hom.r_coeff ** 2
-    total = t2 ** 2 * np.vdot(amps_bra["through"][2], amps_ket["through"][2])
-    total += r2 ** 2 * np.vdot(amps_bra["reflected"][2], amps_ket["reflected"][2])
-    total -= t2 * r2 * (np.vdot(amps_bra["through"][2], amps_ket["cross"][2])
-                        + np.vdot(amps_bra["cross"][2], amps_ket["through"][2]))
-    return complex(total)
-
-
 def brute_force_curve(bench: Benchmark,
                       ket: Optional[PerturbativeKet] = None) -> np.ndarray:
     """Brute-force fourth-order counting probability at the benchmark points,

@@ -341,21 +341,11 @@ def correlator_coherent(tau1: float, tau2: float, tau3: float,
     if tau1 < 0 or tau2 < 0 or tau3 < 0:
         return 0.0 + 0.0j
     vhat = ops.V + ops.Vdag
-
-    def minus(m: np.ndarray) -> np.ndarray:
-        return vhat @ m - m @ vhat
-
-    def plus(m: np.ndarray) -> np.ndarray:
-        return vhat @ m + m @ vhat
-
     rho = ops.initial_state().coefficients
-    rho = minus(rho)
-    rho = propagate(LiouvilleState(rho), tau3, ops).coefficients
-    rho = minus(rho)
-    rho = propagate(LiouvilleState(rho), tau2, ops).coefficients
-    rho = minus(rho)
-    rho = propagate(LiouvilleState(rho), tau1, ops).coefficients
-    return complex(np.trace(plus(rho)))
+    for tau in (tau3, tau2, tau1):  # chronologically: Vhat_-, then G(tau)
+        rho = vhat @ rho - rho @ vhat
+        rho = propagate(LiouvilleState(rho), tau, ops).coefficients
+    return complex(np.trace(vhat @ rho + rho @ vhat))
 
 
 class CorrelatorExpansion:
@@ -378,67 +368,33 @@ class CorrelatorExpansion:
     @classmethod
     def build(cls, ops: LiouvilleOperatorSet,
               seq: Sequence[Tuple[str, bool]]) -> "CorrelatorExpansion":
+        """Contract <tr| S1 G S2 G S3 G S4 |rho0> over the reachable coherences.
+
+        On the row-major vec(rho), V_L = V (x) 1 and V_R = 1 (x) V^T (V† for a
+        raising entry); each nonzero of the coefficient tensor is one term.
+        """
         if len(seq) != 4:
             raise ValueError("expansion is defined for four-operator sequences")
         n = ops.dim
-        V = ops.V
+        eye = np.eye(n)
 
-        def step(states, side, dagger):
-            # states: list of ((i, j), weight); apply one dipole superoperator
-            out = []
-            for (i, j), w in states:
-                if side == "L" and dagger:
-                    col = V[i, :]  # V†|i> = sum_u conj(V[i, u]) |u>
-                    for u in range(n):
-                        if col[u] != 0:
-                            out.append(((u, j), w * np.conj(V[i, u])))
-                elif side == "L" and not dagger:
-                    for l in range(n):
-                        if V[l, i] != 0:
-                            out.append(((l, j), w * V[l, i]))
-                elif side == "R" and dagger:
-                    # <j|V† = sum_l conj(V[l, j]) <l|
-                    for l in range(n):
-                        if V[l, j] != 0:
-                            out.append(((i, l), w * np.conj(V[l, j])))
-                else:
-                    for u in range(n):
-                        if V[j, u] != 0:
-                            out.append(((i, u), w * V[j, u]))
-            return out
+        def superoperator(side: str, dagger: bool) -> np.ndarray:
+            op = ops.Vdag if dagger else ops.V
+            return np.kron(op, eye) if side == "L" else np.kron(eye, op.T)
 
-        k0 = ops.system.initial_index()
-        # walk the sequence chronologically (reversed), recording the
-        # coherence exponent after each of the first three operators
-        coeffs, zs = [], []
-        chronological = list(reversed(list(seq)))
-        frontier = [((k0, k0), 1.0 + 0.0j, ())]
-        for step_idx, (side, dagger) in enumerate(chronological):
-            new_frontier = []
-            for (ij, w, exps) in frontier:
-                for (ij2, w2) in step([(ij, 1.0 + 0.0j)], side, dagger):
-                    wt = w * w2
-                    if step_idx < 3:
-                        i2, j2 = ij2
-                        z = 1j * (ops.omega[i2] - ops.omega[j2]) + ops.eta[i2, j2]
-                        new_frontier.append((ij2, wt, exps + (z,)))
-                    else:
-                        new_frontier.append((ij2, wt, exps))
-            frontier = new_frontier
-        for (i, j), w, exps in frontier:
-            if i == j and w != 0:  # trace keeps diagonal endpoints
-                coeffs.append(w)
-                zs.append(exps)
-        if coeffs:
-            carr = np.array(coeffs, dtype=complex)
-            # exps recorded chronologically: first interval is tau3
-            z3 = np.array([e[0] for e in zs], dtype=complex)
-            z2 = np.array([e[1] for e in zs], dtype=complex)
-            z1 = np.array([e[2] for e in zs], dtype=complex)
-        else:
-            carr = np.zeros(0, dtype=complex)
-            z1 = z2 = z3 = np.zeros(0, dtype=complex)
-        return cls(carr, z1, z2, z3)
+        S1, S2, S3, S4 = (superoperator(*entry) for entry in seq)
+        trace = S1[np.arange(n) * (n + 1)].sum(axis=0)  # rows of the |k><k|
+        start = S4[:, ops.system.initial_index() * (n + 1)]
+        c = np.flatnonzero(start)
+        b = np.flatnonzero(S3[:, c].any(axis=1))
+        a = np.flatnonzero(S2[:, b].any(axis=1) & (trace != 0))
+        # C[c, b, a] = (S4 rho0)_c (S3)_bc (S2)_ab <tr|S1|a>, multiplied in
+        # chronological order
+        C = ((start[c][:, None, None] * S3[np.ix_(b, c)].T[:, :, None])
+             * S2[np.ix_(a, b)].T[None, :, :]) * trace[a][None, None, :]
+        ic, ib, ia = np.nonzero(C)
+        z = (1j * ops.delta_omega + ops.eta).ravel()
+        return cls(C[ic, ib, ia], z[a[ia]], z[b[ib]], z[c[ic]])
 
     def evaluate(self, tau1, tau2, tau3) -> np.ndarray:
         """Vectorized F(tau1, tau2, tau3); zero where any interval is < 0."""

@@ -356,17 +356,27 @@ def detection_amplitudes(ket: PerturbativeKet, hom: HomSpec, t_a: float,
     }
 
 
+def exchange_pair_product(amps_bra, amps_ket, hom: HomSpec,
+                          orders: Tuple[int, int] = (2, 2)) -> complex:
+    """Pattern-weighted product <bra|ket> of two sets of detection amplitudes
+    (from :func:`detection_amplitudes`) at the (bra, ket) orders: t^4 on the
+    transmitted pattern, r^4 on the reflected one, -t^2 r^2 on each
+    transmitted/cross interference."""
+    t2, r2 = hom.t_coeff ** 2, hom.r_coeff ** 2
+    bra = {name: amps[orders[0]] for name, amps in amps_bra.items()}
+    ket = {name: amps[orders[1]] for name, amps in amps_ket.items()}
+    total = t2 ** 2 * np.vdot(bra["through"], ket["through"])
+    total += r2 ** 2 * np.vdot(bra["reflected"], ket["reflected"])
+    total -= t2 * r2 * (np.vdot(bra["through"], ket["cross"])
+                        + np.vdot(bra["cross"], ket["through"]))
+    return complex(total)
+
+
 def _pair_products(amps: Dict[str, Dict[int, np.ndarray]], hom: HomSpec,
                    pairs: Sequence[Tuple[int, int]]) -> float:
-    t2 = hom.t_coeff ** 2
-    r2 = hom.r_coeff ** 2
-    total = 0.0
-    A, B, C = amps["through"], amps["reflected"], amps["cross"]
-    for k, l in pairs:
-        total += t2 ** 2 * np.real(np.vdot(A[l], A[k]))
-        total += r2 ** 2 * np.real(np.vdot(B[l], B[k]))
-        total -= t2 * r2 * np.real(np.vdot(A[l], C[k]) + np.vdot(C[l], A[k]))
-    return float(total)
+    # (k, l) pairs the ket order k with the bra order l
+    return float(sum(exchange_pair_product(amps, amps, hom, (l, k)).real
+                     for k, l in pairs))
 
 
 def coincidence_probability(ket: PerturbativeKet, hom: HomSpec, t_a: float,
@@ -391,6 +401,11 @@ def coincidence_probability(ket: PerturbativeKet, hom: HomSpec, t_a: float,
 
 def fourth_order_coincidence(ket: PerturbativeKet, hom: HomSpec, t_a: float,
                              t_b: float) -> float:
-    """The strict fourth-order piece: order pairs (0,4), (2,2), (4,0)."""
+    """The strict fourth-order piece: order pairs (0,4), (2,2), (4,0).
+
+    Takes the detection times in the signal pipeline's order, t_a = t_ref
+    and t_b = t_ref + tau, and so does not apply
+    :func:`coincidence_probability`'s t_a > t_b check.
+    """
     amps = detection_amplitudes(ket, hom, t_a, t_b)
     return _pair_products(amps, hom, [(0, 4), (2, 2), (4, 0)])

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,6 +72,44 @@ def hom_matrix(omega: float, hom: HomSpec) -> np.ndarray:
     )
 
 
+@dataclass(frozen=True)
+class Affine:
+    """Affine time expression c0 + t + tau*`tau` + T*`T` + t3*`tau3` + t4*`tau4`.
+
+    The detection reference time t enters with coefficient 0 or 1; all
+    integration-variable coefficients are small integers. Evaluation
+    broadcasts over tau3/tau4 meshes.
+    """
+
+    c0: float = 0.0
+    t: int = 1
+    tau: int = 0
+    T: int = 0
+    t3: int = 0
+    t4: int = 0
+
+    def __call__(self, t: float, tau: float, T: float, tau3, tau4):
+        return (self.c0 + self.t * t + self.tau * tau + self.T * T
+                + self.t3 * np.asarray(tau3) + self.t4 * np.asarray(tau4))
+
+    def shift(self, t: float, tau: float, T: float) -> float:
+        """The scalar part once tau3 = tau4 = 0."""
+        return self.c0 + self.t * t + self.tau * tau + self.T * T
+
+    def __str__(self) -> str:
+        parts: List[str] = []
+        for coef, name in ((self.t, "t"), (self.tau, "τ"), (self.T, "T"),
+                           (self.t3, "τ3"), (self.t4, "τ4")):
+            if coef == 0:
+                continue
+            sign = "-" if coef < 0 else ("+" if parts else "")
+            mag = abs(coef)
+            parts.append(f"{sign}{'' if mag == 1 else mag}{name}")
+        if self.c0:
+            parts.append(f"{'+' if self.c0 > 0 else '-'}{abs(self.c0)}")
+        return "".join(parts) if parts else "0"
+
+
 # ---------------------------------------------------------------------------
 # detection stage
 # ---------------------------------------------------------------------------
@@ -91,11 +129,29 @@ class DetectionPathway:
     channel: str                      # "direct" or "exchange"
     t_power: int                      # transmission amplitude exponent
     r_power: int
-    ket_times: Tuple[Tuple[str, "Affine"], ...]
-    bra_times: Tuple[Tuple[str, "Affine"], ...]
+    ket_times: Tuple[Tuple[str, Affine], ...]
+    bra_times: Tuple[Tuple[str, Affine], ...]
 
     def weight(self, hom: HomSpec) -> float:
         return (hom.t_coeff ** self.t_power) * (hom.r_coeff ** self.r_power)
+
+
+#: The four detection patterns by name: the one source of each pattern's
+#: sign, channel and (t, r) powers, for the ledger rows too.
+_PATTERNS: Dict[str, DetectionPathway] = {p.name: p for p in (
+    DetectionPathway("I", +1, "direct", 4, 0,
+                     ket_times=(("a", Affine()), ("b", Affine(tau=1))),
+                     bra_times=(("a", Affine()), ("b", Affine(tau=1)))),
+    DetectionPathway("II", +1, "direct", 0, 4,
+                     ket_times=(("a", Affine(tau=1)), ("b", Affine())),
+                     bra_times=(("a", Affine(tau=1)), ("b", Affine()))),
+    DetectionPathway("III", -1, "exchange", 2, 2,
+                     ket_times=(("a", Affine(tau=1, T=1)), ("b", Affine(T=-1))),
+                     bra_times=(("a", Affine()), ("b", Affine(tau=1)))),
+    DetectionPathway("IV", -1, "exchange", 2, 2,
+                     ket_times=(("a", Affine()), ("b", Affine(tau=1))),
+                     bra_times=(("a", Affine(tau=1, T=1)), ("b", Affine(T=-1)))),
+)}
 
 
 def detection_combinations() -> List[dict]:
@@ -121,35 +177,10 @@ def detection_combinations() -> List[dict]:
     return combos
 
 
-def _aff(**kw) -> "Affine":
-    return Affine(**kw)
-
-
 def detection_pathways(hom: HomSpec, bs_removed: bool = False) -> List[DetectionPathway]:
     """The four detection patterns (or just the direct O_I without the BS)."""
-    o1 = DetectionPathway(
-        "I", +1, "direct", 4, 0,
-        ket_times=(("a", _aff()), ("b", _aff(tau=1))),
-        bra_times=(("a", _aff()), ("b", _aff(tau=1))),
-    )
-    if bs_removed:
-        return [o1]
-    o2 = DetectionPathway(
-        "II", +1, "direct", 0, 4,
-        ket_times=(("a", _aff(tau=1)), ("b", _aff())),
-        bra_times=(("a", _aff(tau=1)), ("b", _aff())),
-    )
-    o3 = DetectionPathway(
-        "III", -1, "exchange", 2, 2,
-        ket_times=(("a", _aff(tau=1, T=1)), ("b", _aff(T=-1))),
-        bra_times=(("a", _aff()), ("b", _aff(tau=1))),
-    )
-    o4 = DetectionPathway(
-        "IV", -1, "exchange", 2, 2,
-        ket_times=(("a", _aff()), ("b", _aff(tau=1))),
-        bra_times=(("a", _aff(tau=1, T=1)), ("b", _aff(T=-1))),
-    )
-    return [o1, o2, o3, o4]
+    patterns = list(_PATTERNS.values())
+    return patterns[:1] if bs_removed else patterns
 
 
 # ---------------------------------------------------------------------------
@@ -244,44 +275,6 @@ def enumerate_interaction_pathways(
 # the contribution ledger
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Affine:
-    """Affine time expression c0 + t + tau*`tau` + T*`T` + t3*`tau3` + t4*`tau4`.
-
-    The detection reference time t enters with coefficient 0 or 1; all
-    integration-variable coefficients are small integers. Evaluation
-    broadcasts over tau3/tau4 meshes.
-    """
-
-    c0: float = 0.0
-    t: int = 1
-    tau: int = 0
-    T: int = 0
-    t3: int = 0
-    t4: int = 0
-
-    def __call__(self, t: float, tau: float, T: float, tau3, tau4):
-        return (self.c0 + self.t * t + self.tau * tau + self.T * T
-                + self.t3 * np.asarray(tau3) + self.t4 * np.asarray(tau4))
-
-    def shift(self, t: float, tau: float, T: float) -> float:
-        """The scalar part once tau3 = tau4 = 0."""
-        return self.c0 + self.t * t + self.tau * tau + self.T * T
-
-    def __str__(self) -> str:
-        parts: List[str] = []
-        for coef, name in ((self.t, "t"), (self.tau, "τ"), (self.T, "T"),
-                           (self.t3, "τ3"), (self.t4, "τ4")):
-            if coef == 0:
-                continue
-            sign = "-" if coef < 0 else ("+" if parts else "")
-            mag = abs(coef)
-            parts.append(f"{sign}{'' if mag == 1 else mag}{name}")
-        if self.c0:
-            parts.append(f"{'+' if self.c0 > 0 else '-'}{abs(self.c0)}")
-        return "".join(parts) if parts else "0"
-
-
 # F-argument expressions never carry the reference time
 def _farg(**kw) -> Affine:
     return Affine(t=0, **kw)
@@ -312,15 +305,13 @@ class PathwayTerm:
 
     detection: str                    # "I".."IV"
     interaction: int                  # 1..5
-    sign: int
-    channel: str
-    t_power: int
-    r_power: int
     sub_terms: Tuple[SubTerm, ...]
     extension: str = ""
 
-    def weight(self, hom: HomSpec) -> float:
-        return (hom.t_coeff ** self.t_power) * (hom.r_coeff ** self.r_power)
+    @property
+    def pattern(self) -> DetectionPathway:
+        """The row's detection pattern: its sign, channel and weight."""
+        return _PATTERNS[self.detection]
 
     @property
     def label(self) -> str:
@@ -330,11 +321,7 @@ class PathwayTerm:
 
 def _term(det: str, i: int, subs: Sequence[SubTerm],
           extension: str = "") -> PathwayTerm:
-    sign = +1 if det in ("I", "II") else -1
-    channel = "direct" if det in ("I", "II") else "exchange"
-    powers = {"I": (4, 0), "II": (0, 4), "III": (2, 2), "IV": (2, 2)}[det]
-    return PathwayTerm(det, i, sign, channel, powers[0], powers[1], tuple(subs),
-                       extension)
+    return PathwayTerm(det, i, tuple(subs), extension)
 
 
 def term_table() -> List[PathwayTerm]:
@@ -534,7 +521,8 @@ def format_term_table() -> str:
                        f"{sub.args[0]})]" if sub.symmetrize
                        else f"Φ({sub.args[0]}, {sub.args[1]})")
             head = (f"{term.detection:>3} {term.interaction:>2} "
-                    f"{'+' if term.sign > 0 else '-':>4}  {term.channel:<8}"
+                    f"{'+' if term.pattern.sign > 0 else '-':>4}  "
+                    f"{term.pattern.channel:<8}"
                     if k == 0 else " " * 21)
             lines.append(
                 f"{head}  Φ*({sub.conj_args[0]}, {sub.conj_args[1]}) · {bracket}"

@@ -122,20 +122,28 @@ def default_quadrature(ops: LiouvilleOperatorSet, amp=None, *,
 # quadrature core
 # ---------------------------------------------------------------------------
 
-def _weights(n: int, h: float, rule: str) -> np.ndarray:
-    if n == 1:
-        return np.array([h])  # degenerate slab; only hit at extreme clipping
-    w = np.full(n, h)
-    w[0] = w[-1] = h / 2.0
-    if rule == "simpson" and n >= 3:
-        m = n if n % 2 == 1 else n - 1
-        ws = np.full(m, h / 3.0)
-        ws[1:-1:2] = 4.0 * h / 3.0
-        ws[2:-1:2] = 2.0 * h / 3.0
-        w[:m] = ws
-        if m != n:  # trapezoid patch on the last panel
-            w[-2] += h / 2.0
-            w[-1] = h / 2.0
+def _weights(nodes: np.ndarray, h: float, rule: str) -> np.ndarray:
+    """Quadrature weights on sorted nodes whose cells have length h, except
+    for shorter clipping slivers at the ends.
+
+    Trapezoid on every cell; with ``rule="simpson"``, composite Simpson over
+    the run of full-length cells (an odd last cell of the run stays
+    trapezoid) and trapezoid on the slivers.
+    """
+    d = np.diff(nodes)
+    w = np.zeros(nodes.size)
+    if rule == "simpson":
+        full = np.flatnonzero(np.abs(d - h) <= 1e-9 * h)
+        d[full] = h
+        k = full.size // 2 * 2  # cells of the run that Simpson covers
+        if k:
+            a = full[0]
+            w[a:a + k + 1] = h / 3.0
+            w[a + 1:a + k:2] = 4.0 * h / 3.0
+            w[a + 2:a + k - 1:2] = 2.0 * h / 3.0
+            d[a:a + k] = 0.0  # these cells take no trapezoid share
+    w[:-1] += d / 2.0
+    w[1:] += d / 2.0
     return w
 
 
@@ -175,31 +183,6 @@ def _segment_nodes(lo: float, hi: float, q: QuadratureSpec) -> Optional[np.ndarr
     return np.concatenate(([lo], inner, [hi]))
 
 
-def _segment_weights(nodes: np.ndarray, rule: str) -> np.ndarray:
-    """Trapezoid (or Simpson on the uniform interior) for a split segment.
-
-    The first/last cells may be slivers from clipping or causality breaks;
-    they always get trapezoid treatment.
-    """
-    n = nodes.size
-    if n == 1:
-        return np.zeros(1)
-    d = np.diff(nodes)
-    w = np.zeros(n)
-    w[:-1] += d / 2.0
-    w[1:] += d / 2.0
-    if rule == "simpson" and n >= 5:
-        # uniform interior nodes[1:-1]; overwrite with composite Simpson
-        h = nodes[2] - nodes[1]
-        m = n - 2
-        if m >= 3 and np.allclose(np.diff(nodes[1:-1]), h):
-            ws = _weights(m, h, "simpson")
-            w[1:-1] = ws
-            w[1] += d[0] / 2.0
-            w[-2] += d[-1] / 2.0
-    return w
-
-
 def _block_value(sub: SubTerm, interaction: int, t: float, tau: float, T: float,
                  amp, ops: LiouvilleOperatorSet, q: QuadratureSpec,
                  tau3: np.ndarray, tau4: np.ndarray) -> complex:
@@ -230,8 +213,8 @@ def _block_value(sub: SubTerm, interaction: int, t: float, tau: float, T: float,
     F[mask] = ops.expansion(interaction).evaluate(
         np.maximum(a1[mask], 0.0), np.maximum(a2[mask], 0.0),
         np.maximum(a3[mask], 0.0))
-    w3 = _segment_weights(tau3, q.rule)
-    w4 = _segment_weights(tau4, q.rule)
+    w3 = _weights(tau3, q.step, q.rule)
+    w4 = _weights(tau4, q.step, q.rule)
     return complex(((w3[:, None] * w4[None, :]) * (prod * F)).sum())
 
 
@@ -312,25 +295,33 @@ def _resolve_amplitude(amp, s: float):
     return amp
 
 
+def _signed_rows(table: Sequence[PathwayTerm], tau: float, T: float, s: float,
+                 amp, ops: LiouvilleOperatorSet, q: QuadratureSpec,
+                 hom: HomSpec):
+    """Yield (row, signed and channel-weighted value), skipping rows the
+    splitter weights to zero."""
+    amp = _resolve_amplitude(amp, s)
+    for term in table:
+        weight = term.pattern.sign * term.pattern.weight(hom)
+        if weight:
+            yield term, weight * term_value(term, tau, T, s, amp, ops, q)
+
+
 def coincidence_terms(tau: float, T: float, s: float, amp,
                       ops: LiouvilleOperatorSet, q: QuadratureSpec,
                       hom: Optional[HomSpec] = None,
                       bs_removed: bool = False) -> Dict[Tuple[str, int], complex]:
-    """Signed, channel-weighted values of every contributing ledger row."""
-    if hom is None:
-        hom = HomSpec(T=T)
-    amp = _resolve_amplitude(amp, s)
-    out: Dict[Tuple[str, int], complex] = {}
-    for term in term_table():
-        if bs_removed:
-            if term.detection != "I":
-                continue
-            weight = 1.0  # no splitter: unit transmission on the only path
-        else:
-            weight = term.weight(hom)
-        val = term_value(term, tau, T, s, amp, ops, q)
-        out[(term.detection, term.interaction)] = term.sign * weight * val
-    return out
+    """Signed, channel-weighted values of every contributing ledger row.
+
+    ``hom`` supplies only the splitter amplitudes t and r (default 50:50);
+    the delay T always comes from the argument. ``bs_removed`` replaces the
+    splitter by unit transmission, which leaves only the O_I rows.
+    """
+    if bs_removed:
+        hom = HomSpec(t_coeff=1.0, r_coeff=0.0)
+    return {(term.detection, term.interaction): value for term, value
+            in _signed_rows(term_table(), tau, T, s, amp, ops, q,
+                            hom or HomSpec())}
 
 
 def coincidence(tau: float, T: float, s: float, amp,
@@ -340,7 +331,9 @@ def coincidence(tau: float, T: float, s: float, amp,
     """Real coincidence value: twice the real part of the signed row sum.
 
     This is the published ledger's signal; :func:`complete_coincidence` is
-    the complete fourth-order counting probability.
+    the complete fourth-order counting probability. As in
+    :func:`coincidence_terms`, ``hom`` supplies only t and r, and T comes
+    from the argument.
     """
     vals = coincidence_terms(tau, T, s, amp, ops, q, hom=hom,
                              bs_removed=bs_removed)
@@ -362,14 +355,12 @@ def complete_coincidence_terms(tau: float, T: float, s: float, amp,
     signal, keyed by row label (see :func:`complete_term_table`).
 
     Each value is `BLOCK_FACTOR` times the signed, weighted row value; the
-    counting probability is twice the real part of their sum.
+    counting probability is twice the real part of their sum. ``hom``
+    supplies only t and r; T comes from the argument.
     """
-    if hom is None:
-        hom = HomSpec(T=T)
-    amp = _resolve_amplitude(amp, s)
-    return {term.label: BLOCK_FACTOR * term.sign * term.weight(hom)
-            * term_value(term, tau, T, s, amp, ops, q)
-            for term in complete_term_table()}
+    return {term.label: BLOCK_FACTOR * value for term, value
+            in _signed_rows(complete_term_table(), tau, T, s, amp, ops, q,
+                            hom or HomSpec())}
 
 
 def complete_coincidence(tau: float, T: float, s: float, amp,
@@ -403,7 +394,7 @@ def _line_integral_F5(arg1: float, arg3: float, ops: LiouvilleOperatorSet,
     tau3 = np.arange(0, q.n_nodes + 1) * q.step
     vals = ops.expansion(5).evaluate(np.full_like(tau3, arg1), tau3,
                                      np.full_like(tau3, arg3))
-    w = _weights(tau3.size, q.step, q.rule)
+    w = _weights(tau3, q.step, q.rule)
     return complex((w * vals).sum())
 
 

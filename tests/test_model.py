@@ -140,14 +140,28 @@ class TestCorrelator:
         assert abs(correlator(1, t1, t2, t3, ops) - expected) < 1e-12
 
     def test_expansion_matches_dense(self, ladder_ops):
+        # one level per band gives one path per correlator; the 2/3/2 system
+        # (complex dipoles, a pair-rate override, starting in the upper g
+        # level) sums 18 paths in each
         rng = np.random.default_rng(0)
-        for i in range(1, 6):
-            exp = ladder_ops.expansion(i)
-            for _ in range(4):
-                t1, t2, t3 = rng.uniform(0.0, 6.0, 3)
-                dense = correlator(i, t1, t2, t3, ladder_ops)
-                fast = complex(exp.evaluate(t1, t2, t3))
-                assert abs(dense - fast) < 1e-12
+        ge = rng.uniform(0.3, 1.0, (3, 2)) * np.exp(2j * np.pi * rng.random((3, 2)))
+        ef = rng.uniform(0.3, 1.0, (2, 3)) * np.exp(2j * np.pi * rng.random((2, 3)))
+        multi = LiouvilleOperatorSet(ExcitonSystem(
+            levels=[Level("g0", "g", 0.0), Level("g1", "g", 0.05),
+                    Level("e0", "e", 0.9), Level("e1", "e", 1.0),
+                    Level("e2", "e", 1.2), Level("f0", "f", 1.8),
+                    Level("f1", "f", 2.1)],
+            dipoles_ge=ge, dipoles_ef=ef, dephasing_default=0.08,
+            dephasing_pairs={("e1", "g1"): 0.2}, initial_label="g1"))
+        for ops, n_terms in ((ladder_ops, 1), (multi, 18)):
+            for i in range(1, 6):
+                exp = ops.expansion(i)
+                assert exp.coeffs.size == n_terms
+                for _ in range(4):
+                    t1, t2, t3 = rng.uniform(0.0, 6.0, 3)
+                    dense = correlator(i, t1, t2, t3, ops)
+                    fast = complex(exp.evaluate(t1, t2, t3))
+                    assert abs(dense - fast) < 1e-12
 
     def test_expansion_vectorized_causality(self, ladder_ops):
         exp = ladder_ops.expansion(2)

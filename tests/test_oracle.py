@@ -3,7 +3,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-import homspec.crosscheck as crosscheck
 from homspec.crosscheck import (CONVERGED_STEPS, CONVERGED_WINDOW, RESTRICTIONS,
                                 _gaussian_pair_values, brute_force_curve,
                                 converged_benchmark, evolve_benchmark_kets,
@@ -12,7 +11,7 @@ from homspec.crosscheck import (CONVERGED_STEPS, CONVERGED_WINDOW, RESTRICTIONS,
 from homspec.model import ExcitonSystem, Level, LiouvilleOperatorSet
 from homspec.oracle import (DiscretizedField, coincidence_probability,
                             detection_amplitudes, evolve_perturbative,
-                            fourth_order_coincidence)
+                            exchange_pair_product, fourth_order_coincidence)
 from homspec.pathways import HomSpec, term_table
 from homspec.signal import term_value
 
@@ -464,6 +463,6 @@ def test_full_fourth_order_differs_from_ledger_sum(bench, bench_kets):
     total = fourth_order_coincidence(ket, hom, q.t_ref, q.t_ref + tau)
     amps_a = detection_amplitudes(ket_a, hom, q.t_ref, q.t_ref + tau)
     amps_b = detection_amplitudes(ket_b, hom, q.t_ref, q.t_ref + tau)
-    diag = (crosscheck.exchange_pair_product(amps_a, amps_a, hom)
-            + crosscheck.exchange_pair_product(amps_b, amps_b, hom))
+    diag = (exchange_pair_product(amps_a, amps_a, hom)
+            + exchange_pair_product(amps_b, amps_b, hom))
     assert abs(diag.real) > 1e-3 * abs(total)

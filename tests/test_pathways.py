@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import gaussian_amplitude
+from homspec.cli import main
 from homspec.model import CORRELATOR_SEQUENCES, sequence_tokens
 from homspec.pathways import (DEFAULT_FILTERS, Affine, HomSpec,
                               bare_pair_coincidence, complete_term_table,
@@ -130,9 +132,9 @@ class TestTermTable:
     def test_channel_tags_and_signs(self):
         for term in term_table():
             if term.detection in ("I", "II"):
-                assert term.channel == "direct" and term.sign == 1
+                assert term.pattern.channel == "direct" and term.pattern.sign == 1
             else:
-                assert term.channel == "exchange" and term.sign == -1
+                assert term.pattern.channel == "exchange" and term.pattern.sign == -1
 
     def test_bracket_only_on_last_pathway(self):
         for term in term_table():
@@ -141,7 +143,7 @@ class TestTermTable:
 
     def test_weights_at_5050_uniform(self):
         hom = HomSpec(T=0.0)
-        weights = {term.weight(hom) for term in term_table()}
+        weights = {term.pattern.weight(hom) for term in term_table()}
         assert all(abs(w - 0.25) < 1e-12 for w in weights)
 
     def test_complete_table_extends_the_ledger(self):
@@ -163,7 +165,7 @@ class TestTermTable:
         for det in ("I", "II"):
             term = [t for t in complete_term_table()
                     if t.label == f"{det}-1 same-arm"][0]
-            assert (term.sign, term.channel) == (1, "direct")
+            assert (term.pattern.sign, term.pattern.channel) == (1, "direct")
             assert len(term.sub_terms) == 2
             for sub in term.sub_terms:
                 # bra and ket emit at the same detection time
@@ -176,6 +178,13 @@ class TestTermTable:
         text = format_term_table()
         assert len(text.splitlines()) == 1 + 26  # header + one line per sub-term
         assert "F5" in text and "Φ*" in text
+
+    def test_dump_matches_pinned_copy(self, capsys):
+        # tests/data/pathways_dump.txt holds the committed dump; a change to
+        # the ledger or to its rendering must update it deliberately
+        assert main(["pathways", "dump"]) == 0
+        pinned = (Path(__file__).parent / "data" / "pathways_dump.txt").read_bytes()
+        assert capsys.readouterr().out.encode("utf-8") == pinned
 
 
 class TestEntropy:

@@ -9,11 +9,12 @@ from homspec.biphoton import DeltaAmplitude
 from homspec.model import ExcitonSystem, Level, LiouvilleOperatorSet
 from homspec.pathways import HomSpec, term_table
 from homspec.signal import (BLOCK_FACTOR, QuadratureSpec, SignalGrid,
-                            coincidence, coincidence_short_Te,
-                            coincidence_terms, complete_coincidence,
-                            complete_coincidence_terms, default_quadrature,
-                            pathway_probabilities, reference_time, scan,
-                            short_te_terms, system_hash, term_value)
+                            _segment_nodes, _weights, coincidence,
+                            coincidence_short_Te, coincidence_terms,
+                            complete_coincidence, complete_coincidence_terms,
+                            default_quadrature, pathway_probabilities,
+                            reference_time, scan, short_te_terms, system_hash,
+                            term_value)
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,42 @@ class TestQuadratureSpec:
         q = default_quadrature(slow_ladder, amp)
         assert q.cutoff >= 10.0 / slow_ladder.eta.min()
         assert q.step <= 0.1 * 2 * np.pi / 1.75
+
+
+class TestWeights:
+    """One weight builder serves the row blocks (nodes from `_segment_nodes`)
+    and the closed form's line integral (nodes on the full step lattice)."""
+
+    H = 0.1
+
+    def nodes(self, caller, lo, hi):
+        if caller == "segment":
+            return _segment_nodes(lo, hi, QuadratureSpec(cutoff=hi, step=self.H))
+        return np.arange(round(lo / self.H), round(hi / self.H) + 1) * self.H
+
+    @pytest.mark.parametrize("caller", ["segment", "line"])
+    def test_simpson_exact_for_cubics_on_full_cells(self, caller):
+        nodes = self.nodes(caller, 0.0, 3.2)  # 32 full-length cells
+        w = _weights(nodes, self.H, "simpson")
+        assert abs(w @ nodes ** 3 - 3.2 ** 4 / 4) < 1e-12
+
+    def test_sliver_end_cells_stay_trapezoid(self):
+        lo, hi = 0.37, 3.06  # slivers [0.37, 0.4] and [3.0, 3.06]
+        nodes = self.nodes("segment", lo, hi)
+        assert (nodes[1], nodes[-2]) == pytest.approx((0.4, 3.0))
+        w = _weights(nodes, self.H, "simpson")
+        # Simpson is exact for cubics on the 26 full cells in between
+        expected = ((3.0 ** 4 - 0.4 ** 4) / 4
+                    + (0.4 - lo) / 2 * (lo ** 3 + 0.4 ** 3)
+                    + (hi - 3.0) / 2 * (3.0 ** 3 + hi ** 3))
+        assert abs(w @ nodes ** 3 - expected) < 1e-12
+        assert w.sum() == pytest.approx(hi - lo, abs=1e-14)
+
+    def test_trapezoid_on_every_cell(self):
+        nodes = self.nodes("segment", 0.37, 3.06)
+        w = _weights(nodes, self.H, "trapezoid")
+        d = np.diff(nodes)
+        assert np.array_equal(w, np.r_[d, 0] / 2 + np.r_[0, d] / 2)
 
 
 class TestTermValue:
