@@ -297,9 +297,10 @@ def _resolve_amplitude(amp, s: float):
 
 def _signed_rows(table: Sequence[PathwayTerm], tau: float, T: float, s: float,
                  amp, ops: LiouvilleOperatorSet, q: QuadratureSpec,
-                 hom: HomSpec):
+                 hom: Optional[HomSpec]):
     """Yield (row, signed and channel-weighted value), skipping rows the
-    splitter weights to zero."""
+    splitter (default 50:50) weights to zero."""
+    hom = hom or HomSpec()
     amp = _resolve_amplitude(amp, s)
     for term in table:
         weight = term.pattern.sign * term.pattern.weight(hom)
@@ -320,8 +321,7 @@ def coincidence_terms(tau: float, T: float, s: float, amp,
     if bs_removed:
         hom = HomSpec(t_coeff=1.0, r_coeff=0.0)
     return {(term.detection, term.interaction): value for term, value
-            in _signed_rows(term_table(), tau, T, s, amp, ops, q,
-                            hom or HomSpec())}
+            in _signed_rows(term_table(), tau, T, s, amp, ops, q, hom)}
 
 
 def coincidence(tau: float, T: float, s: float, amp,
@@ -360,7 +360,7 @@ def complete_coincidence_terms(tau: float, T: float, s: float, amp,
     """
     return {term.label: BLOCK_FACTOR * value for term, value
             in _signed_rows(complete_term_table(), tau, T, s, amp, ops, q,
-                            hom or HomSpec())}
+                            hom)}
 
 
 def complete_coincidence(tau: float, T: float, s: float, amp,
