@@ -579,10 +579,10 @@ def bare_pair_coincidence(amp, hom: HomSpec) -> float:
     where the first two (transmitted/reflected) terms integrate to the
     squared norms. Vanishes at T = 0 for an exchange-symmetric amplitude.
     """
-    t2 = hom.t_coeff ** 2
-    r2 = hom.r_coeff ** 2
+    I, II, III, IV = detection_pathways(hom)
     x = amp.t1[:, None]
     y = amp.t2[None, :]
     cross = amp.time_value(y + hom.T, x - hom.T)
     overlap = np.sum(np.conj(amp.time_values) * cross) * amp.dt1 * amp.dt2
-    return float(t2 ** 2 + r2 ** 2 - 2.0 * t2 * r2 * np.real(overlap))
+    return float(I.weight(hom) + II.weight(hom)
+                 - (III.weight(hom) + IV.weight(hom)) * np.real(overlap))

@@ -26,7 +26,7 @@ import numpy as np
 from .biphoton import BiphotonAmplitude, DeltaAmplitude, to_time_domain
 from .model import LiouvilleOperatorSet
 from .pathways import (HomSpec, PathwayTerm, SubTerm, complete_term_table,
-                       term_table)
+                       detection_pathways, term_table)
 
 __all__ = [
     "QuadratureSpec",
@@ -421,9 +421,9 @@ def short_te_terms(tau: float, T: float, s: float, ops: LiouvilleOperatorSet,
         w_exchange = w_direct = 1.0
     else:
         # the surviving direct-channel term stems from the both-reflected
-        # detection pattern
-        w_exchange = hom.t_coeff ** 2 * hom.r_coeff ** 2
-        w_direct = hom.r_coeff ** 4
+        # detection pattern O_II
+        _, reflected, exchange, _ = detection_pathways(hom)
+        w_exchange, w_direct = exchange.weight(hom), reflected.weight(hom)
     exp1 = ops.expansion(1)
     exp2 = ops.expansion(2)
     exp3 = ops.expansion(3)
