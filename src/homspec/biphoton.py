@@ -249,10 +249,11 @@ class BiphotonAmplitude:
         out = env * np.exp(-1j * (ca * x + cb * y))
         return np.where(inside, out, 0.0)
 
-    def time_support(self, rel_eps: float = 1e-6) -> Tuple[float, float, float, float]:
-        """Bounding box (t1_lo, t1_hi, t2_lo, t2_hi) where the amplitude lives."""
+    def time_support(self) -> Tuple[float, float, float, float]:
+        """Bounding box (t1_lo, t1_hi, t2_lo, t2_hi) where the amplitude
+        exceeds 1e-6 of its peak magnitude."""
         mag = np.abs(self.time_values)
-        thresh = rel_eps * mag.max()
+        thresh = 1e-6 * mag.max()
         rows = np.where(mag.max(axis=1) > thresh)[0]
         cols = np.where(mag.max(axis=0) > thresh)[0]
         return (float(self.t1[rows[0]]), float(self.t1[rows[-1]]),
@@ -404,7 +405,7 @@ class DeltaAmplitude:
     def time_value(self, x, y) -> np.ndarray:
         return delta_limit_amplitude(x, y, self.s, self.spacing, self.convention)
 
-    def time_support(self, rel_eps: float = 1e-8):
+    def time_support(self):
         return None  # a line, not a box: callers fall back to their cutoffs
 
 

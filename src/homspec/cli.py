@@ -202,7 +202,7 @@ FIELDS: Tuple[Field, ...] = (
     Field("quadrature.cutoff_fs", "quad_cutoff", _number, None),
     Field("quadrature.rule", "quad_rule", _choice("trapezoid", "simpson"), "trapezoid"),
     Field("quadrature.t_ref_fs", "t_ref", _number, None),
-    Field("quadrature.t_ref_offset_fs", "t_ref_offset", _number, 0.0),
+    Field("quadrature.t_ref_offset_fs", "t_ref_offset", _number, None),
     Field("mode", "mode", _choice(*MODES), "full"),
     Field("output", "output", _text, "signal.dat"),
     Field("workers", "workers", _integer(1), os.cpu_count() or 1),
@@ -233,7 +233,7 @@ class RunConfig:
     quad_cutoff: Optional[float]
     quad_rule: str
     t_ref: Optional[float]
-    t_ref_offset: float
+    t_ref_offset: Optional[float]
     mode: str
     output: str
     workers: int
@@ -295,6 +295,9 @@ def load_config(path: str, overrides: Optional[Mapping[str, Any]] = None) -> Run
               if f.target.partition(".")[0] not in unused}
     if values.pop("bs_removed") and values["mode"] == "full":  # echoed as the mode
         values["mode"] = "bs_removed"
+    if values["t_ref"] is not None and values["t_ref_offset"] is not None:
+        raise ConfigError("quadrature.t_ref_offset_fs", "shifts only the default "
+                          "reference time; it cannot go with quadrature.t_ref_fs")
     for name, spec in SPECS.items():
         args = {key.partition(".")[2]: values.pop(key)
                 for key in [k for k in values if k.startswith(name + ".")]}
@@ -302,6 +305,10 @@ def load_config(path: str, overrides: Optional[Mapping[str, Any]] = None) -> Run
             values[name] = None if name in unused else spec(**args)
         except (ValueError, KeyError) as exc:
             raise ConfigError(name, str(exc)) from exc
+    hom = values["hom"]
+    if values["mode"] != "full" and abs(hom.t_coeff ** 2 - hom.r_coeff ** 2) > 1e-12:
+        raise ConfigError("hom", f"mode {values['mode']} ignores t_coeff and "
+                          "r_coeff; only a 50:50 splitter is allowed")
     return RunConfig(**values)
 
 
@@ -340,7 +347,7 @@ def run(config: RunConfig) -> int:
     amp = _build_amplitude(config)
     q = default_quadrature(ops, amp, step=config.quad_step,
                            cutoff=config.quad_cutoff, rule=config.quad_rule,
-                           t_ref=config.t_ref, t_ref_offset=config.t_ref_offset)
+                           t_ref=config.t_ref, t_ref_offset=config.t_ref_offset or 0.0)
     log.info("scan: mode=%s grid=%dx%dx%d workers=%d", config.mode,
              config.tau_axis.size, config.T_axis.size, config.s_axis.size,
              config.workers)

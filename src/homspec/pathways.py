@@ -8,8 +8,8 @@ Three layers of bookkeeping live here:
   filter chain that reduces 256 candidates to the five surviving four-point
   correlators,
 * the full table of detection x interaction contribution recipes: for each
-  combination, the amplitude argument maps and correlator argument triple
-  that the signal quadrature integrates.
+  combination, the amplitude argument maps and the correlator's first
+  interval that the signal quadrature integrates.
 
 Entropy diagnostics over pathway probability vectors round the module out.
 """
@@ -177,10 +177,9 @@ def detection_combinations() -> List[dict]:
     return combos
 
 
-def detection_pathways(hom: HomSpec, bs_removed: bool = False) -> List[DetectionPathway]:
-    """The four detection patterns (or just the direct O_I without the BS)."""
-    patterns = list(_PATTERNS.values())
-    return patterns[:1] if bs_removed else patterns
+def detection_pathways() -> List[DetectionPathway]:
+    """The four detection patterns O_I..O_IV."""
+    return list(_PATTERNS.values())
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +207,6 @@ class InteractionPathway:
 
     ops: Tuple[Tuple[str, bool], ...]
     index: Optional[int] = None       # 1..5 when matching a canonical correlator
-    conjugate_included: bool = True
 
     @property
     def tokens(self) -> Tuple[str, ...]:
@@ -286,12 +284,14 @@ class SubTerm:
 
     conj_args feed the conjugated amplitude, args the direct one; when
     ``symmetrize`` is set the direct amplitude is the bracket
-    value(args) + value(swapped args).
+    value(args) + value(swapped args). The correlator is evaluated at
+    (first_interval, tau3, tau4): in every row its two earliest intervals
+    are the integration variables, so only its first argument is stored.
     """
 
     conj_args: Tuple[Affine, Affine]
     args: Tuple[Affine, Affine]
-    f_args: Tuple[Affine, Affine, Affine]
+    first_interval: Affine
     symmetrize: bool = False
 
 
@@ -341,78 +341,78 @@ def term_table() -> List[PathwayTerm]:
     rows.append(_term("I", 1, [SubTerm(
         conj_args=(A(t3=-1, t4=-1), A(tau=1)),
         args=(A(), A(t3=-1)),
-        f_args=(_farg(tau=1), _farg(t3=1), _farg(t4=1)))]))
+        first_interval=_farg(tau=1))]))
     rows.append(_term("II", 1, [SubTerm(
         conj_args=(A(tau=1), A(t3=-1, t4=-1)),
         args=(A(t3=-1), A()),
-        f_args=(_farg(tau=1), _farg(t3=1), _farg(t4=1)))]))
+        first_interval=_farg(tau=1))]))
     rows.append(_term("III", 1, [
         SubTerm(conj_args=(A(), A(tau=1, t3=-1, t4=-1)),
                 args=(A(tau=1, t3=-1), A(T=-1)),
-                f_args=(_farg(T=1), _farg(t3=1), _farg(t4=1))),
+                first_interval=_farg(T=1)),
         SubTerm(conj_args=(A(t3=-1, t4=-1), A(tau=1)),
                 args=(A(t3=-1), A(T=-1)),
-                f_args=(_farg(T=1, tau=1), _farg(t3=1), _farg(t4=1))),
+                first_interval=_farg(T=1, tau=1)),
     ]))
     rows.append(_term("IV", 1, [
         SubTerm(conj_args=(A(T=1, tau=1), A(T=-1, t3=-1, t4=-1)),
                 args=(A(T=-1, t3=-1), A(tau=1)),
-                f_args=(_farg(T=1), _farg(t3=1), _farg(t4=1))),
+                first_interval=_farg(T=1)),
         SubTerm(conj_args=(A(T=1, tau=1), A(T=-1, t3=-1, t4=-1)),
                 args=(A(), A(T=-1, t3=-1)),
-                f_args=(_farg(tau=1, T=1), _farg(t3=1), _farg(t4=1))),
+                first_interval=_farg(tau=1, T=1)),
     ]))
 
     # interaction pathway 2
     rows.append(_term("I", 2, [SubTerm(
         conj_args=(A(t4=-1), A(tau=1)),
         args=(A(), A(t3=1)),
-        f_args=(_farg(tau=1, t3=-1), _farg(t3=1), _farg(t4=1)))]))
+        first_interval=_farg(tau=1, t3=-1))]))
     rows.append(_term("II", 2, [SubTerm(
         conj_args=(A(tau=1), A(t4=-1)),
         args=(A(t3=1), A()),
-        f_args=(_farg(tau=1, t3=-1), _farg(t3=1), _farg(t4=1)))]))
+        first_interval=_farg(tau=1, t3=-1))]))
     rows.append(_term("III", 2, [
         SubTerm(conj_args=(A(), A(tau=1, t4=-1)),
                 args=(A(tau=1, t3=1), A(T=-1)),
-                f_args=(_farg(T=1, t3=-1), _farg(t3=1), _farg(t4=1))),
+                first_interval=_farg(T=1, t3=-1)),
         SubTerm(conj_args=(A(t4=-1), A(tau=1)),
                 args=(A(t3=1), A(T=-1)),
-                f_args=(_farg(tau=1, T=1, t3=-1), _farg(t3=1), _farg(t4=1))),
+                first_interval=_farg(tau=1, T=1, t3=-1)),
     ]))
     rows.append(_term("IV", 2, [
         SubTerm(conj_args=(A(T=1, tau=1), A(T=-1, t4=-1)),
                 args=(A(T=-1, t3=1), A(tau=1)),
-                f_args=(_farg(T=1, t3=-1), _farg(t3=1), _farg(t4=1))),
+                first_interval=_farg(T=1, t3=-1)),
         SubTerm(conj_args=(A(T=1, tau=1), A(T=-1, t4=-1)),
                 args=(A(), A(T=-1, t3=1)),
-                f_args=(_farg(tau=1, T=1, t3=-1), _farg(t3=1), _farg(t4=1))),
+                first_interval=_farg(tau=1, T=1, t3=-1)),
     ]))
 
     # interaction pathway 3
     rows.append(_term("I", 3, [SubTerm(
         conj_args=(A(t3=-1), A(tau=1)),
         args=(A(), A(t3=-1, t4=-1)),
-        f_args=(_farg(tau=1), _farg(t3=1), _farg(t4=1)))]))
+        first_interval=_farg(tau=1))]))
     rows.append(_term("II", 3, [SubTerm(
         conj_args=(A(tau=1), A(t3=-1)),
         args=(A(t3=-1, t4=-1), A()),
-        f_args=(_farg(tau=1), _farg(t3=1), _farg(t4=1)))]))
+        first_interval=_farg(tau=1))]))
     rows.append(_term("III", 3, [
         SubTerm(conj_args=(A(), A(tau=1, t3=-1)),
                 args=(A(tau=1, t3=-1, t4=-1), A(T=-1)),
-                f_args=(_farg(T=1), _farg(t3=1), _farg(t4=1))),
+                first_interval=_farg(T=1)),
         SubTerm(conj_args=(A(t3=-1), A(tau=1)),
                 args=(A(t3=-1, t4=-1), A(T=-1)),
-                f_args=(_farg(tau=1, T=1), _farg(t3=1), _farg(t4=1))),
+                first_interval=_farg(tau=1, T=1)),
     ]))
     rows.append(_term("IV", 3, [
         SubTerm(conj_args=(A(T=1, tau=1), A(T=-1, t3=-1)),
                 args=(A(T=-1, t3=-1, t4=-1), A(tau=1)),
-                f_args=(_farg(T=1), _farg(t3=1), _farg(t4=1))),
+                first_interval=_farg(T=1)),
         SubTerm(conj_args=(A(T=1, tau=1), A(T=-1, t3=-1)),
                 args=(A(), A(T=-1, t3=-1, t4=-1)),
-                f_args=(_farg(T=1, tau=1), _farg(t3=1), _farg(t4=1))),
+                first_interval=_farg(T=1, tau=1)),
     ]))
 
     # interaction pathway 4, one absorption order per row as the source
@@ -424,40 +424,40 @@ def term_table() -> List[PathwayTerm]:
     rows.append(_term("I", 4, [SubTerm(
         conj_args=(A(), A(tau=1)),
         args=(A(t4=-1), A(t3=1)),
-        f_args=(_farg(tau=1, t3=-1), _farg(t3=1), _farg(t4=1)))]))
+        first_interval=_farg(tau=1, t3=-1))]))
     rows.append(_term("II", 4, [SubTerm(
         conj_args=(A(tau=1), A()),
         args=(A(tau=1, t3=1), A(tau=1, t4=-1)),
-        f_args=(_farg(tau=1, t3=-1), _farg(t3=1), _farg(t4=1)))]))
+        first_interval=_farg(tau=1, t3=-1))]))
     rows.append(_term("III", 4, [SubTerm(
         conj_args=(A(), A(tau=1)),
         args=(A(T=-1, t3=1), A(T=-1, t4=-1)),
-        f_args=(_farg(T=2, tau=1, t3=-1), _farg(t3=1), _farg(t4=1)))]))
+        first_interval=_farg(T=2, tau=1, t3=-1))]))
     rows.append(_term("IV", 4, [SubTerm(
         conj_args=(A(T=1, tau=1), A(T=-1)),
         args=(A(t4=-1), A(t3=1)),
-        f_args=(_farg(tau=1, t3=-1), _farg(t3=1), _farg(t4=1)))]))
+        first_interval=_farg(tau=1, t3=-1))]))
 
     # interaction pathway 5 (naturally symmetrized bracket)
     rows.append(_term("I", 5, [SubTerm(
         conj_args=(A(), A(tau=1)),
         args=(A(t3=-1), A(t3=-1, t4=-1)),
-        f_args=(_farg(tau=1), _farg(t3=1), _farg(t4=1)),
+        first_interval=_farg(tau=1),
         symmetrize=True)]))
     rows.append(_term("II", 5, [SubTerm(
         conj_args=(A(tau=1), A()),
         args=(A(t3=-1), A(t3=-1, t4=-1)),
-        f_args=(_farg(tau=1), _farg(t3=1), _farg(t4=1)),
+        first_interval=_farg(tau=1),
         symmetrize=True)]))
     rows.append(_term("III", 5, [SubTerm(
         conj_args=(A(), A(tau=1)),
         args=(A(T=-1, t3=-1, t4=-1), A(T=-1, t3=-1)),
-        f_args=(_farg(tau=1, T=2), _farg(t3=1), _farg(t4=1)),
+        first_interval=_farg(tau=1, T=2),
         symmetrize=True)]))
     rows.append(_term("IV", 5, [SubTerm(
         conj_args=(A(T=1, tau=1), A(T=-1)),
         args=(A(t3=-1), A(t3=-1, t4=-1)),
-        f_args=(_farg(tau=1), _farg(t3=1), _farg(t4=1)),
+        first_interval=_farg(tau=1),
         symmetrize=True)]))
 
     return rows
@@ -496,18 +496,18 @@ def complete_term_table() -> List[PathwayTerm]:
     # bra and ket absorb the same photon (first sub-term a, second b) and
     # emit it at that photon's detection time; the other photon reaches its
     # detector unabsorbed
-    same = (_farg(), _farg(t3=1), _farg(t4=1))
+    same = _farg()
     rows.append(_term("I", 1, [
         SubTerm(conj_args=(A(t3=-1, t4=-1), A(tau=1)),
-                args=(A(t3=-1), A(tau=1)), f_args=same),
+                args=(A(t3=-1), A(tau=1)), first_interval=same),
         SubTerm(conj_args=(A(), A(tau=1, t3=-1, t4=-1)),
-                args=(A(), A(tau=1, t3=-1)), f_args=same),
+                args=(A(), A(tau=1, t3=-1)), first_interval=same),
     ], extension="same-arm"))
     rows.append(_term("II", 1, [
         SubTerm(conj_args=(A(tau=1, t3=-1, t4=-1), A()),
-                args=(A(tau=1, t3=-1), A()), f_args=same),
+                args=(A(tau=1, t3=-1), A()), first_interval=same),
         SubTerm(conj_args=(A(tau=1), A(t3=-1, t4=-1)),
-                args=(A(tau=1), A(t3=-1)), f_args=same),
+                args=(A(tau=1), A(t3=-1)), first_interval=same),
     ], extension="same-arm"))
     return rows
 
@@ -526,8 +526,7 @@ def format_term_table() -> str:
                     if k == 0 else " " * 21)
             lines.append(
                 f"{head}  Φ*({sub.conj_args[0]}, {sub.conj_args[1]}) · {bracket}"
-                f" · F{term.interaction}({sub.f_args[0]}, {sub.f_args[1]}, "
-                f"{sub.f_args[2]})"
+                f" · F{term.interaction}({sub.first_interval}, τ3, τ4)"
             )
     return "\n".join(lines)
 
@@ -579,7 +578,7 @@ def bare_pair_coincidence(amp, hom: HomSpec) -> float:
     where the first two (transmitted/reflected) terms integrate to the
     squared norms. Vanishes at T = 0 for an exchange-symmetric amplitude.
     """
-    I, II, III, IV = detection_pathways(hom)
+    I, II, III, IV = detection_pathways()
     x = amp.t1[:, None]
     y = amp.t2[None, :]
     cross = amp.time_value(y + hom.T, x - hom.T)

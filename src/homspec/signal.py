@@ -5,10 +5,11 @@ over the two free interaction intervals, sums the signed rows into the real
 coincidence value C(tau, T, s), provides the closed-form narrow-amplitude
 limit, and scans lattices of (tau, T, s) deterministically in parallel.
 
-The integration domain of every row is clipped to the region where the
-two-time amplitude factors can be nonzero (their arguments are affine in the
-integration variables), so huge nominal cutoffs cost nothing when the
-amplitude has compact support.
+Every sub-term of a row is integrated over one box of nodes: the region
+where the two-time amplitude factors can be nonzero (their arguments are
+affine in the integration variables), cut by the one causal edge where the
+correlator's first interval reaches zero. Huge nominal cutoffs therefore
+cost nothing when the amplitude has compact support.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ class QuadratureSpec:
     step: float
     rule: str = "trapezoid"
     t_ref: float = 0.0
-    delta_tol: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.cutoff <= 0 or self.step <= 0:
@@ -100,8 +100,7 @@ def default_quadrature(ops: LiouvilleOperatorSet, amp=None, *,
                        cutoff: Optional[float] = None,
                        rule: str = "trapezoid",
                        t_ref: Optional[float] = None,
-                       t_ref_offset: float = 0.0,
-                       delta_tol: float = 1e-9) -> QuadratureSpec:
+                       t_ref_offset: float = 0.0) -> QuadratureSpec:
     """Spec with cutoff tied to the slowest damping and a resolving step."""
     eta_min = float(ops.eta.min())
     if cutoff is None:
@@ -112,8 +111,7 @@ def default_quadrature(ops: LiouvilleOperatorSet, amp=None, *,
     if t_ref is None:
         t_ref = (reference_time(amp, t_ref_offset)
                  if isinstance(amp, BiphotonAmplitude) else t_ref_offset)
-    q = QuadratureSpec(cutoff=cutoff, step=step, rule=rule, t_ref=t_ref,
-                       delta_tol=delta_tol)
+    q = QuadratureSpec(cutoff=cutoff, step=step, rule=rule, t_ref=t_ref)
     q.validate(ops)
     return q
 
@@ -183,43 +181,16 @@ def _segment_nodes(lo: float, hi: float, q: QuadratureSpec) -> Optional[np.ndarr
     return np.concatenate(([lo], inner, [hi]))
 
 
-def _block_value(sub: SubTerm, interaction: int, t: float, tau: float, T: float,
-                 amp, ops: LiouvilleOperatorSet, q: QuadratureSpec,
-                 tau3: np.ndarray, tau4: np.ndarray) -> complex:
-    T3 = tau3[:, None]
-    T4 = tau4[None, :]
-    # causality is sign-definite inside a block: test the center
-    c3 = 0.5 * (tau3[0] + tau3[-1])
-    c4 = 0.5 * (tau4[0] + tau4[-1])
-    for expr in sub.f_args:
-        if expr(0.0, tau, T, c3, c4) < 0:
-            return 0.0 + 0.0j
-    x1 = sub.conj_args[0](t, tau, T, T3, T4)
-    y1 = sub.conj_args[1](t, tau, T, T3, T4)
-    x2 = sub.args[0](t, tau, T, T3, T4)
-    y2 = sub.args[1](t, tau, T, T3, T4)
-    phi_c = np.conj(amp.time_value(x1, y1))
-    phi = amp.time_value(x2, y2)
-    if sub.symmetrize:
-        phi = phi + amp.time_value(y2, x2)
-    prod = phi_c * phi
-    mask = prod != 0
-    if not mask.any():
-        return 0.0 + 0.0j
-    a1 = sub.f_args[0](0.0, tau, T, T3, T4)
-    a2 = sub.f_args[1](0.0, tau, T, T3, T4)
-    a3 = sub.f_args[2](0.0, tau, T, T3, T4)
-    F = np.zeros(prod.shape, dtype=complex)
-    F[mask] = ops.expansion(interaction).evaluate(
-        np.maximum(a1[mask], 0.0), np.maximum(a2[mask], 0.0),
-        np.maximum(a3[mask], 0.0))
-    w3 = _weights(tau3, q.step, q.rule)
-    w4 = _weights(tau4, q.step, q.rule)
-    return complex(((w3[:, None] * w4[None, :]) * (prod * F)).sum())
-
-
 def _sub_term_value(sub: SubTerm, interaction: int, tau: float, T: float,
                     amp, ops: LiouvilleOperatorSet, q: QuadratureSpec) -> complex:
+    """Double integral of one sub-term over a single (tau3, tau4) box.
+
+    The box is [0, cutoff]^2 tightened to the amplitude support and to the
+    one causal constraint first_interval >= 0 (tau3, tau4 >= 0 hold on the
+    box). That constraint comes last in each pass of `_tighten` and depends
+    on at most one variable, so it ends as a box edge: the correlator's
+    arguments are non-negative on every node.
+    """
     t = q.t_ref
     support = amp.time_support()
     constraints: List[Tuple[float, int, int, float, float]] = []
@@ -232,42 +203,36 @@ def _sub_term_value(sub: SubTerm, interaction: int, tau: float, T: float,
             boxes = [(t1_lo, t1_hi), (t2_lo, t2_hi), (t1_lo, t1_hi), (t2_lo, t2_hi)]
         for expr, (lo, hi) in zip(sub.conj_args + sub.args, boxes):
             constraints.append((expr.shift(t, tau, T), expr.t3, expr.t4, lo, hi))
-    for expr in sub.f_args:
-        constraints.append((expr.shift(0.0, tau, T), expr.t3, expr.t4, 0.0, np.inf))
+    first = sub.first_interval
+    constraints.append((first.shift(0.0, tau, T), first.t3, first.t4, 0.0, np.inf))
     I3, I4 = [0.0, q.cutoff], [0.0, q.cutoff]
     if not _tighten(I3, I4, constraints):
         return 0.0 + 0.0j
-
-    # split each axis where a causality argument changes sign inside the
-    # domain; the integrand jumps there and blocks must not straddle it
-    breaks3: List[float] = []
-    breaks4: List[float] = []
-    for expr in sub.f_args:
-        sh = expr.shift(0.0, tau, T)
-        if expr.t3 != 0 and expr.t4 != 0:
-            continue  # no such rows in the ledger; bounds alone handle them
-        if expr.t3 != 0:
-            v = -sh / expr.t3
-            if I3[0] < v < I3[1]:
-                breaks3.append(v)
-        elif expr.t4 != 0:
-            v = -sh / expr.t4
-            if I4[0] < v < I4[1]:
-                breaks4.append(v)
-    edges3 = [I3[0]] + sorted(breaks3) + [I3[1]]
-    edges4 = [I4[0]] + sorted(breaks4) + [I4[1]]
-    total = 0.0 + 0.0j
-    for a3, b3 in zip(edges3[:-1], edges3[1:]):
-        tau3 = _segment_nodes(a3, b3, q)
-        if tau3 is None:
-            continue
-        for a4, b4 in zip(edges4[:-1], edges4[1:]):
-            tau4 = _segment_nodes(a4, b4, q)
-            if tau4 is None:
-                continue
-            total += _block_value(sub, interaction, t, tau, T, amp, ops, q,
-                                  tau3, tau4)
-    return total
+    tau3 = _segment_nodes(I3[0], I3[1], q)
+    tau4 = _segment_nodes(I4[0], I4[1], q)
+    if tau3 is None or tau4 is None:
+        return 0.0 + 0.0j
+    T3 = tau3[:, None]
+    T4 = tau4[None, :]
+    x1 = sub.conj_args[0](t, tau, T, T3, T4)
+    y1 = sub.conj_args[1](t, tau, T, T3, T4)
+    x2 = sub.args[0](t, tau, T, T3, T4)
+    y2 = sub.args[1](t, tau, T, T3, T4)
+    phi_c = np.conj(amp.time_value(x1, y1))
+    phi = amp.time_value(x2, y2)
+    if sub.symmetrize:
+        phi = phi + amp.time_value(y2, x2)
+    prod = phi_c * phi
+    mask = prod != 0
+    if not mask.any():
+        return 0.0 + 0.0j
+    F = np.zeros(prod.shape, dtype=complex)
+    F[mask] = ops.expansion(interaction).evaluate(
+        first(0.0, tau, T, T3, T4)[mask], np.broadcast_to(T3, prod.shape)[mask],
+        np.broadcast_to(T4, prod.shape)[mask])
+    w3 = _weights(tau3, q.step, q.rule)
+    w4 = _weights(tau4, q.step, q.rule)
+    return complex(((w3[:, None] * w4[None, :]) * (prod * F)).sum())
 
 
 def term_value(term: PathwayTerm, tau: float, T: float, s: float,
@@ -310,24 +275,22 @@ def _signed_rows(table: Sequence[PathwayTerm], tau: float, T: float, s: float,
 
 def coincidence_terms(tau: float, T: float, s: float, amp,
                       ops: LiouvilleOperatorSet, q: QuadratureSpec,
-                      hom: Optional[HomSpec] = None,
-                      bs_removed: bool = False) -> Dict[Tuple[str, int], complex]:
+                      hom: Optional[HomSpec] = None
+                      ) -> Dict[Tuple[str, int], complex]:
     """Signed, channel-weighted values of every contributing ledger row.
 
     ``hom`` supplies only the splitter amplitudes t and r (default 50:50);
-    the delay T always comes from the argument. ``bs_removed`` replaces the
-    splitter by unit transmission, which leaves only the O_I rows.
+    the delay T always comes from the argument. The unit-transmission
+    splitter ``HomSpec(t_coeff=1.0, r_coeff=0.0)`` (no beam splitter) leaves
+    only the O_I rows.
     """
-    if bs_removed:
-        hom = HomSpec(t_coeff=1.0, r_coeff=0.0)
     return {(term.detection, term.interaction): value for term, value
             in _signed_rows(term_table(), tau, T, s, amp, ops, q, hom)}
 
 
 def coincidence(tau: float, T: float, s: float, amp,
                 ops: LiouvilleOperatorSet, q: QuadratureSpec,
-                hom: Optional[HomSpec] = None,
-                bs_removed: bool = False) -> float:
+                hom: Optional[HomSpec] = None) -> float:
     """Real coincidence value: twice the real part of the signed row sum.
 
     This is the published ledger's signal; :func:`complete_coincidence` is
@@ -335,8 +298,7 @@ def coincidence(tau: float, T: float, s: float, amp,
     :func:`coincidence_terms`, ``hom`` supplies only t and r, and T comes
     from the argument.
     """
-    vals = coincidence_terms(tau, T, s, amp, ops, q, hom=hom,
-                             bs_removed=bs_removed)
+    vals = coincidence_terms(tau, T, s, amp, ops, q, hom=hom)
     return float(2.0 * np.real(sum(vals.values())))
 
 
@@ -381,8 +343,12 @@ def complete_coincidence(tau: float, T: float, s: float, amp,
 # narrow-amplitude closed form
 # ---------------------------------------------------------------------------
 
-def _kron(x: float, y: float, tol: float) -> float:
-    return 1.0 if abs(x - y) <= tol else 0.0
+#: Tolerance (fs) of the Kronecker deltas that gate the line integrals.
+_DELTA_TOL = 1e-9
+
+
+def _kron(x: float, y: float) -> float:
+    return 1.0 if abs(x - y) <= _DELTA_TOL else 0.0
 
 
 def _heaviside(x: float) -> float:
@@ -422,7 +388,7 @@ def short_te_terms(tau: float, T: float, s: float, ops: LiouvilleOperatorSet,
     else:
         # the surviving direct-channel term stems from the both-reflected
         # detection pattern O_II
-        _, reflected, exchange, _ = detection_pathways(hom)
+        _, reflected, exchange, _ = detection_pathways()
         w_exchange, w_direct = exchange.weight(hom), reflected.weight(hom)
     exp1 = ops.expansion(1)
     exp2 = ops.expansion(2)
@@ -447,10 +413,10 @@ def short_te_terms(tau: float, T: float, s: float, ops: LiouvilleOperatorSet,
         "F5_direct": 0.0j,
         "F5_exchange": 0.0j,
     }
-    if _kron(tau, s, q.delta_tol):
+    if _kron(tau, s):
         out["F5_direct"] = 2.0 * w_direct * _line_integral_F5(
             abs(tau), abs(tau), ops, q)
-    if _kron(2 * T + tau, s, q.delta_tol):
+    if _kron(2 * T + tau, s):
         out["F5_exchange"] = -2.0 * w_exchange * _line_integral_F5(
             abs(tau), 2 * T + tau, ops, q)
     return out
@@ -604,13 +570,13 @@ def scan(tau_axis: Sequence[float], T_axis: Sequence[float],
         def point(i, j, k):
             return coincidence_short_Te(tau_axis[i], T_axis[j], s_axis[k], ops, q)
     else:
-        bs_removed = mode == "bs_removed"
+        if mode == "bs_removed":
+            hom = HomSpec(t_coeff=1.0, r_coeff=0.0)
         amps = {float(sv): _resolve_amplitude(amp, float(sv)) for sv in s_axis}
 
         def point(i, j, k):
             return coincidence(tau_axis[i], T_axis[j], float(s_axis[k]),
-                               amps[float(s_axis[k])], ops, q, hom=hom,
-                               bs_removed=bs_removed)
+                               amps[float(s_axis[k])], ops, q, hom=hom)
 
     jobs = [(i, j, k) for i in range(tau_axis.size)
             for j in range(T_axis.size) for k in range(s_axis.size)]
@@ -628,22 +594,16 @@ def scan(tau_axis: Sequence[float], T_axis: Sequence[float],
 
 def pathway_probabilities(tau: float, T: float, s: float, amp,
                           ops: LiouvilleOperatorSet, q: QuadratureSpec,
-                          hom: Optional[HomSpec] = None,
-                          weighting=None) -> np.ndarray:
-    """Probability vector over the five interaction pathways at one point.
-
-    By default the magnitude of the detection-summed contribution of each
-    pathway is normalized to unit total; pass `weighting` (mapping the
-    {(detection, i): value} dict to a vector) to study alternatives.
+                          hom: Optional[HomSpec] = None) -> np.ndarray:
+    """Probability vector over the five interaction pathways at one point:
+    the magnitude of each pathway's detection-summed contribution,
+    normalized to unit total.
     """
     vals = coincidence_terms(tau, T, s, amp, ops, q, hom=hom)
-    if weighting is not None:
-        p = np.asarray(weighting(vals), dtype=float)
-    else:
-        sums = np.zeros(5, dtype=complex)
-        for (_, i), v in vals.items():
-            sums[i - 1] += v
-        p = np.abs(sums)
+    sums = np.zeros(5, dtype=complex)
+    for (_, i), v in vals.items():
+        sums[i - 1] += v
+    p = np.abs(sums)
     total = p.sum()
     if total == 0:
         raise ValueError("all pathway contributions vanish; probabilities undefined")

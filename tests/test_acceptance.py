@@ -46,7 +46,7 @@ class GaussLine:
         u = np.asarray(x) - np.asarray(y) - self.s
         return np.exp(-u ** 2 / (2 * self.sigma ** 2)) / (self.sigma * np.sqrt(2 * np.pi))
 
-    def time_support(self, rel_eps=1e-6):
+    def time_support(self):
         return None
 
 

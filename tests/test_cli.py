@@ -109,6 +109,26 @@ class TestLoadConfig:
             load_config(write_config(tmp_path, {key: value}))
         assert err.value.path == path
 
+    @pytest.mark.parametrize("mode", ["short_Te", "bs_removed"])
+    def test_mode_without_splitter_coefficients_refuses_them(self, tmp_path,
+                                                             capsys, mode):
+        cfg = write_config(tmp_path, {"mode": mode,
+                                      "hom": {"t_coeff": 0.8, "r_coeff": 0.6},
+                                      "output": str(tmp_path / "o.dat")})
+        with pytest.raises(ConfigError) as err:
+            load_config(cfg)
+        assert err.value.path == "hom"
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "hom" in capsys.readouterr().err
+        assert not (tmp_path / "o.dat").exists()
+
+    def test_offset_with_explicit_reference_time_named(self, tmp_path):
+        cfg = write_config(tmp_path, {"quadrature.t_ref_fs": 5.0,
+                                      "quadrature.t_ref_offset_fs": 2.0})
+        with pytest.raises(ConfigError) as err:
+            load_config(cfg)
+        assert err.value.path == "quadrature.t_ref_offset_fs"
+
     def test_complex_dipole_entries(self, tmp_path):
         cfg = write_config(tmp_path, {"system.dipoles_ge": [[[0.6, 0.8]]]})
         config = load_config(cfg)

@@ -72,7 +72,6 @@ class TestEnumeration:
         for expected_index, p in zip(range(1, 6), survivors):
             assert p.index == expected_index
             assert p.tokens == sequence_tokens(CORRELATOR_SEQUENCES[p.index])
-            assert p.conjugate_included
 
     def test_deterministic_and_order_stable(self):
         a = enumerate_interaction_pathways()
@@ -94,18 +93,19 @@ class TestDetection:
         assert sum(c["kept"] for c in combos) == 4
 
     def test_full_hom_signs(self):
-        paths = detection_pathways(HomSpec(T=1.0))
+        paths = detection_pathways()
         assert [p.name for p in paths] == ["I", "II", "III", "IV"]
         assert [p.sign for p in paths] == [1, 1, -1, -1]
         assert [p.channel for p in paths] == ["direct", "direct",
                                               "exchange", "exchange"]
 
     def test_bs_removed_keeps_only_direct_first(self):
-        paths = detection_pathways(HomSpec(T=1.0), bs_removed=True)
+        unit = HomSpec(T=1.0, t_coeff=1.0, r_coeff=0.0)
+        paths = [p for p in detection_pathways() if p.weight(unit)]
         assert len(paths) == 1 and paths[0].name == "I"
 
     def test_zero_delay_times_match_direct_patterns(self):
-        paths = {p.name: p for p in detection_pathways(HomSpec(T=0.0))}
+        paths = {p.name: p for p in detection_pathways()}
         t, tau, T = 5.0, 2.0, 0.0
         times_I = [expr(t, tau, T, 0, 0) for _, expr in paths["I"].ket_times]
         times_III = [expr(t, tau, T, 0, 0) for _, expr in paths["III"].ket_times]
@@ -124,10 +124,8 @@ class TestTermTable:
     def test_first_row_correlator_args(self):
         row = [t for t in term_table()
                if t.detection == "I" and t.interaction == 1][0]
-        args = row.sub_terms[0].f_args
-        assert (args[0].tau, args[0].t3, args[0].t4) == (1, 0, 0)
-        assert (args[1].tau, args[1].t3, args[1].t4) == (0, 1, 0)
-        assert (args[2].tau, args[2].t3, args[2].t4) == (0, 0, 1)
+        first = row.sub_terms[0].first_interval
+        assert (first.tau, first.t3, first.t4) == (1, 0, 0)
 
     def test_channel_tags_and_signs(self):
         for term in term_table():
@@ -157,7 +155,7 @@ class TestTermTable:
         for det in ("I", "II", "III", "IV"):
             (sub,) = complete[f"{det}-4"].sub_terms
             assert sub.symmetrize
-            assert sub.f_args == ledger[f"{det}-4"].sub_terms[0].f_args
+            assert sub.first_interval == ledger[f"{det}-4"].sub_terms[0].first_interval
         # II-4 absorbs where its correlator arguments say: t - tau4, t + tau3
         assert complete["II-4"].sub_terms[0].args == (Affine(t4=-1), Affine(t3=1))
 
@@ -169,10 +167,21 @@ class TestTermTable:
             assert len(term.sub_terms) == 2
             for sub in term.sub_terms:
                 # bra and ket emit at the same detection time
-                assert sub.f_args[0] == Affine(t=0)
+                assert sub.first_interval == Affine(t=0)
                 # one photon passes unabsorbed to the same detector time
                 assert sub.conj_args[0] == sub.args[0] or \
                     sub.conj_args[1] == sub.args[1]
+
+    @pytest.mark.parametrize("table", [term_table, complete_term_table])
+    def test_first_interval_has_one_causal_edge(self, table):
+        # the row quadrature integrates each sub-term over one box: the
+        # causal constraint first_interval >= 0 must be a box edge, which
+        # needs no reference time and at most one integration variable
+        for term in table():
+            for sub in term.sub_terms:
+                first = sub.first_interval
+                assert first.t == 0
+                assert first.t4 == 0  # so it depends on tau3 at most
 
     def test_dump_is_complete(self):
         text = format_term_table()

@@ -28,7 +28,7 @@ class GaussLine:
         u = np.asarray(x) - np.asarray(y) - self.s
         return np.exp(-u ** 2 / (2 * self.sigma ** 2)) / (self.sigma * np.sqrt(2 * np.pi))
 
-    def time_support(self, rel_eps=1e-6):
+    def time_support(self):
         return None
 
 
@@ -171,7 +171,7 @@ class TestCoincidence:
     def test_bs_removed_delta_vanishes_off_ridge(self, slow_ladder, quad):
         damp = DeltaAmplitude(s=4.0, spacing=0.4)
         assert coincidence(2.0, 3.0, 4.0, damp, slow_ladder, quad,
-                           bs_removed=True) == 0
+                           hom=HomSpec(t_coeff=1.0, r_coeff=0.0)) == 0
 
     def test_full_matches_closed_form_in_narrow_limit(self, slow_ladder, quad):
         hom = HomSpec(T=8.0)
@@ -292,8 +292,16 @@ class TestScan:
 
     def test_bs_removed_mode_drops_exchange_terms(self, small_setup):
         ops, amp, q = small_setup
-        vals = coincidence_terms(1.0, 2.0, 3.0, amp, ops, q, bs_removed=True)
+        vals = coincidence_terms(1.0, 2.0, 3.0, amp, ops, q,
+                                 hom=HomSpec(t_coeff=1.0, r_coeff=0.0))
         assert all(nu == "I" for nu, _ in vals)
+
+    def test_bs_removed_mode_is_the_unit_splitter(self, small_setup):
+        ops, amp, q = small_setup
+        unit = HomSpec(t_coeff=1.0, r_coeff=0.0)
+        grid = scan([1.0], [2.0], [3.0], "bs_removed", amp, ops, q, workers=1)
+        assert grid.values[0, 0, 0] == coincidence(1.0, 2.0, 3.0, amp, ops, q,
+                                                   hom=unit)
 
 
 class TestSignalGrid:
@@ -343,14 +351,6 @@ class TestPathwayProbabilities:
         assert p.shape == (5,)
         assert np.all(p >= 0)
         assert p.sum() == pytest.approx(1.0)
-
-    def test_custom_weighting(self, slow_ladder, quad):
-        def flat(vals):
-            return np.ones(5)
-
-        p = pathway_probabilities(1.0, 5.0, 4.0, GaussLine(s=4.0, sigma=0.2),
-                                  slow_ladder, quad, weighting=flat)
-        assert np.allclose(p, 0.2)
 
 
 def test_system_hash_stable(slow_ladder):
