@@ -180,10 +180,13 @@ def _coverage(pump, crystal, theta, grid: FrequencyGrid) -> float:
 class BiphotonAmplitude:
     """Two-photon amplitude on a frequency lattice plus its two-time cache.
 
-    Immutable after construction; `time_value` is safe to call from parallel
-    workers. `values` is L2-normalized on the grid; the time-domain cache is
-    the unitary transform of `values` with the pair delay `s` applied as a
-    spectral phase on `delay_arm` before transforming.
+    Immutable after construction, apart from the support box that
+    `time_support` computes on first use; `time_value` and `time_support` are
+    safe to call from parallel workers (two workers racing on the first
+    `time_support` store the same tuple). `values` is L2-normalized on the
+    grid; the time-domain cache is the unitary transform of `values` with the
+    pair delay `s` applied as a spectral phase on `delay_arm` before
+    transforming.
     """
 
     theta: Optional[float]
@@ -199,6 +202,8 @@ class BiphotonAmplitude:
     # carrier, so interpolation must happen on the envelope
     _envelope: np.ndarray = field(default=None, repr=False)
     _carrier: Tuple[float, float] = field(default=(0.0, 0.0), repr=False)
+    _support: Optional[Tuple[float, float, float, float]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def d_omega_a(self) -> float:
@@ -251,13 +256,15 @@ class BiphotonAmplitude:
 
     def time_support(self) -> Tuple[float, float, float, float]:
         """Bounding box (t1_lo, t1_hi, t2_lo, t2_hi) where the amplitude
-        exceeds 1e-6 of its peak magnitude."""
-        mag = np.abs(self.time_values)
-        thresh = 1e-6 * mag.max()
-        rows = np.where(mag.max(axis=1) > thresh)[0]
-        cols = np.where(mag.max(axis=0) > thresh)[0]
-        return (float(self.t1[rows[0]]), float(self.t1[rows[-1]]),
-                float(self.t2[cols[0]]), float(self.t2[cols[-1]]))
+        exceeds 1e-6 of its peak magnitude; scanned once, on first use."""
+        if self._support is None:
+            mag = np.abs(self.time_values)
+            thresh = 1e-6 * mag.max()
+            rows = np.where(mag.max(axis=1) > thresh)[0]
+            cols = np.where(mag.max(axis=0) > thresh)[0]
+            self._support = (float(self.t1[rows[0]]), float(self.t1[rows[-1]]),
+                             float(self.t2[cols[0]]), float(self.t2[cols[-1]]))
+        return self._support
 
     def content_hash(self) -> str:
         import hashlib

@@ -306,7 +306,7 @@ def load_config(path: str, overrides: Optional[Mapping[str, Any]] = None) -> Run
         except (ValueError, KeyError) as exc:
             raise ConfigError(name, str(exc)) from exc
     hom = values["hom"]
-    if values["mode"] != "full" and abs(hom.t_coeff ** 2 - hom.r_coeff ** 2) > 1e-12:
+    if values["mode"] != "full" and not hom.balanced:
         raise ConfigError("hom", f"mode {values['mode']} ignores t_coeff and "
                           "r_coeff; only a 50:50 splitter is allowed")
     return RunConfig(**values)

@@ -372,26 +372,39 @@ class CorrelatorExpansion:
 
         On the row-major vec(rho), V_L = V (x) 1 and V_R = 1 (x) V^T (V† for a
         raising entry); each nonzero of the coefficient tensor is one term.
+        Only the columns of S2..S4 that rho0 reaches are formed, by indexing
+        V per side.
         """
         if len(seq) != 4:
             raise ValueError("expansion is defined for four-operator sequences")
         n = ops.dim
-        eye = np.eye(n)
 
-        def superoperator(side: str, dagger: bool) -> np.ndarray:
+        def columns(side: str, dagger: bool, cols: np.ndarray) -> np.ndarray:
+            """S[:, cols] for S = V_L or V_R: column |k><l| maps to
+            V|k><l| (left) or |k><l|V (right)."""
             op = ops.Vdag if dagger else ops.V
-            return np.kron(op, eye) if side == "L" else np.kron(eye, op.T)
+            k, l = np.divmod(cols, n)
+            out = np.zeros((n, n, cols.size), dtype=complex)
+            m = np.arange(cols.size)
+            if side == "L":
+                out[:, l, m] = op[:, k]
+            else:
+                out[k, :, m] = op[l, :]
+            return out.reshape(n * n, cols.size)
 
-        S1, S2, S3, S4 = (superoperator(*entry) for entry in seq)
-        trace = S1[np.arange(n) * (n + 1)].sum(axis=0)  # rows of the |k><k|
-        start = S4[:, ops.system.initial_index() * (n + 1)]
+        (_, dag1), s2, s3, s4 = seq
+        # <tr| V_L |k><l|> = <tr| |k><l| V_R> = V[l, k]
+        trace = (ops.Vdag if dag1 else ops.V).T.ravel()
+        start = columns(*s4, np.array([ops.system.initial_index() * (n + 1)]))[:, 0]
         c = np.flatnonzero(start)
-        b = np.flatnonzero(S3[:, c].any(axis=1))
-        a = np.flatnonzero(S2[:, b].any(axis=1) & (trace != 0))
+        S3 = columns(*s3, c)
+        b = np.flatnonzero(S3.any(axis=1))
+        S2 = columns(*s2, b)
+        a = np.flatnonzero(S2.any(axis=1) & (trace != 0))
         # C[c, b, a] = (S4 rho0)_c (S3)_bc (S2)_ab <tr|S1|a>, multiplied in
         # chronological order
-        C = ((start[c][:, None, None] * S3[np.ix_(b, c)].T[:, :, None])
-             * S2[np.ix_(a, b)].T[None, :, :]) * trace[a][None, None, :]
+        C = ((start[c][:, None, None] * S3[b].T[:, :, None])
+             * S2[a].T[None, :, :]) * trace[a][None, None, :]
         ic, ib, ia = np.nonzero(C)
         z = (1j * ops.delta_omega + ops.eta).ravel()
         return cls(C[ic, ib, ia], z[a[ia]], z[b[ib]], z[c[ic]])
@@ -415,3 +428,24 @@ class CorrelatorExpansion:
         vals = self.coeffs * np.exp(-self.z1 * a1 - self.z2 * a2 - self.z3 * a3)
         out[mask] = (-1j) ** 3 * vals.sum(axis=-1)
         return out
+
+    def factors(self, tau1, tau2, tau3) -> Tuple[np.ndarray, np.ndarray]:
+        """Separable form of F(tau1, tau2, tau3) with tau1 a function of tau2.
+
+        Returns A of shape (n2, terms) and B of shape (n3, terms) with
+        F(tau1[i], tau2[i], tau3[j]) = sum_p A[i, p] B[j, p] for 1-D arrays
+        tau1, tau2 (same length) and tau3; rows where an interval is < 0
+        are zero, as in :meth:`evaluate`. The first two intervals share one
+        exponential, so no factor grows with the intervals.
+        """
+        t1 = np.asarray(tau1, dtype=float)
+        t2 = np.asarray(tau2, dtype=float)
+        t3 = np.asarray(tau3, dtype=float)
+        A = np.multiply.outer(t1, -self.z1)
+        A -= np.multiply.outer(t2, self.z2)
+        np.exp(A, out=A)
+        A *= (-1j) ** 3 * self.coeffs
+        A[(t1 < 0) | (t2 < 0)] = 0.0
+        B = np.exp(np.multiply.outer(t3, -self.z3))
+        B[t3 < 0] = 0.0
+        return A, B

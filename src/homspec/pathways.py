@@ -61,6 +61,11 @@ class HomSpec:
         if abs(self.t_coeff ** 2 + self.r_coeff ** 2 - 1.0) > 1e-12:
             raise ValueError("t_coeff^2 + r_coeff^2 must equal 1 (within 1e-12)")
 
+    @property
+    def balanced(self) -> bool:
+        """A 50:50 splitter: t^2 = r^2 within 1e-12."""
+        return abs(self.t_coeff ** 2 - self.r_coeff ** 2) <= 1e-12
+
 
 def hom_matrix(omega: float, hom: HomSpec) -> np.ndarray:
     """Frequency-domain rotation [[t, i r e^{i w T}], [i r e^{-i w T}, t]]."""
@@ -78,7 +83,8 @@ class Affine:
 
     The detection reference time t enters with coefficient 0 or 1; all
     integration-variable coefficients are small integers. Evaluation
-    broadcasts over tau3/tau4 meshes.
+    broadcasts over tau3/tau4 meshes and skips a variable whose coefficient
+    is zero, so an expression in tau3 alone keeps the shape of tau3.
     """
 
     c0: float = 0.0
@@ -89,8 +95,12 @@ class Affine:
     t4: int = 0
 
     def __call__(self, t: float, tau: float, T: float, tau3, tau4):
-        return (self.c0 + self.t * t + self.tau * tau + self.T * T
-                + self.t3 * np.asarray(tau3) + self.t4 * np.asarray(tau4))
+        out = np.asarray(self.shift(t, tau, T))
+        if self.t3:
+            out = out + self.t3 * np.asarray(tau3)
+        if self.t4:
+            out = out + self.t4 * np.asarray(tau4)
+        return out
 
     def shift(self, t: float, tau: float, T: float) -> float:
         """The scalar part once tau3 = tau4 = 0."""

@@ -26,8 +26,8 @@ import numpy as np
 
 from .biphoton import BiphotonAmplitude, DeltaAmplitude, to_time_domain
 from .model import LiouvilleOperatorSet
-from .pathways import (HomSpec, PathwayTerm, SubTerm, complete_term_table,
-                       detection_pathways, term_table)
+from .pathways import (Affine, HomSpec, PathwayTerm, SubTerm,
+                       complete_term_table, detection_pathways, term_table)
 
 __all__ = [
     "QuadratureSpec",
@@ -181,9 +181,9 @@ def _segment_nodes(lo: float, hi: float, q: QuadratureSpec) -> Optional[np.ndarr
     return np.concatenate(([lo], inner, [hi]))
 
 
-def _sub_term_value(sub: SubTerm, interaction: int, tau: float, T: float,
-                    amp, ops: LiouvilleOperatorSet, q: QuadratureSpec) -> complex:
-    """Double integral of one sub-term over a single (tau3, tau4) box.
+def _box(sub: SubTerm, tau: float, T: float, amp,
+         q: QuadratureSpec) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """The (tau3, tau4) nodes of one sub-term, or None when its box is empty.
 
     The box is [0, cutoff]^2 tightened to the amplitude support and to the
     one causal constraint first_interval >= 0 (tau3, tau4 >= 0 hold on the
@@ -207,32 +207,93 @@ def _sub_term_value(sub: SubTerm, interaction: int, tau: float, T: float,
     constraints.append((first.shift(0.0, tau, T), first.t3, first.t4, 0.0, np.inf))
     I3, I4 = [0.0, q.cutoff], [0.0, q.cutoff]
     if not _tighten(I3, I4, constraints):
-        return 0.0 + 0.0j
+        return None
     tau3 = _segment_nodes(I3[0], I3[1], q)
     tau4 = _segment_nodes(I4[0], I4[1], q)
     if tau3 is None or tau4 is None:
+        return None
+    return tau3, tau4
+
+
+def _hankel(fn, tau3: np.ndarray, tau4: np.ndarray, h: float) -> np.ndarray:
+    """fn(tau3[i] + tau4[j]) as an (n3, n4) matrix, one call per distinct sum.
+
+    Interior nodes are step multiples j*h, so their sums are (j3 + j4)*h and
+    the interior is a Hankel matrix of one 1-D array; the sliver rows and
+    columns at the box ends are evaluated on their own.
+    """
+    n3, n4 = tau3.size, tau4.size
+    out = np.empty((n3, n4), dtype=complex)
+    out[[0, -1], :] = fn(tau3[[0, -1], None] + tau4[None, :])
+    if n3 > 2:
+        out[1:-1, [0, -1]] = fn(tau3[1:-1, None] + tau4[None, [0, -1]])
+    if n3 > 2 and n4 > 2:
+        j0 = round(tau3[1] / h) + round(tau4[1] / h)
+        sums = np.arange(j0, j0 + n3 + n4 - 5) * h
+        out[1:-1, 1:-1] = fn(sums)[np.arange(n3 - 2)[:, None]
+                                   + np.arange(n4 - 2)[None, :]]
+    return out
+
+
+def _amplitude_factor(amp, args: Tuple[Affine, Affine], bracket: bool,
+                      tau: float, T: float, tau3: np.ndarray,
+                      tau4: np.ndarray, q: QuadratureSpec) -> np.ndarray:
+    """The amplitude at `args` on the box, plus its swapped-argument value
+    when `bracket` is set, evaluated once per distinct argument.
+
+    Arguments that miss tau4 (tau3) give an (n3, 1) ((1, n4)) array, or a
+    scalar when they miss both; arguments that move only with tau3 + tau4
+    give a Hankel matrix; the others are evaluated on the full mesh.
+    """
+    x, y = args
+    t = q.t_ref
+
+    def value(u, v):
+        out = amp.time_value(u, v)
+        return out + amp.time_value(v, u) if bracket else out
+
+    if x.t3 == x.t4 and y.t3 == y.t4 and (x.t3 or y.t3):
+        # on the box x(tau3, tau4) = x(tau3 + tau4, 0), and likewise y
+        return _hankel(lambda u: value(x(t, tau, T, u, 0.0), y(t, tau, T, u, 0.0)),
+                       tau3, tau4, q.step)
+    T3, T4 = tau3[:, None], tau4[None, :]
+    return value(x(t, tau, T, T3, T4), y(t, tau, T, T3, T4))
+
+
+def _sub_term_value(sub: SubTerm, interaction: int, tau: float, T: float,
+                    amp, ops: LiouvilleOperatorSet, q: QuadratureSpec) -> complex:
+    """Double integral of one sub-term over its box (see `_box`).
+
+    The correlator separates on the box, F = sum_p A_p(tau3) B_p(tau4), and
+    the amplitude factors that depend on one variable fold into that
+    variable's weights, so the sub-term is sum_p (w3 A_p)^T H (w4 B_p) with H
+    the product of the two-variable amplitude factors (absent when there are
+    none).
+    """
+    box = _box(sub, tau, T, amp, q)
+    if box is None:
         return 0.0 + 0.0j
-    T3 = tau3[:, None]
-    T4 = tau4[None, :]
-    x1 = sub.conj_args[0](t, tau, T, T3, T4)
-    y1 = sub.conj_args[1](t, tau, T, T3, T4)
-    x2 = sub.args[0](t, tau, T, T3, T4)
-    y2 = sub.args[1](t, tau, T, T3, T4)
-    phi_c = np.conj(amp.time_value(x1, y1))
-    phi = amp.time_value(x2, y2)
-    if sub.symmetrize:
-        phi = phi + amp.time_value(y2, x2)
-    prod = phi_c * phi
-    mask = prod != 0
-    if not mask.any():
-        return 0.0 + 0.0j
-    F = np.zeros(prod.shape, dtype=complex)
-    F[mask] = ops.expansion(interaction).evaluate(
-        first(0.0, tau, T, T3, T4)[mask], np.broadcast_to(T3, prod.shape)[mask],
-        np.broadcast_to(T4, prod.shape)[mask])
+    tau3, tau4 = box
     w3 = _weights(tau3, q.step, q.rule)
     w4 = _weights(tau4, q.step, q.rule)
-    return complex(((w3[:, None] * w4[None, :]) * (prod * F)).sum())
+    H = None
+    for factor in (np.conj(_amplitude_factor(amp, sub.conj_args, False, tau, T,
+                                             tau3, tau4, q)),
+                   _amplitude_factor(amp, sub.args, sub.symmetrize, tau, T,
+                                     tau3, tau4, q)):
+        if factor.ndim < 2 or factor.shape[1] == 1:
+            w3 = w3 * np.ravel(factor)
+        elif factor.shape[0] == 1:
+            w4 = w4 * factor[0]
+        else:
+            H = factor if H is None else H * factor
+    first = np.broadcast_to(sub.first_interval(0.0, tau, T, tau3, 0.0), tau3.shape)
+    A, B = ops.expansion(interaction).factors(first, tau3, tau4)
+    A *= w3[:, None]
+    B *= w4[:, None]
+    if H is None:
+        return complex(A.sum(axis=0) @ B.sum(axis=0))
+    return complex((A * (H @ B)).sum())
 
 
 def term_value(term: PathwayTerm, tau: float, T: float, s: float,
@@ -535,10 +596,15 @@ def scan(tau_axis: Sequence[float], T_axis: Sequence[float],
     the CPU count); results land in disjoint array slots, so the output is
     deterministic for any worker count. In short_Te mode every lattice point
     must satisfy tau >= -T and s > 0; violations abort with the offending
-    coordinates before any work is dispatched.
+    coordinates before any work is dispatched. The short_Te and bs_removed
+    modes fix the splitter themselves, so they refuse a ``hom`` that is not
+    50:50 (see `HomSpec.balanced`).
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if mode != "full" and hom is not None and not hom.balanced:
+        raise ValueError(f"mode {mode} ignores t_coeff and r_coeff; only a "
+                         f"50:50 splitter is allowed")
     tau_axis = np.asarray(tau_axis, dtype=float)
     T_axis = np.asarray(T_axis, dtype=float)
     s_axis = np.asarray(s_axis, dtype=float)

@@ -15,6 +15,43 @@ def coherence(n, i, j, dim=None):
     return LiouvilleState(m)
 
 
+def two_three_two(rng):
+    """Two g, three e and two f levels with random complex dipoles and a
+    pair-rate override, starting in the upper g level."""
+    ge = rng.uniform(0.3, 1.0, (3, 2)) * np.exp(2j * np.pi * rng.random((3, 2)))
+    ef = rng.uniform(0.3, 1.0, (2, 3)) * np.exp(2j * np.pi * rng.random((2, 3)))
+    return LiouvilleOperatorSet(ExcitonSystem(
+        levels=[Level("g0", "g", 0.0), Level("g1", "g", 0.05),
+                Level("e0", "e", 0.9), Level("e1", "e", 1.0),
+                Level("e2", "e", 1.2), Level("f0", "f", 1.8),
+                Level("f1", "f", 2.1)],
+        dipoles_ge=ge, dipoles_ef=ef, dephasing_default=0.08,
+        dephasing_pairs={("e1", "g1"): 0.2}, initial_label="g1"))
+
+
+def kronecker_expansion(ops, seq):
+    """Terms (coeffs, z1, z2, z3) contracted over the dense n^2 x n^2
+    superoperators V_L = V (x) 1 and V_R = 1 (x) V^T."""
+    n = ops.dim
+    eye = np.eye(n)
+
+    def superoperator(side, dagger):
+        op = ops.Vdag if dagger else ops.V
+        return np.kron(op, eye) if side == "L" else np.kron(eye, op.T)
+
+    S1, S2, S3, S4 = (superoperator(*entry) for entry in seq)
+    trace = S1[np.arange(n) * (n + 1)].sum(axis=0)
+    start = S4[:, ops.system.initial_index() * (n + 1)]
+    c = np.flatnonzero(start)
+    b = np.flatnonzero(S3[:, c].any(axis=1))
+    a = np.flatnonzero(S2[:, b].any(axis=1) & (trace != 0))
+    C = ((start[c][:, None, None] * S3[np.ix_(b, c)].T[:, :, None])
+         * S2[np.ix_(a, b)].T[None, :, :]) * trace[a][None, None, :]
+    ic, ib, ia = np.nonzero(C)
+    z = (1j * ops.delta_omega + ops.eta).ravel()
+    return C[ic, ib, ia], z[a[ia]], z[b[ib]], z[c[ic]]
+
+
 class TestSystemValidation:
     def test_band_ordering_enforced(self):
         with pytest.raises(ValueError, match="e energy"):
@@ -144,15 +181,7 @@ class TestCorrelator:
         # (complex dipoles, a pair-rate override, starting in the upper g
         # level) sums 18 paths in each
         rng = np.random.default_rng(0)
-        ge = rng.uniform(0.3, 1.0, (3, 2)) * np.exp(2j * np.pi * rng.random((3, 2)))
-        ef = rng.uniform(0.3, 1.0, (2, 3)) * np.exp(2j * np.pi * rng.random((2, 3)))
-        multi = LiouvilleOperatorSet(ExcitonSystem(
-            levels=[Level("g0", "g", 0.0), Level("g1", "g", 0.05),
-                    Level("e0", "e", 0.9), Level("e1", "e", 1.0),
-                    Level("e2", "e", 1.2), Level("f0", "f", 1.8),
-                    Level("f1", "f", 2.1)],
-            dipoles_ge=ge, dipoles_ef=ef, dephasing_default=0.08,
-            dephasing_pairs={("e1", "g1"): 0.2}, initial_label="g1"))
+        multi = two_three_two(rng)
         for ops, n_terms in ((ladder_ops, 1), (multi, 18)):
             for i in range(1, 6):
                 exp = ops.expansion(i)
@@ -162,6 +191,32 @@ class TestCorrelator:
                     dense = correlator(i, t1, t2, t3, ops)
                     fast = complex(exp.evaluate(t1, t2, t3))
                     assert abs(dense - fast) < 1e-12
+
+    def test_build_matches_kronecker_contraction(self, ladder_ops):
+        # indexing V per side gives the terms, order and values of the
+        # contraction over dense Kronecker superoperators
+        for ops in (ladder_ops, two_three_two(np.random.default_rng(0))):
+            for i, seq in CORRELATOR_SEQUENCES.items():
+                exp = ops.expansion(i)
+                coeffs, z1, z2, z3 = kronecker_expansion(ops, seq)
+                for got, want in ((exp.z1, z1), (exp.z2, z2), (exp.z3, z3)):
+                    assert np.array_equal(got, want)
+                assert np.all(np.abs(exp.coeffs - coeffs)
+                              <= 1e-15 * np.abs(coeffs))
+
+    def test_factors_separate_the_correlator(self, ladder_ops):
+        rng = np.random.default_rng(2)
+        multi = two_three_two(rng)
+        tau2 = np.array([0.0, 0.7, 2.5, 4.0])
+        tau3 = np.array([0.0, 1.1, 3.3])
+        for ops in (ladder_ops, multi):
+            for i in range(1, 6):
+                exp = ops.expansion(i)
+                tau1 = 3.0 - tau2  # the last interval is negative
+                A, B = exp.factors(tau1, tau2, tau3)
+                want = exp.evaluate(tau1[:, None], tau2[:, None], tau3[None, :])
+                assert np.allclose(A @ B.T, want, rtol=1e-13, atol=1e-15)
+                assert np.all(A[-1] == 0)
 
     def test_expansion_vectorized_causality(self, ladder_ops):
         exp = ladder_ops.expansion(2)

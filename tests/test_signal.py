@@ -1,15 +1,18 @@
 import dataclasses
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from conftest import gaussian_amplitude
-from homspec.biphoton import DeltaAmplitude
+from homspec.biphoton import (CrystalSpec, DeltaAmplitude, PumpSpec,
+                              build_jsa, default_grid)
 from homspec.model import ExcitonSystem, Level, LiouvilleOperatorSet
-from homspec.pathways import HomSpec, term_table
-from homspec.signal import (BLOCK_FACTOR, QuadratureSpec, SignalGrid,
-                            _segment_nodes, _weights, coincidence,
+from homspec.pathways import HomSpec, complete_term_table, term_table
+from homspec.signal import (BLOCK_FACTOR, QuadratureSpec, SignalGrid, _box,
+                            _segment_nodes, _sub_term_value, _weights,
+                            coincidence,
                             coincidence_short_Te, coincidence_terms,
                             complete_coincidence, complete_coincidence_terms,
                             default_quadrature, pathway_probabilities,
@@ -159,6 +162,108 @@ class TestTermValue:
         assert abs(a - b) < 5e-3 * abs(a)
 
 
+def random_ladder(rng, n_e, n_f, dephasing):
+    """One g level under n_e e and n_f f levels, random complex dipoles."""
+    def dipoles(shape):
+        return rng.uniform(0.3, 1.0, shape) * np.exp(2j * np.pi * rng.random(shape))
+
+    levels = ([Level("g0", "g", 0.0)]
+              + [Level(f"e{k}", "e", 1.4 + 0.03 * k) for k in range(n_e)]
+              + [Level(f"f{m}", "f", 2.8 + 0.03 * m) for m in range(n_f)])
+    return LiouvilleOperatorSet(ExcitonSystem(
+        levels=levels, dipoles_ge=dipoles((n_e, 1)),
+        dipoles_ef=dipoles((n_f, n_e)), dephasing_default=dephasing))
+
+
+def full_mesh_value(sub, interaction, tau, T, amp, ops, q):
+    """A sub-term the direct way: every amplitude factor and the correlator
+    on the whole node mesh of its box. Returns the integral and the sum of
+    the weighted integrand's magnitudes."""
+    box = _box(sub, tau, T, amp, q)
+    if box is None:
+        return 0j, 0.0
+    tau3, tau4 = box
+    shape = (tau3.size, tau4.size)
+    T3, T4 = tau3[:, None], tau4[None, :]
+
+    def mesh(expr, t=q.t_ref):
+        return np.broadcast_to(expr(t, tau, T, T3, T4), shape)
+
+    x1, y1 = (mesh(a) for a in sub.conj_args)
+    x2, y2 = (mesh(a) for a in sub.args)
+    phi = amp.time_value(x2, y2)
+    if sub.symmetrize:
+        phi = phi + amp.time_value(y2, x2)
+    F = ops.expansion(interaction).evaluate(
+        mesh(sub.first_interval, 0.0), np.broadcast_to(T3, shape),
+        np.broadcast_to(T4, shape))
+    w = _weights(tau3, q.step, q.rule)[:, None] * _weights(tau4, q.step, q.rule)
+    integrand = w * np.conj(amp.time_value(x1, y1)) * phi * F
+    return complex(integrand.sum()), float(np.abs(integrand).sum())
+
+
+class TestSeparableQuadrature:
+    """The row quadrature evaluates each amplitude factor once per distinct
+    argument and contracts the correlator as 1-D factors; it must equal the
+    full-mesh integral of every sub-term."""
+
+    @pytest.fixture(scope="class")
+    def ops(self):
+        return random_ladder(np.random.default_rng(3), 2, 2, 0.25)
+
+    @pytest.mark.parametrize("kind", ["biphoton", "gauss-line", "delta"])
+    @pytest.mark.parametrize("rule", ["trapezoid", "simpson"])
+    def test_matches_full_mesh_on_every_sub_term(self, ops, kind, rule):
+        # tau = 0.25 < step puts the causal edge tau - tau3 >= 0 inside the
+        # first cell, so those boxes have a 2-node tau3 axis; tau and s sit
+        # off the step lattice, away from the delta's band edges, where
+        # rounding alone decides the value
+        tau, T, s = 0.25, 2.1, 3.05
+        if kind == "biphoton":
+            amp = gaussian_amplitude(center=0.4, sigma_sum=0.3, sigma_diff=0.5,
+                                     n=128, half_span=1.6, s=s)
+            t_ref = reference_time(amp)
+        else:
+            amp = (GaussLine(s=s, sigma=0.6) if kind == "gauss-line"
+                   else DeltaAmplitude(s=s, spacing=0.4))
+            t_ref = 0.0
+        q = QuadratureSpec(cutoff=48.0, step=0.4, rule=rule, t_ref=t_ref)
+        two_node = evaluated = 0
+        for term in term_table() + complete_term_table():
+            for sub in term.sub_terms:
+                box = _box(sub, tau, T, amp, q)
+                two_node += box is not None and min(b.size for b in box) == 2
+                want, scale = full_mesh_value(sub, term.interaction, tau, T,
+                                              amp, ops, q)
+                got = _sub_term_value(sub, term.interaction, tau, T, amp, ops, q)
+                assert abs(got - want) <= 1e-12 * scale, (term.label, got, want)
+                evaluated += scale > 0
+        assert two_node > 0 and evaluated >= 4
+
+    def test_many_level_sample_stays_small(self):
+        # 1 g, 6 e and 12 f levels: F5 sums 432 terms. Evaluated on the full
+        # node mesh, the correlator alone needs (nodes x terms) complex
+        # temporaries of hundreds of MB at this cutoff.
+        ops = random_ladder(np.random.default_rng(11), 6, 12, 0.05)
+        assert ops.expansion(5).coeffs.size == 432
+        pump = PumpSpec(omega_p=2.9, sigma_p=0.5)
+        crystal = CrystalSpec(omega_a=1.5, omega_b=1.4, T_a=10.0, T_b=-14.0)
+        amp = build_jsa(pump, crystal, 0.0, default_grid(pump, crystal, n=256),
+                        s=15.0)
+        q = QuadratureSpec(cutoff=240.0, step=0.4, rule="trapezoid",
+                           t_ref=reference_time(amp))
+        amp.time_support()  # the lazily scanned box is part of the amplitude
+        tracemalloc.start()
+        try:
+            value = coincidence(20.0, 10.0, 15.0, amp, ops, q,
+                                hom=HomSpec(T=10.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(value) and value != 0
+        assert peak < 32e6, f"peak {peak / 1e6:.0f} MB"
+
+
 class TestCoincidence:
     def test_zero_dipoles(self, quad):
         system = ExcitonSystem(
@@ -295,6 +400,17 @@ class TestScan:
         vals = coincidence_terms(1.0, 2.0, 3.0, amp, ops, q,
                                  hom=HomSpec(t_coeff=1.0, r_coeff=0.0))
         assert all(nu == "I" for nu, _ in vals)
+
+    @pytest.mark.parametrize("mode", ["short_Te", "bs_removed"])
+    def test_modes_refuse_a_splitter_they_ignore(self, small_setup, mode):
+        ops, amp, q = small_setup
+        with pytest.raises(ValueError, match=f"mode {mode} ignores"):
+            scan([1.0], [2.0], [3.0], mode, amp, ops, q,
+                 hom=HomSpec(t_coeff=0.8, r_coeff=0.6), workers=1)
+        # the 50:50 splitter a config resolves to is accepted
+        grid = scan([1.0], [2.0], [3.0], mode, amp, ops, q,
+                    hom=HomSpec(T=2.0), workers=1)
+        assert grid.values[0, 0, 0] != 0
 
     def test_bs_removed_mode_is_the_unit_splitter(self, small_setup):
         ops, amp, q = small_setup
