@@ -227,32 +227,50 @@ class BiphotonAmplitude:
     def time_norm(self) -> float:
         return float(np.sum(np.abs(self.time_values) ** 2) * self.dt1 * self.dt2)
 
+    def _stencil(self, axis: int, coord) -> Tuple[np.ndarray, np.ndarray,
+                                                  np.ndarray]:
+        """Interpolation stencil of coordinates on one lattice axis: the
+        lower node of each coordinate's cell and the weights of the cell's
+        two nodes, with the axis' carrier phase e^{-i c x} folded in. Both
+        weights are zero off the lattice; the rule is per axis, so the
+        two-time stencil is the product of two of these."""
+        grid = self.t2 if axis else self.t1
+        coord = np.asarray(coord, dtype=float)
+        f = (coord - grid[0]) / (grid[1] - grid[0])
+        cell = np.floor(f).astype(int)
+        inside = (cell >= 0) & (cell < grid.size - 1)
+        cell = np.where(inside, cell, 0)  # any node will do: its weights are 0
+        w = f - cell
+        phase = np.where(inside, np.exp(-1j * self._carrier[axis] * coord), 0.0)
+        return cell, (1.0 - w) * phase, w * phase
+
     def time_value(self, x, y) -> np.ndarray:
         """Two-time amplitude at arbitrary points (zero off-lattice).
 
         Bilinear interpolation of the carrier-demodulated envelope, with the
         carrier phase restored at the query point; exact on lattice nodes.
         """
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        t1, t2 = self.t1, self.t2
-        fx = (x - t1[0]) / self.dt1
-        fy = (y - t2[0]) / self.dt2
-        ix = np.floor(fx).astype(int)
-        iy = np.floor(fy).astype(int)
-        inside = (ix >= 0) & (ix < t1.size - 1) & (iy >= 0) & (iy < t2.size - 1)
-        ixc = np.clip(ix, 0, t1.size - 2)
-        iyc = np.clip(iy, 0, t2.size - 2)
-        wx = fx - ixc
-        wy = fy - iyc
+        ix, x0, x1 = self._stencil(0, x)
+        iy, y0, y1 = self._stencil(1, y)
         v = self._envelope
-        env = (v[ixc, iyc] * (1 - wx) * (1 - wy)
-               + v[ixc + 1, iyc] * wx * (1 - wy)
-               + v[ixc, iyc + 1] * (1 - wx) * wy
-               + v[ixc + 1, iyc + 1] * wx * wy)
-        ca, cb = self._carrier
-        out = env * np.exp(-1j * (ca * x + cb * y))
-        return np.where(inside, out, 0.0)
+        return ((v[ix, iy] * x0 + v[ix + 1, iy] * x1) * y0
+                + (v[ix, iy + 1] * x0 + v[ix + 1, iy + 1] * x1) * y1)
+
+    def fill_grid(self, out: np.ndarray, rows, cols, sheared: bool,
+                  swap: bool, bracket: bool) -> np.ndarray:
+        """Write Phi(rows[i], cols[k]) into out[i, j] and return `out`, with
+        k = j, or k = i + j when `sheared` (`cols` then holds
+        out.shape[0] + out.shape[1] - 1 coordinates, as when one argument
+        moves with tau3 and the other with tau3 + tau4); Phi(cols[k], rows[i])
+        with `swap`, and the sum of both with `bracket`. One stencil per
+        coordinate, no per-node exponential."""
+        out[...] = 0.0
+        for flip in ((swap, not swap) if bracket else (swap,)):
+            # the envelope axis of the row coordinates comes first
+            v = self._envelope.T if flip else self._envelope
+            _gather_into(out, v, self._stencil(int(flip), rows),
+                         self._stencil(1 - int(flip), cols), sheared)
+        return out
 
     def time_support(self) -> Tuple[float, float, float, float]:
         """Bounding box (t1_lo, t1_hi, t2_lo, t2_hi) where the amplitude
@@ -274,6 +292,51 @@ class BiphotonAmplitude:
             h.update(np.ascontiguousarray(arr).tobytes())
         h.update(repr((self.theta, self.s, self.delay_arm)).encode())
         return h.hexdigest()[:16]
+
+
+#: Rows filled per block by `_gather_into`; bounds its temporaries.
+_ROW_BLOCK = 64
+
+
+def _gather_into(out: np.ndarray, v: np.ndarray, row_stencil, col_stencil,
+                 skew: bool) -> None:
+    """Add sum_ab r_a[i] c_b[k] v[ir[i] + a, ic[k] + b] into out[i, j],
+    where k = j, or k = i + j when `skew` (a Hankel-indexed column stencil).
+
+    Rows are filled in blocks: each block interpolates the envelope rows it
+    touches at the column stencil, then picks its two rows per output row,
+    so no temporary has the full output's size. Rows and columns whose
+    stencil lies off the lattice (zero weights) are skipped.
+    """
+    ir, r0, r1 = row_stencil
+    ic, c0, c1 = col_stencil
+    live_r = np.flatnonzero(r0 != 0)
+    live_c = np.flatnonzero(c0 != 0)
+    if not live_r.size or not live_c.size:
+        return
+    n = out.shape[1]
+    k_lo, k_hi = live_c[0], live_c[-1] + 1
+    for a in range(live_r[0], live_r[-1] + 1, _ROW_BLOCK):
+        b = min(a + _ROW_BLOCK, live_r[-1] + 1)
+        if skew:
+            j0, j1 = max(0, k_lo - (b - 1)), min(n, k_hi - a)
+            ks = slice(a + j0, b - 1 + j1)
+        else:
+            j0, j1 = k_lo, k_hi
+            ks = slice(j0, j1)
+        if j1 <= j0:
+            continue
+        lo = ir[a:b].min()
+        band = v[lo:ir[a:b].max() + 2]
+        C = band[:, ic[ks]] * c0[ks] + band[:, ic[ks] + 1] * c1[ks]
+        R0, R1 = C[ir[a:b] - lo], C[ir[a:b] + 1 - lo]
+        if skew:
+            # R[k, k + j] as a view: row k of the window view starts at flat
+            # offset k * (L + 1) of the (B, L) array R
+            step = R0.shape[1] + 1
+            R0 = np.lib.stride_tricks.sliding_window_view(R0.ravel(), j1 - j0)[::step]
+            R1 = np.lib.stride_tricks.sliding_window_view(R1.ravel(), j1 - j0)[::step]
+        out[a:b, j0:j1] += R0 * r0[a:b, None] + R1 * r1[a:b, None]
 
 
 def _axis_transform_phases(omega0: float, spacing: float, n_pad: int):
@@ -387,7 +450,10 @@ def delta_limit_amplitude(t1, t2, s: float, grid_spacing: float,
 
     Nonzero on the band |t1 - t2 - s| < grid_spacing / 2; the `area_one`
     convention returns 1/grid_spacing there (unit Riemann mass along t1),
-    `value_one` returns 1.
+    `value_one` returns 1. Points within 1e-9 * grid_spacing of the band
+    edge count at half height, so a lattice whose nodes fall on both edges
+    keeps the band's Riemann mass, and rounding in how the arguments were
+    summed cannot move a node in or out of the band.
     """
     if grid_spacing <= 0:
         raise ValueError("grid_spacing must be positive")
@@ -397,8 +463,10 @@ def delta_limit_amplitude(t1, t2, s: float, grid_spacing: float,
         height = 1.0
     else:
         raise ValueError(f"unknown delta convention {convention!r}")
-    u = np.asarray(t1, dtype=float) - np.asarray(t2, dtype=float) - s
-    return np.where(np.abs(u) < grid_spacing / 2.0, height, 0.0)
+    u = np.abs(np.asarray(t1, dtype=float) - np.asarray(t2, dtype=float) - s)
+    edge, tol = grid_spacing / 2.0, 1e-9 * grid_spacing
+    return np.where(u < edge - tol, height,
+                    np.where(u <= edge + tol, 0.5 * height, 0.0))
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .biphoton import BiphotonAmplitude, DeltaAmplitude, to_time_domain
 from .model import LiouvilleOperatorSet
@@ -215,23 +216,25 @@ def _box(sub: SubTerm, tau: float, T: float, amp,
     return tau3, tau4
 
 
-def _hankel(fn, tau3: np.ndarray, tau4: np.ndarray, h: float) -> np.ndarray:
-    """fn(tau3[i] + tau4[j]) as an (n3, n4) matrix, one call per distinct sum.
+def _hankel(edge, interior, tau3: np.ndarray, tau4: np.ndarray,
+            h: float) -> np.ndarray:
+    """A factor whose arguments move with tau3 + tau4 (one may move with
+    tau3 alone) as an (n3, n4) matrix.
 
-    Interior nodes are step multiples j*h, so their sums are (j3 + j4)*h and
-    the interior is a Hankel matrix of one 1-D array; the sliver rows and
-    columns at the box ends are evaluated on their own.
+    Interior nodes are step multiples j*h, so their sums are (j3 + j4)*h:
+    `interior(sums, target)` fills the (n3 - 2, n4 - 2) interior view
+    `target` from the n3 + n4 - 5 distinct sums, row i reading
+    sums[i:i + n4 - 2]. The sliver rows and columns at the box ends come
+    from one call of `edge(T3, T4)` on their nodes' coordinates.
     """
     n3, n4 = tau3.size, tau4.size
     out = np.empty((n3, n4), dtype=complex)
-    out[[0, -1], :] = fn(tau3[[0, -1], None] + tau4[None, :])
-    if n3 > 2:
-        out[1:-1, [0, -1]] = fn(tau3[1:-1, None] + tau4[None, [0, -1]])
+    i = np.r_[np.repeat([0, n3 - 1], n4), np.repeat(np.arange(1, n3 - 1), 2)]
+    j = np.r_[np.tile(np.arange(n4), 2), np.tile([0, n4 - 1], n3 - 2)]
+    out[i, j] = edge(tau3[i], tau4[j])
     if n3 > 2 and n4 > 2:
         j0 = round(tau3[1] / h) + round(tau4[1] / h)
-        sums = np.arange(j0, j0 + n3 + n4 - 5) * h
-        out[1:-1, 1:-1] = fn(sums)[np.arange(n3 - 2)[:, None]
-                                   + np.arange(n4 - 2)[None, :]]
+        interior(np.arange(j0, j0 + n3 + n4 - 5) * h, out[1:-1, 1:-1])
     return out
 
 
@@ -243,7 +246,12 @@ def _amplitude_factor(amp, args: Tuple[Affine, Affine], bracket: bool,
 
     Arguments that miss tau4 (tau3) give an (n3, 1) ((1, n4)) array, or a
     scalar when they miss both; arguments that move only with tau3 + tau4
-    give a Hankel matrix; the others are evaluated on the full mesh.
+    give a Hankel matrix. On a lattice amplitude, one argument in tau3 and
+    the other in tau4 give an outer-product gather (pathway 4), and one in
+    tau3 and the other in tau3 + tau4 a sheared gather (pathway 5), both
+    from one stencil per distinct coordinate. Anything else, and every
+    two-variable factor of an amplitude without a lattice, is evaluated on
+    the full mesh.
     """
     x, y = args
     t = q.t_ref
@@ -252,16 +260,40 @@ def _amplitude_factor(amp, args: Tuple[Affine, Affine], bracket: bool,
         out = amp.time_value(u, v)
         return out + amp.time_value(v, u) if bracket else out
 
+    def mesh(T3, T4):
+        return value(x(t, tau, T, T3, T4), y(t, tau, T, T3, T4))
+
     if x.t3 == x.t4 and y.t3 == y.t4 and (x.t3 or y.t3):
         # on the box x(tau3, tau4) = x(tau3 + tau4, 0), and likewise y
-        return _hankel(lambda u: value(x(t, tau, T, u, 0.0), y(t, tau, T, u, 0.0)),
-                       tau3, tau4, q.step)
-    T3, T4 = tau3[:, None], tau4[None, :]
-    return value(x(t, tau, T, T3, T4), y(t, tau, T, T3, T4))
+        def line(u):
+            return value(x(t, tau, T, u, 0.0), y(t, tau, T, u, 0.0))
+
+        def hankel(sums, target):
+            target[...] = sliding_window_view(line(sums), target.shape[1])
+
+        return _hankel(lambda T3, T4: line(T3 + T4), hankel, tau3, tau4,
+                       q.step)
+    if isinstance(amp, BiphotonAmplitude):
+        for swap, (row, col) in ((False, (x, y)), (True, (y, x))):
+            if not (row.t3 and not row.t4 and col.t4):
+                continue
+            rows = row(t, tau, T, tau3, 0.0)
+            if not col.t3:
+                return amp.fill_grid(np.empty((tau3.size, tau4.size), complex),
+                                     rows, col(t, tau, T, 0.0, tau4), False,
+                                     swap, bracket)
+            if col.t3 == col.t4:
+                return _hankel(
+                    mesh, lambda sums, target: amp.fill_grid(
+                        target, rows[1:-1], col(t, tau, T, sums, 0.0), True,
+                        swap, bracket),
+                    tau3, tau4, q.step)
+    return mesh(tau3[:, None], tau4[None, :])
 
 
 def _sub_term_value(sub: SubTerm, interaction: int, tau: float, T: float,
-                    amp, ops: LiouvilleOperatorSet, q: QuadratureSpec) -> complex:
+                    amp, ops: LiouvilleOperatorSet, q: QuadratureSpec,
+                    shared: Optional[dict] = None) -> complex:
     """Double integral of one sub-term over its box (see `_box`).
 
     The correlator separates on the box, F = sum_p A_p(tau3) B_p(tau4), and
@@ -269,31 +301,60 @@ def _sub_term_value(sub: SubTerm, interaction: int, tau: float, T: float,
     variable's weights, so the sub-term is sum_p (w3 A_p)^T H (w4 B_p) with H
     the product of the two-variable amplitude factors (absent when there are
     none).
+
+    A conjugate factor that depends on neither variable multiplies the
+    integral of the direct factor, which sub-terms differing only in that
+    constant share: `shared` memoizes it per (interaction, args, symmetrize,
+    first_interval) for one (tau, T, s) point and one amplitude. A constant
+    constraint in `_tighten` only passes or fails, so sharing sub-terms
+    with non-empty boxes have equal boxes.
     """
     box = _box(sub, tau, T, amp, q)
     if box is None:
         return 0.0 + 0.0j
     tau3, tau4 = box
-    w3 = _weights(tau3, q.step, q.rule)
-    w4 = _weights(tau4, q.step, q.rule)
-    H = None
-    for factor in (np.conj(_amplitude_factor(amp, sub.conj_args, False, tau, T,
-                                             tau3, tau4, q)),
-                   _amplitude_factor(amp, sub.args, sub.symmetrize, tau, T,
-                                     tau3, tau4, q)):
-        if factor.ndim < 2 or factor.shape[1] == 1:
-            w3 = w3 * np.ravel(factor)
-        elif factor.shape[0] == 1:
-            w4 = w4 * factor[0]
-        else:
-            H = factor if H is None else H * factor
-    first = np.broadcast_to(sub.first_interval(0.0, tau, T, tau3, 0.0), tau3.shape)
-    A, B = ops.expansion(interaction).factors(first, tau3, tau4)
-    A *= w3[:, None]
-    B *= w4[:, None]
-    if H is None:
-        return complex(A.sum(axis=0) @ B.sum(axis=0))
-    return complex((A * (H @ B)).sum())
+
+    def factor(args, bracket):
+        return _amplitude_factor(amp, args, bracket, tau, T, tau3, tau4, q)
+
+    def integral(*factors):
+        w3 = _weights(tau3, q.step, q.rule)
+        w4 = _weights(tau4, q.step, q.rule)
+        H = None
+        for f in factors:
+            if f.ndim < 2 or f.shape[1] == 1:
+                w3 = w3 * np.ravel(f)
+            elif f.shape[0] == 1:
+                w4 = w4 * f[0]
+            else:
+                H = f if H is None else H * f
+        first = np.broadcast_to(sub.first_interval(0.0, tau, T, tau3, 0.0),
+                                tau3.shape)
+        A, B = ops.expansion(interaction).factors(first, tau3, tau4)
+        A *= w3[:, None]
+        B *= w4[:, None]
+        if H is None:
+            return complex(A.sum(axis=0) @ B.sum(axis=0))
+        return complex((A * (H @ B)).sum())
+
+    # every factor is a fresh array, so it is conjugated in place
+    conj = np.asarray(factor(sub.conj_args, False))
+    np.conjugate(conj, out=conj)
+    if any(a.t3 or a.t4 for a in sub.conj_args):
+        return integral(conj, factor(sub.args, sub.symmetrize))
+    shared = {} if shared is None else shared
+    key = (interaction, sub.args, sub.symmetrize, sub.first_interval)
+    if key not in shared:
+        shared[key] = integral(factor(sub.args, sub.symmetrize))
+    return complex(conj * shared[key])
+
+
+def _row_value(term: PathwayTerm, tau: float, T: float, amp,
+               ops: LiouvilleOperatorSet, q: QuadratureSpec,
+               shared: dict) -> complex:
+    return sum((_sub_term_value(sub, term.interaction, tau, T, amp, ops, q,
+                                shared) for sub in term.sub_terms),
+               start=0.0 + 0.0j)
 
 
 def term_value(term: PathwayTerm, tau: float, T: float, s: float,
@@ -303,12 +364,7 @@ def term_value(term: PathwayTerm, tau: float, T: float, s: float,
     Detection sign and beam-splitter channel weights are applied by
     :func:`coincidence`, not here.
     """
-    amp = _resolve_amplitude(amp, s)
-    return sum(
-        (_sub_term_value(sub, term.interaction, tau, T, amp, ops, q)
-         for sub in term.sub_terms),
-        start=0.0 + 0.0j,
-    )
+    return _row_value(term, tau, T, _resolve_amplitude(amp, s), ops, q, {})
 
 
 def _resolve_amplitude(amp, s: float):
@@ -325,13 +381,16 @@ def _signed_rows(table: Sequence[PathwayTerm], tau: float, T: float, s: float,
                  amp, ops: LiouvilleOperatorSet, q: QuadratureSpec,
                  hom: Optional[HomSpec]):
     """Yield (row, signed and channel-weighted value), skipping rows the
-    splitter (default 50:50) weights to zero."""
+    splitter (default 50:50) weights to zero. Rows share the direct
+    integrals of their constant-conjugate sub-terms (see `_sub_term_value`)
+    through one dict that lives for this point only."""
     hom = hom or HomSpec()
     amp = _resolve_amplitude(amp, s)
+    shared: dict = {}
     for term in table:
         weight = term.pattern.sign * term.pattern.weight(hom)
         if weight:
-            yield term, weight * term_value(term, tau, T, s, amp, ops, q)
+            yield term, weight * _row_value(term, tau, T, amp, ops, q, shared)
 
 
 def coincidence_terms(tau: float, T: float, s: float, amp,
@@ -425,6 +484,20 @@ def _line_integral_F5(arg1: float, arg3: float, ops: LiouvilleOperatorSet,
     return complex((w * vals).sum())
 
 
+def _check_damped(ops: LiouvilleOperatorSet, q: QuadratureSpec) -> None:
+    """Refuse a system whose slowest pair rate is the dephasing floor.
+
+    Its validated cutoff (>= 10 / floor) gives the F5 line integral
+    millions of nodes, a complex vector of gigabytes at optical steps.
+    """
+    if float(ops.eta.min()) <= ops.eta_floor:
+        raise ValueError(
+            f"short_Te mode needs damped pairs: the slowest pair rate is the "
+            f"{ops.eta_floor:g} /fs dephasing floor, so the F5 line integral "
+            f"would take {q.n_nodes} nodes (cutoff {q.cutoff:g} fs, step "
+            f"{q.step:g} fs); give every pair a nonzero dephasing rate")
+
+
 def short_te_terms(tau: float, T: float, s: float, ops: LiouvilleOperatorSet,
                    q: QuadratureSpec,
                    hom: Optional[HomSpec] = None) -> Dict[str, complex]:
@@ -437,13 +510,15 @@ def short_te_terms(tau: float, T: float, s: float, ops: LiouvilleOperatorSet,
 
     The published closed form drops the detection-channel amplitudes (they
     are uniform for a 50:50 splitter); pass `hom` to reinstate them, e.g.
-    for comparison against the full quadrature.
+    for comparison against the full quadrature. A closed system (slowest
+    pair rate at the dephasing floor) is refused before any allocation.
     """
     if s < 0:
         raise ValueError(f"short entanglement-time form requires s >= 0, got s={s}")
     if tau < -T:
         raise ValueError(f"short entanglement-time form requires tau >= -T, "
                          f"got tau={tau}, T={T}")
+    _check_damped(ops, q)
     if hom is None:
         w_exchange = w_direct = 1.0
     else:
@@ -595,10 +670,10 @@ def scan(tau_axis: Sequence[float], T_axis: Sequence[float],
     Points are independent and dispatched to ``workers`` threads (default:
     the CPU count); results land in disjoint array slots, so the output is
     deterministic for any worker count. In short_Te mode every lattice point
-    must satisfy tau >= -T and s > 0; violations abort with the offending
-    coordinates before any work is dispatched. The short_Te and bs_removed
-    modes fix the splitter themselves, so they refuse a ``hom`` that is not
-    50:50 (see `HomSpec.balanced`).
+    must satisfy tau >= -T and s > 0, and the system must be damped (see
+    `short_te_terms`); violations abort before any work is dispatched. The
+    short_Te and bs_removed modes fix the splitter themselves, so they
+    refuse a ``hom`` that is not 50:50 (see `HomSpec.balanced`).
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -632,6 +707,7 @@ def scan(tau_axis: Sequence[float], T_axis: Sequence[float],
                         raise ValueError(
                             f"short_Te mode requires tau >= -T; offending "
                             f"point (tau={tv}, T={Tv}, s={sv})")
+        _check_damped(ops, q)
 
         def point(i, j, k):
             return coincidence_short_Te(tau_axis[i], T_axis[j], s_axis[k], ops, q)

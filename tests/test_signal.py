@@ -9,10 +9,11 @@ from conftest import gaussian_amplitude
 from homspec.biphoton import (CrystalSpec, DeltaAmplitude, PumpSpec,
                               build_jsa, default_grid)
 from homspec.model import ExcitonSystem, Level, LiouvilleOperatorSet
+from homspec import signal
 from homspec.pathways import HomSpec, complete_term_table, term_table
-from homspec.signal import (BLOCK_FACTOR, QuadratureSpec, SignalGrid, _box,
-                            _segment_nodes, _sub_term_value, _weights,
-                            coincidence,
+from homspec.signal import (BLOCK_FACTOR, QuadratureSpec, SignalGrid,
+                            _amplitude_factor, _box, _segment_nodes,
+                            _sub_term_value, _weights, coincidence,
                             coincidence_short_Te, coincidence_terms,
                             complete_coincidence, complete_coincidence_terms,
                             default_quadrature, pathway_probabilities,
@@ -228,6 +229,23 @@ class TestSeparableQuadrature:
                    else DeltaAmplitude(s=s, spacing=0.4))
             t_ref = 0.0
         q = QuadratureSpec(cutoff=48.0, step=0.4, rule=rule, t_ref=t_ref)
+        two_node, evaluated = self.match_every_sub_term(tau, T, amp, ops, q)
+        assert two_node > 0 and evaluated >= 4
+
+    def test_delta_band_edge_on_the_half_step_lattice(self, ops):
+        # tau, T and s on the half-step lattice put the delta's band edges
+        # on node sums, which the mesh and the separable quadrature round
+        # differently; the tolerance-aware edge makes them agree
+        amp = DeltaAmplitude(s=4.0, spacing=0.4)
+        q = QuadratureSpec(cutoff=48.0, step=0.1, rule="trapezoid", t_ref=0.0)
+        _, evaluated = self.match_every_sub_term(4.0, 3.0, amp, ops, q)
+        assert evaluated >= 4
+
+    @staticmethod
+    def match_every_sub_term(tau, T, amp, ops, q):
+        """Assert that every sub-term of both tables equals its full-mesh
+        value; return the number of boxes with a 2-node axis and of
+        sub-terms with a nonzero integrand."""
         two_node = evaluated = 0
         for term in term_table() + complete_term_table():
             for sub in term.sub_terms:
@@ -238,7 +256,7 @@ class TestSeparableQuadrature:
                 got = _sub_term_value(sub, term.interaction, tau, T, amp, ops, q)
                 assert abs(got - want) <= 1e-12 * scale, (term.label, got, want)
                 evaluated += scale > 0
-        assert two_node > 0 and evaluated >= 4
+        return two_node, evaluated
 
     def test_many_level_sample_stays_small(self):
         # 1 g, 6 e and 12 f levels: F5 sums 432 terms. Evaluated on the full
@@ -262,6 +280,152 @@ class TestSeparableQuadrature:
             tracemalloc.stop()
         assert np.isfinite(value) and value != 0
         assert peak < 32e6, f"peak {peak / 1e6:.0f} MB"
+
+
+@pytest.fixture(scope="module")
+def golden_point():
+    """The criterion-9 point: ladder, sinc pair amplitude, step 0.1 fs."""
+    system = ExcitonSystem(
+        levels=[Level("g0", "g", 0.0), Level("e0", "e", 1.5),
+                Level("f0", "f", 2.9)],
+        dipoles_ge=[[1.0]], dipoles_ef=[[0.8]], dephasing_default=0.05)
+    ops = LiouvilleOperatorSet(system)
+    pump = PumpSpec(omega_p=2.9, sigma_p=0.5)
+    crystal = CrystalSpec(omega_a=1.5, omega_b=1.4, T_a=10.0, T_b=-14.0)
+    amp = build_jsa(pump, crystal, 0.0, default_grid(pump, crystal, n=256),
+                    s=15.0)
+    q = QuadratureSpec(cutoff=240.0, step=0.1, rule="trapezoid",
+                       t_ref=reference_time(amp))
+    amp.time_support()  # the lazily scanned box is part of the amplitude
+    return (20.0, 10.0, 15.0), amp, ops, q
+
+
+def _moves_with_sum(expr):
+    return expr.t3 != 0 and expr.t3 == expr.t4
+
+
+class TestLatticeFactors:
+    """Pathway-4 (one argument in tau3, the other in tau4) and pathway-5
+    (one in tau3, the other in tau3 + tau4) factors of a lattice amplitude
+    come from 1-D stencils; they must equal `time_value` on the mesh."""
+
+    def test_match_time_value_on_the_full_mesh(self, golden_point):
+        (tau, T, _), amp, _, q = golden_point
+        seen, slivers = set(), 0
+        for term in term_table() + complete_term_table():
+            if term.interaction not in (4, 5):
+                continue
+            for sub in term.sub_terms:
+                tau3, tau4 = _box(sub, tau, T, amp, q)
+                got = _amplitude_factor(amp, sub.args, sub.symmetrize, tau, T,
+                                        tau3, tau4, q)
+                x, y = np.broadcast_arrays(
+                    *(a(q.t_ref, tau, T, tau3[:, None], tau4[None, :])
+                      for a in sub.args))
+                want = amp.time_value(x, y)
+                if sub.symmetrize:
+                    want = want + amp.time_value(y, x)
+                assert got.shape == want.shape
+                err = np.max(np.abs(got - want))
+                assert err <= 1e-13 * np.max(np.abs(want)), (term.label, err)
+                first = sub.args[0]
+                seen.add(("sheared" if any(map(_moves_with_sum, sub.args))
+                          else "rectilinear", bool(first.t3 and not first.t4),
+                          sub.symmetrize))
+                slivers += (tau4[-1] - tau4[-2] < q.step
+                            and tau3[-1] - tau3[-2] < q.step)
+        # both argument orders of each class, brackets, and sliver ends
+        assert seen >= {("rectilinear", True, False),
+                        ("rectilinear", False, False),
+                        ("rectilinear", True, True),
+                        ("rectilinear", False, True),
+                        ("sheared", True, True), ("sheared", False, True)}
+        assert slivers > 0
+
+    def test_golden_point_memory(self, golden_point):
+        (tau, T, s), amp, ops, q = golden_point
+        tracemalloc.start()
+        try:
+            value = coincidence(tau, T, s, amp, ops, q, hom=HomSpec(T=T))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(value) and value != 0
+        # half of the 58.8 MB the full-mesh pathway-4/5 factors peaked at
+        assert peak < 29.4e6, f"peak {peak / 1e6:.1f} MB"
+
+
+@pytest.fixture(scope="module", params=["golden", "separable"])
+def shared_point(request, golden_point):
+    if request.param == "golden":
+        return golden_point
+    # the biphoton point of TestSeparableQuadrature
+    tau, T, s = 0.25, 2.1, 3.05
+    amp = gaussian_amplitude(center=0.4, sigma_sum=0.3, sigma_diff=0.5,
+                             n=128, half_span=1.6, s=s)
+    q = QuadratureSpec(cutoff=48.0, step=0.4, rule="trapezoid",
+                       t_ref=reference_time(amp))
+    return ((tau, T, s), amp,
+            random_ladder(np.random.default_rng(3), 2, 2, 0.25), q)
+
+
+class TestSharedIntegrals:
+    """Rows share the direct integral of sub-terms whose conjugate factor
+    is a constant (I-5, II-5, IV-5; I-4, IV-4 and, in the complete table,
+    II-4)."""
+
+    @staticmethod
+    def key(sub, interaction):
+        return (interaction, sub.args, sub.symmetrize, sub.first_interval)
+
+    def test_rows_equal_unshared_sub_terms(self, shared_point):
+        (tau, T, s), amp, ops, q = shared_point
+        for table, signal_terms, factor, label in (
+                (term_table(), coincidence_terms, 1.0,
+                 lambda t: (t.detection, t.interaction)),
+                (complete_term_table(), complete_coincidence_terms,
+                 BLOCK_FACTOR, lambda t: t.label)):
+            got = signal_terms(tau, T, s, amp, ops, q)
+            for term in table:
+                want = factor * term.pattern.sign * term.pattern.weight(
+                    HomSpec()) * sum(
+                    _sub_term_value(sub, term.interaction, tau, T, amp, ops, q)
+                    for sub in term.sub_terms)
+                value = got[label(term)]
+                assert abs(value - want) <= 1e-14 * abs(want), (term.label,
+                                                                value, want)
+
+    def test_sharing_sub_terms_have_equal_boxes(self, shared_point):
+        (tau, T, _), amp, _, q = shared_point
+        for table in (term_table(), complete_term_table()):
+            boxes = {}
+            for term in table:
+                for sub in term.sub_terms:
+                    box = _box(sub, tau, T, amp, q)
+                    if box is None or any(a.t3 or a.t4 for a in sub.conj_args):
+                        continue
+                    boxes.setdefault(self.key(sub, term.interaction), []).append(box)
+            for group in boxes.values():
+                for b3, b4 in group[1:]:
+                    assert np.array_equal(b3, group[0][0])
+                    assert np.array_equal(b4, group[0][1])
+            assert max(map(len, boxes.values())) >= 3
+
+    def test_sheared_factor_evaluated_once_per_key(self, golden_point,
+                                                   monkeypatch):
+        (tau, T, s), amp, ops, q = golden_point
+        sheared = []
+
+        def counting(amp, args, *rest):
+            if any(map(_moves_with_sum, args)) and any(a.t3 and not a.t4
+                                                       for a in args):
+                sheared.append(args)
+            return _amplitude_factor(amp, args, *rest)
+
+        monkeypatch.setattr(signal, "_amplitude_factor", counting)
+        coincidence(tau, T, s, amp, ops, q, hom=HomSpec(T=T))
+        # I-5, II-5 and IV-5 share one direct factor; III-5 has its own
+        assert len(sheared) == 2 and len(set(sheared)) == 2
 
 
 class TestCoincidence:
@@ -342,6 +506,22 @@ class TestShortTe:
             expected = -complex(slow_ladder.expansion(3).evaluate(T, tau, T))
             assert vals["F3a"] == expected
             assert all(v == 0 for name, v in vals.items() if name != "F3a")
+
+    def test_closed_system_names_the_dephasing_floor(self):
+        # no dephasing: every pair rate sits at the 1e-6 /fs floor and the
+        # validated cutoff is 1.2e7 fs; the small level spacing keeps the
+        # step coarse (12.6 fs), so the line integral would take 954930 nodes
+        ops = LiouvilleOperatorSet(ExcitonSystem(
+            levels=[Level("g0", "g", 0.0), Level("e0", "e", 0.03),
+                    Level("f0", "f", 0.05)],
+            dipoles_ge=[[1.0]], dipoles_ef=[[0.8]], dephasing_default=0.0))
+        q = default_quadrature(ops)
+        assert q.n_nodes == 954930
+        message = r"1e-06 /fs dephasing floor.* 954930 nodes"
+        with pytest.raises(ValueError, match=message):
+            short_te_terms(3.0, 5.0, 3.0, ops, q)  # tau = s: F5 line integral
+        with pytest.raises(ValueError, match=message):
+            scan([3.0], [5.0], [3.0], "short_Te", None, ops, q, workers=1)
 
     def test_delta_gated_line_terms(self, slow_ladder, quad):
         vals = short_te_terms(3.0, 5.0, 3.0, slow_ladder, quad)
