@@ -28,7 +28,7 @@ import yaml
 from . import crosscheck
 from .biphoton import (BiphotonAmplitude, CrystalSpec, FrequencyGrid, GridAxis,
                        PumpSpec, build_jsa, default_grid)
-from .model import ExcitonSystem, Level, LiouvilleOperatorSet
+from .model import ETA_FLOOR, ExcitonSystem, Level, LiouvilleOperatorSet
 from .pathways import HomSpec, format_term_table
 from .signal import MODES, default_quadrature, scan, system_hash
 
@@ -309,6 +309,10 @@ def load_config(path: str, overrides: Optional[Mapping[str, Any]] = None) -> Run
     if values["mode"] != "full" and not hom.balanced:
         raise ConfigError("hom", f"mode {values['mode']} ignores t_coeff and "
                           "r_coeff; only a 50:50 splitter is allowed")
+    if values["mode"] == "short_Te" and values["system"].closed(ETA_FLOOR):
+        raise ConfigError("system.dephasing", "short_Te mode needs damped "
+                          "pairs; give every pair a dephasing rate above the "
+                          f"{ETA_FLOOR:g} /fs floor")
     return RunConfig(**values)
 
 

@@ -32,6 +32,10 @@ CORRELATOR_SEQUENCES: Dict[int, Tuple[Tuple[str, bool], ...]] = {
 }
 
 
+#: Default floor (1/fs) on every pair dephasing rate.
+ETA_FLOOR = 1e-6
+
+
 def sequence_tokens(seq: Sequence[Tuple[str, bool]]) -> Tuple[str, ...]:
     """Render an operator sequence as tokens like ('V_L', 'G', 'V_R†', ...)."""
     toks: List[str] = []
@@ -183,6 +187,10 @@ class ExcitonSystem:
             eta[j, i] = rate
         return eta
 
+    def closed(self, eta_floor: float) -> bool:
+        """A closed system: its slowest pair rate is at the dephasing floor."""
+        return float(self.dephasing_matrix().min()) <= eta_floor
+
     def initial_index(self) -> int:
         if self.initial_label is not None:
             idx = self.index_of(self.initial_label)
@@ -221,7 +229,7 @@ class LiouvilleOperatorSet:
     when a user sets all rates to zero.
     """
 
-    def __init__(self, system: ExcitonSystem, eta_floor: float = 1e-6):
+    def __init__(self, system: ExcitonSystem, eta_floor: float = ETA_FLOOR):
         self.system = system
         self.eta_floor = float(eta_floor)
         self.omega = system.energies()

@@ -2,14 +2,16 @@
 
 Three layers of bookkeeping live here:
 
-* the beam-splitter rotation applied at the detection stage and the four
-  surviving detection patterns (one photon per input mode at each detector),
-* the combinatorial enumeration of light-matter interaction pathways and the
-  filter chain that reduces 256 candidates to the five surviving four-point
-  correlators,
-* the full table of detection x interaction contribution recipes: for each
-  combination, the amplitude argument maps and the correlator's first
-  interval that the signal quadrature integrates.
+* the beam-splitter rotation and the four surviving detection patterns (one
+  photon per input mode at each detector), each with its detection times,
+* the enumeration of light-matter interaction pathways: a filter chain
+  reduces 256 candidates to the five four-point correlator sequences,
+* the contribution ledger, generated once from the two: every pattern x
+  sequence block places its emissions at the pattern's detection times and
+  its absorptions before them, giving the amplitude arguments and the
+  correlator's first interval that the signal quadrature integrates.
+  :func:`complete_term_table` holds every kept block; :func:`term_table`,
+  the published ledger, is a projection of it.
 
 Entropy diagnostics over pathway probability vectors round the module out.
 """
@@ -79,7 +81,7 @@ def hom_matrix(omega: float, hom: HomSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Affine:
-    """Affine time expression c0 + t + tau*`tau` + T*`T` + t3*`tau3` + t4*`tau4`.
+    """Affine time expression t + tau*`tau` + T*`T` + t3*`tau3` + t4*`tau4`.
 
     The detection reference time t enters with coefficient 0 or 1; all
     integration-variable coefficients are small integers. Evaluation
@@ -87,7 +89,6 @@ class Affine:
     is zero, so an expression in tau3 alone keeps the shape of tau3.
     """
 
-    c0: float = 0.0
     t: int = 1
     tau: int = 0
     T: int = 0
@@ -104,20 +105,14 @@ class Affine:
 
     def shift(self, t: float, tau: float, T: float) -> float:
         """The scalar part once tau3 = tau4 = 0."""
-        return self.c0 + self.t * t + self.tau * tau + self.T * T
+        return self.t * t + self.tau * tau + self.T * T
 
     def __str__(self) -> str:
-        parts: List[str] = []
-        for coef, name in ((self.t, "t"), (self.tau, "τ"), (self.T, "T"),
-                           (self.t3, "τ3"), (self.t4, "τ4")):
-            if coef == 0:
-                continue
-            sign = "-" if coef < 0 else ("+" if parts else "")
-            mag = abs(coef)
-            parts.append(f"{sign}{'' if mag == 1 else mag}{name}")
-        if self.c0:
-            parts.append(f"{'+' if self.c0 > 0 else '-'}{abs(self.c0)}")
-        return "".join(parts) if parts else "0"
+        text = "".join(
+            f"{'-' if c < 0 else '+'}{'' if abs(c) == 1 else abs(c)}{name}"
+            for c, name in ((self.t, "t"), (self.tau, "τ"), (self.T, "T"),
+                            (self.t3, "τ3"), (self.t4, "τ4")) if c)
+        return text.lstrip("+") or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +218,12 @@ class InteractionPathway:
         return sequence_tokens(tuple(reversed(self.ops)))
 
 
+def _absorbs(side: str, dagger: bool) -> bool:
+    """Whether an op absorbs a photon: it raises the ket from the left or
+    the bra from the right (right multiplication by V raises the bra index)."""
+    return (side == "L") == dagger
+
+
 def _passes(ops: Tuple[Tuple[str, bool], ...], rule: str) -> bool:
     sides = [s for s, _ in ops]
     raises = sum(1 for _, d in ops if d)
@@ -232,19 +233,9 @@ def _passes(ops: Tuple[Tuple[str, bool], ...], rule: str) -> bool:
         return True
     if rule == "ground_state_start":
         # both branches start in the ground level, so the first action on
-        # each branch must excite it: raising from the left, lowering from
-        # the right (right multiplication by V raises the bra index)
-        for side, dagger in ops:
-            if side == "L":
-                if not dagger:
-                    return False
-                break
-        for side, dagger in ops:
-            if side == "R":
-                if dagger:
-                    return False
-                break
-        return True
+        # each branch must excite it by absorbing a photon
+        first = dict(reversed(ops))              # side -> its first op's sense
+        return all(_absorbs(side, dagger) for side, dagger in first.items())
     if rule == "photon_number":
         return raises == len(ops) - raises
     if rule == "no_single_side":
@@ -282,11 +273,6 @@ def enumerate_interaction_pathways(
 # ---------------------------------------------------------------------------
 # the contribution ledger
 # ---------------------------------------------------------------------------
-
-# F-argument expressions never carry the reference time
-def _farg(**kw) -> Affine:
-    return Affine(t=0, **kw)
-
 
 @dataclass(frozen=True)
 class SubTerm:
@@ -329,201 +315,115 @@ class PathwayTerm:
         return f"{base} {self.extension}" if self.extension else base
 
 
-def _term(det: str, i: int, subs: Sequence[SubTerm],
-          extension: str = "") -> PathwayTerm:
-    return PathwayTerm(det, i, tuple(subs), extension)
+# event k's offset from event 0 as a coefficient vector (t, tau, T, t3, t4):
+# tau4 separates events 0 and 1, tau3 events 1 and 2
+_OFFSETS = (np.zeros(5, int), np.array([0, 0, 0, 0, 1]), np.array([0, 0, 0, 1, 1]))
+
+
+def _blocks(seq, pattern: DetectionPathway):
+    """Every photon assignment of one correlator sequence under one pattern.
+
+    Yields (emission gap, SubTerm), the blocks whose emissions carry
+    different photons first. Each emission sits at its side's detection
+    slot for the photon it emits, and that photon is the one the side
+    absorbed last before it. The earlier emission anchors the events; the
+    gap is the later emission's time minus the earlier one's.
+    """
+    events = tuple(reversed(seq))                    # chronological
+    absorbs = [_absorbs(side, dagger) for side, dagger in events]
+    first, last = [k for k in range(4) if not absorbs[k]]
+    slots = {"L": dict(pattern.ket_times), "R": dict(pattern.bra_times)}
+    bracket = all(side == "L" for side, _ in seq)    # a (0,4) block
+    for modes in ("ab", "ba", "aa", "bb"):
+        if bracket and modes[0] == modes[1]:
+            continue                                 # one photon absorbed twice
+        emit = dict(zip((first, last), modes))
+        start, end = (np.array(dataclasses.astuple(slots[events[k][0]][emit[k]]))
+                      for k in (first, last))
+        at = [start + _OFFSETS[k] - _OFFSETS[first] for k in range(3)]
+        # the amplitudes hold each absorbed photon at its absorption time
+        times = {side: dict(slots[side]) for side in "LR"}
+        pending: Dict[str, List[int]] = {"L": [], "R": []}
+        for k, (side, _) in enumerate(events):
+            if absorbs[k]:
+                pending[side].append(k)
+            else:
+                times[side][emit[k]] = Affine(*map(int, at[pending[side].pop()]))
+        args = times["L"]["a"], times["L"]["b"]
+        if bracket and pattern.name == "II":
+            # the source lists O_II's brackets in O_I's argument order; the
+            # bracket's value does not depend on it
+            args = args[::-1]
+        yield end - start, SubTerm(
+            (times["R"]["a"], times["R"]["b"]), args,
+            Affine(*map(int, end - at[2])), bracket)
+
+
+def _generate() -> Tuple[PathwayTerm, ...]:
+    """The complete ledger: the kept blocks of every sequence x pattern.
+
+    A block is kept when its emission gap has non-negative tau and T
+    coefficients, the causal half for tau, T >= 0. Within a row the cross
+    blocks (bra and ket emit different photons) come first. A zero gap, bra
+    and ket emitting the same photon at one detection time, goes to the
+    row's "same-arm" extension and keeps F1 only: F3 is its complex
+    conjugate, which the signal's 2 Re supplies, and F2 has zero measure.
+    """
+    rows, extensions = [], []
+    for i, seq in CORRELATOR_SEQUENCES.items():
+        for name, pattern in _PATTERNS.items():
+            main, same = [], []
+            for gap, sub in _blocks(seq, pattern):
+                if gap[1] >= 0 and gap[2] >= 0:      # tau and T coefficients
+                    (main if gap.any() else same).append(sub)
+            rows.append(PathwayTerm(name, i, tuple(main)))
+            if same and i == 1:
+                extensions.append(PathwayTerm(name, i, tuple(same), "same-arm"))
+    return tuple(rows + extensions)
+
+
+def _published(term: PathwayTerm) -> PathwayTerm:
+    # the source table prints one absorption order per pathway-4 row, and
+    # II-4's absorptions at t+tau+tau3 and t+tau-tau4, which contradict its
+    # own correlator arguments (those put them at t-tau4 and t+tau3)
+    if term.interaction != 4:
+        return term
+    sub = dataclasses.replace(term.sub_terms[0], symmetrize=False)
+    if term.detection == "II":
+        sub = dataclasses.replace(sub, args=(Affine(tau=1, t3=1),
+                                             Affine(tau=1, t4=-1)))
+    return dataclasses.replace(term, sub_terms=(sub,))
+
+
+_COMPLETE = _generate()
+_PUBLISHED = tuple(_published(t) for t in _COMPLETE if not t.extension)
 
 
 def term_table() -> List[PathwayTerm]:
-    """All 20 contribution rows of the coincidence signal.
+    """The published ledger: the 20 contribution rows of `coincidence`.
 
-    Argument conventions: tau is the detector time difference, T the
-    beam-splitter delay, tau3/tau4 the two integration variables; t is the
-    detection reference time. Rows with the exchange channel and interaction
-    index 1..3 contain two sub-terms each. This is the published ledger;
-    :func:`complete_term_table` extends it to the complete fourth-order
-    counting signal.
+    tau is the detector time difference, T the beam-splitter delay,
+    tau3/tau4 the integration variables and t the detection reference time.
+    It is :func:`complete_term_table` without the same-arm rows, with one
+    absorption order per pathway-4 row and with II-4's printed arguments.
     """
-    A = Affine
-    rows: List[PathwayTerm] = []
-
-    # interaction pathway 1
-    rows.append(_term("I", 1, [SubTerm(
-        conj_args=(A(t3=-1, t4=-1), A(tau=1)),
-        args=(A(), A(t3=-1)),
-        first_interval=_farg(tau=1))]))
-    rows.append(_term("II", 1, [SubTerm(
-        conj_args=(A(tau=1), A(t3=-1, t4=-1)),
-        args=(A(t3=-1), A()),
-        first_interval=_farg(tau=1))]))
-    rows.append(_term("III", 1, [
-        SubTerm(conj_args=(A(), A(tau=1, t3=-1, t4=-1)),
-                args=(A(tau=1, t3=-1), A(T=-1)),
-                first_interval=_farg(T=1)),
-        SubTerm(conj_args=(A(t3=-1, t4=-1), A(tau=1)),
-                args=(A(t3=-1), A(T=-1)),
-                first_interval=_farg(T=1, tau=1)),
-    ]))
-    rows.append(_term("IV", 1, [
-        SubTerm(conj_args=(A(T=1, tau=1), A(T=-1, t3=-1, t4=-1)),
-                args=(A(T=-1, t3=-1), A(tau=1)),
-                first_interval=_farg(T=1)),
-        SubTerm(conj_args=(A(T=1, tau=1), A(T=-1, t3=-1, t4=-1)),
-                args=(A(), A(T=-1, t3=-1)),
-                first_interval=_farg(tau=1, T=1)),
-    ]))
-
-    # interaction pathway 2
-    rows.append(_term("I", 2, [SubTerm(
-        conj_args=(A(t4=-1), A(tau=1)),
-        args=(A(), A(t3=1)),
-        first_interval=_farg(tau=1, t3=-1))]))
-    rows.append(_term("II", 2, [SubTerm(
-        conj_args=(A(tau=1), A(t4=-1)),
-        args=(A(t3=1), A()),
-        first_interval=_farg(tau=1, t3=-1))]))
-    rows.append(_term("III", 2, [
-        SubTerm(conj_args=(A(), A(tau=1, t4=-1)),
-                args=(A(tau=1, t3=1), A(T=-1)),
-                first_interval=_farg(T=1, t3=-1)),
-        SubTerm(conj_args=(A(t4=-1), A(tau=1)),
-                args=(A(t3=1), A(T=-1)),
-                first_interval=_farg(tau=1, T=1, t3=-1)),
-    ]))
-    rows.append(_term("IV", 2, [
-        SubTerm(conj_args=(A(T=1, tau=1), A(T=-1, t4=-1)),
-                args=(A(T=-1, t3=1), A(tau=1)),
-                first_interval=_farg(T=1, t3=-1)),
-        SubTerm(conj_args=(A(T=1, tau=1), A(T=-1, t4=-1)),
-                args=(A(), A(T=-1, t3=1)),
-                first_interval=_farg(tau=1, T=1, t3=-1)),
-    ]))
-
-    # interaction pathway 3
-    rows.append(_term("I", 3, [SubTerm(
-        conj_args=(A(t3=-1), A(tau=1)),
-        args=(A(), A(t3=-1, t4=-1)),
-        first_interval=_farg(tau=1))]))
-    rows.append(_term("II", 3, [SubTerm(
-        conj_args=(A(tau=1), A(t3=-1)),
-        args=(A(t3=-1, t4=-1), A()),
-        first_interval=_farg(tau=1))]))
-    rows.append(_term("III", 3, [
-        SubTerm(conj_args=(A(), A(tau=1, t3=-1)),
-                args=(A(tau=1, t3=-1, t4=-1), A(T=-1)),
-                first_interval=_farg(T=1)),
-        SubTerm(conj_args=(A(t3=-1), A(tau=1)),
-                args=(A(t3=-1, t4=-1), A(T=-1)),
-                first_interval=_farg(tau=1, T=1)),
-    ]))
-    rows.append(_term("IV", 3, [
-        SubTerm(conj_args=(A(T=1, tau=1), A(T=-1, t3=-1)),
-                args=(A(T=-1, t3=-1, t4=-1), A(tau=1)),
-                first_interval=_farg(T=1)),
-        SubTerm(conj_args=(A(T=1, tau=1), A(T=-1, t3=-1)),
-                args=(A(), A(T=-1, t3=-1, t4=-1)),
-                first_interval=_farg(T=1, tau=1)),
-    ]))
-
-    # interaction pathway 4, one absorption order per row as the source
-    # table prints them. The counting probability's (0,4) blocks hold both
-    # orders (the brute force finds the other order comparable in size),
-    # and II-4's amplitude arguments contradict its correlator arguments,
-    # which put the absorptions at t - tau4 and t + tau3; see
-    # complete_term_table.
-    rows.append(_term("I", 4, [SubTerm(
-        conj_args=(A(), A(tau=1)),
-        args=(A(t4=-1), A(t3=1)),
-        first_interval=_farg(tau=1, t3=-1))]))
-    rows.append(_term("II", 4, [SubTerm(
-        conj_args=(A(tau=1), A()),
-        args=(A(tau=1, t3=1), A(tau=1, t4=-1)),
-        first_interval=_farg(tau=1, t3=-1))]))
-    rows.append(_term("III", 4, [SubTerm(
-        conj_args=(A(), A(tau=1)),
-        args=(A(T=-1, t3=1), A(T=-1, t4=-1)),
-        first_interval=_farg(T=2, tau=1, t3=-1))]))
-    rows.append(_term("IV", 4, [SubTerm(
-        conj_args=(A(T=1, tau=1), A(T=-1)),
-        args=(A(t4=-1), A(t3=1)),
-        first_interval=_farg(tau=1, t3=-1))]))
-
-    # interaction pathway 5 (naturally symmetrized bracket)
-    rows.append(_term("I", 5, [SubTerm(
-        conj_args=(A(), A(tau=1)),
-        args=(A(t3=-1), A(t3=-1, t4=-1)),
-        first_interval=_farg(tau=1),
-        symmetrize=True)]))
-    rows.append(_term("II", 5, [SubTerm(
-        conj_args=(A(tau=1), A()),
-        args=(A(t3=-1), A(t3=-1, t4=-1)),
-        first_interval=_farg(tau=1),
-        symmetrize=True)]))
-    rows.append(_term("III", 5, [SubTerm(
-        conj_args=(A(), A(tau=1)),
-        args=(A(T=-1, t3=-1, t4=-1), A(T=-1, t3=-1)),
-        first_interval=_farg(tau=1, T=2),
-        symmetrize=True)]))
-    rows.append(_term("IV", 5, [SubTerm(
-        conj_args=(A(T=1, tau=1), A(T=-1)),
-        args=(A(t3=-1), A(t3=-1, t4=-1)),
-        first_interval=_farg(tau=1),
-        symmetrize=True)]))
-
-    return rows
+    return list(_PUBLISHED)
 
 
 def complete_term_table() -> List[PathwayTerm]:
-    """The ledger extended to the complete fourth-order counting signal.
+    """The 22 rows of the complete fourth-order counting signal, tau, T >= 0.
 
-    Against the wavefunction brute force, the published ledger covers the
-    cross-arm (2,2) blocks of O_I/O_II (bra and ket absorbed different
-    photons), all four arm combinations of O_III/O_IV, and the (0,4) blocks
-    only in part. This table:
-
-    * gives every pathway-4 row both absorption orders (the bracket
-      value(args) + value(swapped args), as on pathway 5);
-    * takes II-4's absorptions at t - tau4 and t + tau3, where its own
-      correlator arguments put them;
-    * adds the same-arm (2,2) rows of O_I/O_II, extension "same-arm": bra and
-      ket absorbed the same photon and emitted it at the same detection time,
-      so the last correlator interval is 0. Bra-first ordering (F1) only:
-      the ket-first half (F3) is its complex conjugate, which the signal's
-      2 Re supplies.
-
-    Assemble it with :func:`homspec.signal.complete_coincidence`.
+    Beyond the published ledger it holds both absorption orders of every
+    pathway-4 row (the bracket, as on pathway 5), II-4's absorptions where
+    its correlator arguments put them (t - tau4, t + tau3), and the
+    same-arm (2,2) rows of O_I/O_II. Assemble it with
+    :func:`homspec.signal.complete_coincidence`.
     """
-    A = Affine
-    rows: List[PathwayTerm] = []
-    for term in term_table():
-        if term.interaction == 4:
-            subs = tuple(dataclasses.replace(sub, symmetrize=True)
-                         for sub in term.sub_terms)
-            if term.detection == "II":
-                subs = (dataclasses.replace(subs[0], args=(A(t4=-1), A(t3=1))),)
-            term = dataclasses.replace(term, sub_terms=subs)
-        rows.append(term)
-    # bra and ket absorb the same photon (first sub-term a, second b) and
-    # emit it at that photon's detection time; the other photon reaches its
-    # detector unabsorbed
-    same = _farg()
-    rows.append(_term("I", 1, [
-        SubTerm(conj_args=(A(t3=-1, t4=-1), A(tau=1)),
-                args=(A(t3=-1), A(tau=1)), first_interval=same),
-        SubTerm(conj_args=(A(), A(tau=1, t3=-1, t4=-1)),
-                args=(A(), A(tau=1, t3=-1)), first_interval=same),
-    ], extension="same-arm"))
-    rows.append(_term("II", 1, [
-        SubTerm(conj_args=(A(tau=1, t3=-1, t4=-1), A()),
-                args=(A(tau=1, t3=-1), A()), first_interval=same),
-        SubTerm(conj_args=(A(tau=1), A(t3=-1, t4=-1)),
-                args=(A(tau=1), A(t3=-1)), first_interval=same),
-    ], extension="same-arm"))
-    return rows
+    return list(_COMPLETE)
 
 
 def format_term_table() -> str:
-    """Human-readable dump of the 20 contribution rows for audit."""
+    """Human-readable dump of the published ledger's rows for audit."""
     lines = ["det  i  sign  channel   integrand"]
     for term in term_table():
         for k, sub in enumerate(term.sub_terms):

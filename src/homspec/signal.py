@@ -377,6 +377,14 @@ def _resolve_amplitude(amp, s: float):
     return amp
 
 
+def _check_domain(tau: float, T: float) -> None:
+    """Refuse tau < 0 or T < 0: the ledger holds the causal blocks of tau,
+    T >= 0 only, and the mirrored ones it lacks are not zero there."""
+    if tau < 0 or T < 0:
+        raise ValueError(f"the pathway ledger covers tau >= 0 and T >= 0 "
+                         f"only; got tau={tau:g}, T={T:g}")
+
+
 def _signed_rows(table: Sequence[PathwayTerm], tau: float, T: float, s: float,
                  amp, ops: LiouvilleOperatorSet, q: QuadratureSpec,
                  hom: Optional[HomSpec]):
@@ -384,6 +392,7 @@ def _signed_rows(table: Sequence[PathwayTerm], tau: float, T: float, s: float,
     splitter (default 50:50) weights to zero. Rows share the direct
     integrals of their constant-conjugate sub-terms (see `_sub_term_value`)
     through one dict that lives for this point only."""
+    _check_domain(tau, T)
     hom = hom or HomSpec()
     amp = _resolve_amplitude(amp, s)
     shared: dict = {}
@@ -490,7 +499,7 @@ def _check_damped(ops: LiouvilleOperatorSet, q: QuadratureSpec) -> None:
     Its validated cutoff (>= 10 / floor) gives the F5 line integral
     millions of nodes, a complex vector of gigabytes at optical steps.
     """
-    if float(ops.eta.min()) <= ops.eta_floor:
+    if ops.system.closed(ops.eta_floor):
         raise ValueError(
             f"short_Te mode needs damped pairs: the slowest pair rate is the "
             f"{ops.eta_floor:g} /fs dephasing floor, so the F5 line integral "
@@ -671,7 +680,8 @@ def scan(tau_axis: Sequence[float], T_axis: Sequence[float],
     the CPU count); results land in disjoint array slots, so the output is
     deterministic for any worker count. In short_Te mode every lattice point
     must satisfy tau >= -T and s > 0, and the system must be damped (see
-    `short_te_terms`); violations abort before any work is dispatched. The
+    `short_te_terms`); in the other modes tau, T >= 0 (the ledger's domain).
+    Violations abort before any work is dispatched. The
     short_Te and bs_removed modes fix the splitter themselves, so they
     refuse a ``hom`` that is not 50:50 (see `HomSpec.balanced`).
     """
@@ -712,6 +722,7 @@ def scan(tau_axis: Sequence[float], T_axis: Sequence[float],
         def point(i, j, k):
             return coincidence_short_Te(tau_axis[i], T_axis[j], s_axis[k], ops, q)
     else:
+        _check_domain(tau_axis.min(), T_axis.min())
         if mode == "bs_removed":
             hom = HomSpec(t_coeff=1.0, r_coeff=0.0)
         amps = {float(sv): _resolve_amplitude(amp, float(sv)) for sv in s_axis}

@@ -122,6 +122,19 @@ class TestLoadConfig:
         assert "hom" in capsys.readouterr().err
         assert not (tmp_path / "o.dat").exists()
 
+    def test_short_te_closed_system_names_dephasing(self, tmp_path, capsys):
+        # no dephasing section: every pair rate sits at the dephasing floor
+        out = tmp_path / "o.dat"
+        cfg = write_config(tmp_path, {"output": str(out)},
+                           drop=["system.dephasing"])
+        load_config(cfg)  # the full quadrature takes a closed system
+        with pytest.raises(ConfigError) as err:
+            load_config(cfg, {"mode": "short_Te"})
+        assert err.value.path == "system.dephasing"
+        assert main(["run", "--config", str(cfg), "--mode", "short_Te"]) == 2
+        assert "system.dephasing" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_offset_with_explicit_reference_time_named(self, tmp_path):
         cfg = write_config(tmp_path, {"quadrature.t_ref_fs": 5.0,
                                       "quadrature.t_ref_offset_fs": 2.0})

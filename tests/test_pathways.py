@@ -112,6 +112,20 @@ class TestDetection:
         assert sorted(times_I) == sorted(times_III)
 
 
+def _dump_rows(rows) -> str:
+    """Each row's label, then one line per sub-term in the dump's layout."""
+    lines = []
+    for term in rows:
+        lines.append(term.label)
+        for sub in term.sub_terms:
+            (a, b), (c, d) = sub.args, sub.conj_args
+            bracket = (f"[Φ({a}, {b}) + Φ({b}, {a})]" if sub.symmetrize
+                       else f"Φ({a}, {b})")
+            lines.append(f"    Φ*({c}, {d}) · {bracket} · "
+                         f"F{term.interaction}({sub.first_interval}, τ3, τ4)")
+    return "\n".join(lines) + "\n"
+
+
 class TestTermTable:
     def test_record_and_subterm_counts(self):
         table = term_table()
@@ -183,6 +197,12 @@ class TestTermTable:
                 assert first.t == 0
                 assert first.t4 == 0  # so it depends on tau3 at most
 
+    @pytest.mark.parametrize("table, rows", [(term_table, 20),
+                                             (complete_term_table, 22)])
+    def test_tables_are_fresh_lists(self, table, rows):
+        table().clear()
+        assert len(table()) == rows
+
     def test_dump_is_complete(self):
         text = format_term_table()
         assert len(text.splitlines()) == 1 + 26  # header + one line per sub-term
@@ -194,6 +214,13 @@ class TestTermTable:
         assert main(["pathways", "dump"]) == 0
         pinned = (Path(__file__).parent / "data" / "pathways_dump.txt").read_bytes()
         assert capsys.readouterr().out.encode("utf-8") == pinned
+
+    def test_complete_table_matches_pinned_copy(self):
+        # tests/data/complete_pathways_dump.txt pins every row of the complete
+        # table, the same-arm rows and both pathway-4 orders included
+        pinned = (Path(__file__).parent / "data"
+                  / "complete_pathways_dump.txt").read_bytes()
+        assert _dump_rows(complete_term_table()).encode("utf-8") == pinned
 
 
 class TestEntropy:

@@ -451,6 +451,16 @@ class TestCoincidence:
                                          hom=HomSpec(T=T))
             assert abs(full - short) < 0.02 * abs(short)
 
+    @pytest.mark.parametrize("signal_fn", [coincidence, complete_coincidence])
+    @pytest.mark.parametrize("tau, T", [(-1.0, 5.0), (1.0, -5.0)])
+    def test_refuses_points_outside_the_ledger_domain(self, slow_ladder, quad,
+                                                       signal_fn, tau, T):
+        # the ledger keeps the causal blocks of tau, T >= 0; below either,
+        # the mirrored blocks it lacks are not zero
+        with pytest.raises(ValueError, match="tau >= 0 and T >= 0"):
+            signal_fn(tau, T, 4.0, GaussLine(s=4.0, sigma=0.2), slow_ladder,
+                      quad)
+
     def test_output_is_real_float(self, slow_ladder, quad):
         val = coincidence(1.0, 5.0, 4.0, GaussLine(s=4.0, sigma=0.2),
                           slow_ladder, quad)
@@ -574,6 +584,13 @@ class TestScan:
         ops, amp, q = small_setup
         with pytest.raises(ValueError, match=r"s > 0.*s=0\.0"):
             scan([1.0], [2.0], [0.0], "short_Te", amp, ops, q)
+
+    @pytest.mark.parametrize("mode", ["full", "bs_removed"])
+    def test_ledger_modes_refuse_negative_delays(self, small_setup, mode):
+        ops, amp, q = small_setup
+        for tau_axis, T_axis in (([-1.0, 1.0], [2.0]), ([1.0], [2.0, -2.0])):
+            with pytest.raises(ValueError, match="tau >= 0 and T >= 0"):
+                scan(tau_axis, T_axis, [3.0], mode, amp, ops, q, workers=1)
 
     def test_bs_removed_mode_drops_exchange_terms(self, small_setup):
         ops, amp, q = small_setup
