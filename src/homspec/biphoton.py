@@ -13,6 +13,7 @@ so the L2 norm equals 1 in both domains.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -26,6 +27,7 @@ __all__ = [
     "BiphotonAmplitude",
     "DeltaAmplitude",
     "GridCoverageError",
+    "LatticeFactor",
     "build_jsa",
     "to_time_domain",
     "delta_limit_amplitude",
@@ -152,28 +154,32 @@ def default_grid(pump: PumpSpec, crystal: CrystalSpec, n: int = 256,
                 f"grid to >= {need} samples per axis")
         axis = GridAxis(center, spacing, n)
         grid = FrequencyGrid(axis, axis)
-        if _coverage(pump, crystal, theta, grid) >= 1.0 - COVERAGE_TOLERANCE:
+        if _coverage(pump, crystal, theta, grid)[0] >= 1.0 - COVERAGE_TOLERANCE:
             return grid
         half *= 2.0
     raise GridCoverageError("could not find a covering grid within 8 doublings")
 
 
-def _mass_on(pump, crystal, theta, wa: np.ndarray, wb: np.ndarray,
-             da: float, db: float) -> float:
-    vals = pair_amplitude_point(pump, crystal, theta, wa[:, None], wb[None, :])
-    return float(np.sum(np.abs(vals) ** 2) * da * db)
+def _mass(vals: np.ndarray, axis_a: GridAxis, axis_b: GridAxis) -> float:
+    return float(np.sum(np.abs(vals) ** 2) * axis_a.spacing * axis_b.spacing)
 
 
-def _coverage(pump, crystal, theta, grid: FrequencyGrid) -> float:
-    """Fraction of L2 mass the grid captures, vs a span-doubled reference."""
+def _coverage(pump, crystal, theta,
+              grid: FrequencyGrid) -> Tuple[float, np.ndarray]:
+    """Fraction of L2 mass the grid captures, vs a span-doubled reference,
+    and the unnormalized amplitude on the grid: the reference's centre
+    block, whose frequencies equal `GridAxis.values()` bit for bit."""
     a, b = grid.axis_a, grid.axis_b
-    mass = _mass_on(pump, crystal, theta, a.values(), b.values(), a.spacing, b.spacing)
-    wide_a = GridAxis(a.center, a.spacing, 2 * a.n).values()
-    wide_b = GridAxis(b.center, b.spacing, 2 * b.n).values()
-    wide = _mass_on(pump, crystal, theta, wide_a, wide_b, a.spacing, b.spacing)
-    if wide == 0.0:
+    wa = GridAxis(a.center, a.spacing, 2 * a.n).values()
+    wb = GridAxis(b.center, b.spacing, 2 * b.n).values()
+    wide = pair_amplitude_point(pump, crystal, theta, wa[:, None], wb[None, :])
+    # wide node m sits at offset m - n, grid node k at k - n // 2
+    ka, kb = a.n - a.n // 2, b.n - b.n // 2
+    vals = wide[ka:ka + a.n, kb:kb + b.n]
+    total = _mass(wide, a, b)
+    if total == 0.0:
         raise GridCoverageError("amplitude vanishes on the doubled grid")
-    return mass / wide
+    return _mass(vals, a, b) / total, vals
 
 
 @dataclass
@@ -256,21 +262,23 @@ class BiphotonAmplitude:
         return ((v[ix, iy] * x0 + v[ix + 1, iy] * x1) * y0
                 + (v[ix, iy + 1] * x0 + v[ix + 1, iy + 1] * x1) * y1)
 
-    def fill_grid(self, out: np.ndarray, rows, cols, sheared: bool,
-                  swap: bool, bracket: bool) -> np.ndarray:
-        """Write Phi(rows[i], cols[k]) into out[i, j] and return `out`, with
-        k = j, or k = i + j when `sheared` (`cols` then holds
-        out.shape[0] + out.shape[1] - 1 coordinates, as when one argument
-        moves with tau3 and the other with tau3 + tau4); Phi(cols[k], rows[i])
-        with `swap`, and the sum of both with `bracket`. One stencil per
-        coordinate, no per-node exponential."""
-        out[...] = 0.0
+    def lattice_factor(self, rows, cols, sheared: bool, swap: bool,
+                       bracket: bool) -> "LatticeFactor":
+        """Phi(rows[i], cols[k]) on the (i, j) mesh, with k = j, or k = i + j
+        when `sheared` (`cols` then holds rows.size + n - 1 coordinates for
+        n mesh columns, as when one argument moves with tau3 and the other
+        with tau3 + tau4); Phi(cols[k], rows[i]) with `swap`, and the sum of
+        both with `bracket`. One stencil per coordinate, no per-node
+        exponential; the mesh is contracted, not formed (see
+        `LatticeFactor`)."""
+        n = cols.size - rows.size + 1 if sheared else cols.size
+        parts = []
         for flip in ((swap, not swap) if bracket else (swap,)):
             # the envelope axis of the row coordinates comes first
-            v = self._envelope.T if flip else self._envelope
-            _gather_into(out, v, self._stencil(int(flip), rows),
-                         self._stencil(1 - int(flip), cols), sheared)
-        return out
+            parts.append((self._envelope.T if flip else self._envelope,
+                          self._stencil(int(flip), rows),
+                          self._stencil(1 - int(flip), cols)))
+        return LatticeFactor((rows.size, n), sheared, tuple(parts))
 
     def time_support(self) -> Tuple[float, float, float, float]:
         """Bounding box (t1_lo, t1_hi, t2_lo, t2_hi) where the amplitude
@@ -294,49 +302,106 @@ class BiphotonAmplitude:
         return h.hexdigest()[:16]
 
 
-#: Rows filled per block by `_gather_into`; bounds its temporaries.
+#: Mesh rows contracted per block by `LatticeFactor`; bounds its temporaries.
 _ROW_BLOCK = 64
 
 
-def _gather_into(out: np.ndarray, v: np.ndarray, row_stencil, col_stencil,
-                 skew: bool) -> None:
-    """Add sum_ab r_a[i] c_b[k] v[ir[i] + a, ic[k] + b] into out[i, j],
-    where k = j, or k = i + j when `skew` (a Hankel-indexed column stencil).
+def _scatter(stencil, X: np.ndarray) -> Tuple[np.ndarray, int]:
+    """S X for the (lattice x nodes) interpolation matrix S of a stencil,
+    restricted to the lattice nodes its live coordinates touch: returns
+    those rows and the index of the first one."""
+    cell, w0, w1 = stencil
+    live = np.flatnonzero(w0)
+    if not live.size:
+        return np.zeros((0, X.shape[1]), complex), 0
+    cell, X = cell[live], X[live]
+    lo = cell.min()
+    out = np.zeros((cell.max() - lo + 2, X.shape[1]), complex)
+    np.add.at(out, cell - lo, w0[live, None] * X)
+    np.add.at(out, cell + 1 - lo, w1[live, None] * X)
+    return out, lo
 
-    Rows are filled in blocks: each block interpolates the envelope rows it
-    touches at the column stencil, then picks its two rows per output row,
-    so no temporary has the full output's size. Rows and columns whose
-    stencil lies off the lattice (zero weights) are skipped.
+
+@dataclass(frozen=True)
+class LatticeFactor:
+    """A two-time amplitude factor on an (n3, n4) node mesh, held as 1-D
+    interpolation stencils of the envelope lattice.
+
+    Entry (i, j) is sum over `parts` of sum_ab r_a[i] c_b[k] v[ir[i] + a,
+    ic[k] + b], with k = j, or k = i + j when `sheared`; each part is an
+    envelope orientation v with its row stencil (ir, r0, r1) and column
+    stencil (ic, c0, c1). `contract` never forms the mesh; `np.asarray`
+    does, for comparison.
+    """
+
+    shape: Tuple[int, int]
+    sheared: bool
+    parts: tuple
+    ndim = 2
+
+    def contract(self, A: np.ndarray, B: np.ndarray) -> complex:
+        """sum_p A[:, p]^T H B[:, p] for this factor H, A (n3, P), B (n4, P)."""
+        total = 0j
+        for v, rows, cols in self.parts:
+            if self.sheared:
+                total += _contract_sheared(v, rows, cols, A, B)
+            else:
+                # S_r^T V S_c: scatter both sides onto the envelope, then one
+                # product with the band of envelope nodes they touch
+                U, lo = _scatter(rows, A)
+                W, k0 = _scatter(cols, B)
+                band = v[lo:lo + U.shape[0], k0:k0 + W.shape[0]]
+                total += (U * (band @ W)).sum()
+        return complex(total)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        n3, n4 = self.shape
+        k = np.arange(n4)[None, :] + (np.arange(n3)[:, None] if self.sheared
+                                      else 0)
+        out = np.zeros(self.shape, complex)
+        for v, (ir, *r), (ic, *c) in self.parts:
+            for a, b in itertools.product((0, 1), (0, 1)):
+                out += r[a][:, None] * c[b][k] * v[ir[:, None] + a, ic[k] + b]
+        return out if dtype is None else out.astype(dtype)
+
+
+def _contract_sheared(v: np.ndarray, row_stencil, col_stencil, A: np.ndarray,
+                      B: np.ndarray) -> complex:
+    """sum_ij A[i] . H[i, j] B[j] for H[i, j] = sum_ab r_a[i] c_b[i + j]
+    v[ir[i] + a, ic[i + j] + b].
+
+    Rows go in blocks: each block interpolates the envelope rows it touches
+    at the column stencil, picks its two rows per mesh row, contracts them
+    with B along the sheared window (a strided view) and weights them by
+    A r0 and A r1, so no temporary has the mesh's size. Rows and columns
+    whose stencil lies off the lattice (zero weights) are skipped.
     """
     ir, r0, r1 = row_stencil
     ic, c0, c1 = col_stencil
-    live_r = np.flatnonzero(r0 != 0)
-    live_c = np.flatnonzero(c0 != 0)
+    live_r = np.flatnonzero(r0)
+    live_c = np.flatnonzero(c0)
     if not live_r.size or not live_c.size:
-        return
-    n = out.shape[1]
+        return 0j
+    n = B.shape[0]
     k_lo, k_hi = live_c[0], live_c[-1] + 1
+    total = 0j
     for a in range(live_r[0], live_r[-1] + 1, _ROW_BLOCK):
         b = min(a + _ROW_BLOCK, live_r[-1] + 1)
-        if skew:
-            j0, j1 = max(0, k_lo - (b - 1)), min(n, k_hi - a)
-            ks = slice(a + j0, b - 1 + j1)
-        else:
-            j0, j1 = k_lo, k_hi
-            ks = slice(j0, j1)
+        j0, j1 = max(0, k_lo - (b - 1)), min(n, k_hi - a)
         if j1 <= j0:
             continue
+        ks = slice(a + j0, b - 1 + j1)
         lo = ir[a:b].min()
         band = v[lo:ir[a:b].max() + 2]
         C = band[:, ic[ks]] * c0[ks] + band[:, ic[ks] + 1] * c1[ks]
-        R0, R1 = C[ir[a:b] - lo], C[ir[a:b] + 1 - lo]
-        if skew:
-            # R[k, k + j] as a view: row k of the window view starts at flat
-            # offset k * (L + 1) of the (B, L) array R
-            step = R0.shape[1] + 1
-            R0 = np.lib.stride_tricks.sliding_window_view(R0.ravel(), j1 - j0)[::step]
-            R1 = np.lib.stride_tricks.sliding_window_view(R1.ravel(), j1 - j0)[::step]
-        out[a:b, j0:j1] += R0 * r0[a:b, None] + R1 * r1[a:b, None]
+        for r, pick in ((r0, ir[a:b] - lo), (r1, ir[a:b] + 1 - lo)):
+            R = C[pick]
+            # R[m, m + j] as a view: row m of the window starts one row and
+            # one column after row m - 1's
+            window = np.ndarray((b - a, j1 - j0), complex, R,
+                                strides=(R.strides[0] + R.itemsize, R.itemsize))
+            total += ((A[a:b] * r[a:b, None]) * (window @ B[j0:j1])).sum()
+    return total
 
 
 def _axis_transform_phases(omega0: float, spacing: float, n_pad: int):
@@ -431,17 +496,15 @@ def build_jsa(pump: PumpSpec, crystal: CrystalSpec, theta: float,
     Refuses grids that capture less than 1 - 1e-3 of the amplitude's L2 mass
     (checked against a span-doubled reference lattice at the same spacing).
     """
-    coverage = _coverage(pump, crystal, theta, grid)
+    coverage, raw = _coverage(pump, crystal, theta, grid)
     if coverage < 1.0 - COVERAGE_TOLERANCE:
         raise GridCoverageError(
             f"grid captures only {coverage:.6f} of the amplitude's L2 mass "
             f"(need >= {1.0 - COVERAGE_TOLERANCE}); widen the span or "
             f"increase n"
         )
-    wa = grid.axis_a.values()
-    wb = grid.axis_b.values()
-    raw = pair_amplitude_point(pump, crystal, theta, wa[:, None], wb[None, :])
-    return from_frequency_values(wa, wb, raw, theta=theta, s=s, delay_arm=delay_arm)
+    return from_frequency_values(grid.axis_a.values(), grid.axis_b.values(),
+                                 raw, theta=theta, s=s, delay_arm=delay_arm)
 
 
 def delta_limit_amplitude(t1, t2, s: float, grid_spacing: float,

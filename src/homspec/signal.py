@@ -10,6 +10,19 @@ where the two-time amplitude factors can be nonzero (their arguments are
 affine in the integration variables), cut by the one causal edge where the
 correlator's first interval reaches zero. Huge nominal cutoffs therefore
 cost nothing when the amplitude has compact support.
+
+On a box the correlator separates, F = sum_p A_p(tau3) B_p(tau4), and the
+amplitude factors of one variable fold into the weights, so a sub-term is
+sum_p a_p^T H b_p with H the one amplitude factor that depends on both
+variables. H is contracted without being formed, which keeps memory linear
+in the box side. A factor whose arguments move with tau3 + tau4 (a Hankel
+matrix of one 1-D array) contracts as that array dotted with the
+convolution of a_p and b_p. On a lattice amplitude, a pathway-4 factor (one
+argument in tau3, the other in tau4) scatters a_p and b_p onto the envelope
+lattice and takes one product with the band of nodes they touch, and a
+pathway-5 factor (tau3 and tau3 + tau4) contracts blocks of interpolated
+envelope rows with b_p along a sheared window. The box's sliver rows and
+columns are contracted from their own values.
 """
 
 from __future__ import annotations
@@ -216,42 +229,81 @@ def _box(sub: SubTerm, tau: float, T: float, amp,
     return tau3, tau4
 
 
-def _hankel(edge, interior, tau3: np.ndarray, tau4: np.ndarray,
-            h: float) -> np.ndarray:
-    """A factor whose arguments move with tau3 + tau4 (one may move with
-    tau3 alone) as an (n3, n4) matrix.
+@dataclass(frozen=True)
+class _Bordered:
+    """An (n3, n4) factor whose arguments move with tau3 + tau4, or with
+    tau3 and tau3 + tau4, held without forming it.
 
-    Interior nodes are step multiples j*h, so their sums are (j3 + j4)*h:
-    `interior(sums, target)` fills the (n3 - 2, n4 - 2) interior view
-    `target` from the n3 + n4 - 5 distinct sums, row i reading
-    sums[i:i + n4 - 2]. The sliver rows and columns at the box ends come
-    from one call of `edge(T3, T4)` on their nodes' coordinates.
+    Interior nodes are step multiples j*h, so their sums are (j3 + j4)*h.
+    `inner` holds the (n3 - 2, n4 - 2) interior: a 1-D array of the
+    factor at the n3 + n4 - 5 distinct sums (entry (i, j) reads
+    inner[i + j]), or a `LatticeFactor`; None when an axis has 2 nodes. The
+    sliver rows and columns at the box ends are `edge` at nodes (i, j).
     """
+
+    shape: Tuple[int, int]
+    i: np.ndarray
+    j: np.ndarray
+    edge: np.ndarray
+    inner: object
+    ndim = 2
+
+    def contract(self, A: np.ndarray, B: np.ndarray) -> complex:
+        """sum_p A[:, p]^T H B[:, p] for this factor H."""
+        total = self.edge @ (A[self.i] * B[self.j]).sum(axis=1)
+        if isinstance(self.inner, np.ndarray):
+            # sum_ij a_i inner[i + j] b_j = inner . (a * b), a convolution
+            total += sum(self.inner @ np.convolve(a, b)
+                         for a, b in zip(A[1:-1].T, B[1:-1].T))
+        elif self.inner is not None:
+            total += self.inner.contract(A[1:-1], B[1:-1])
+        return complex(total)
+
+    def conj(self) -> "_Bordered":
+        return dataclasses.replace(self, edge=self.edge.conj(), inner=(
+            None if self.inner is None else self.inner.conj()))
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        out = np.empty(self.shape, complex)
+        out[self.i, self.j] = self.edge
+        if isinstance(self.inner, np.ndarray):
+            out[1:-1, 1:-1] = sliding_window_view(self.inner, self.shape[1] - 2)
+        elif self.inner is not None:
+            out[1:-1, 1:-1] = self.inner
+        return out if dtype is None else out.astype(dtype)
+
+
+def _hankel(edge, interior, tau3: np.ndarray, tau4: np.ndarray,
+            h: float) -> _Bordered:
+    """The `_Bordered` factor with border values `edge(T3, T4)`, from one
+    call on the border nodes' coordinates, and interior `interior(sums)`
+    from the interior's distinct node sums."""
     n3, n4 = tau3.size, tau4.size
-    out = np.empty((n3, n4), dtype=complex)
     i = np.r_[np.repeat([0, n3 - 1], n4), np.repeat(np.arange(1, n3 - 1), 2)]
     j = np.r_[np.tile(np.arange(n4), 2), np.tile([0, n4 - 1], n3 - 2)]
-    out[i, j] = edge(tau3[i], tau4[j])
+    inner = None
     if n3 > 2 and n4 > 2:
         j0 = round(tau3[1] / h) + round(tau4[1] / h)
-        interior(np.arange(j0, j0 + n3 + n4 - 5) * h, out[1:-1, 1:-1])
-    return out
+        inner = interior(np.arange(j0, j0 + n3 + n4 - 5) * h)
+    return _Bordered((n3, n4), i, j, edge(tau3[i], tau4[j]), inner)
 
 
 def _amplitude_factor(amp, args: Tuple[Affine, Affine], bracket: bool,
                       tau: float, T: float, tau3: np.ndarray,
-                      tau4: np.ndarray, q: QuadratureSpec) -> np.ndarray:
+                      tau4: np.ndarray, q: QuadratureSpec):
     """The amplitude at `args` on the box, plus its swapped-argument value
     when `bracket` is set, evaluated once per distinct argument.
 
     Arguments that miss tau4 (tau3) give an (n3, 1) ((1, n4)) array, or a
     scalar when they miss both; arguments that move only with tau3 + tau4
-    give a Hankel matrix. On a lattice amplitude, one argument in tau3 and
-    the other in tau4 give an outer-product gather (pathway 4), and one in
-    tau3 and the other in tau3 + tau4 a sheared gather (pathway 5), both
-    from one stencil per distinct coordinate. Anything else, and every
-    two-variable factor of an amplitude without a lattice, is evaluated on
-    the full mesh.
+    give a `_Bordered` factor read from one 1-D array (a Hankel matrix). On
+    a lattice amplitude, one argument in tau3 and the other in tau4 give a
+    rectilinear `LatticeFactor` (pathway 4), and one in tau3 and the other
+    in tau3 + tau4 a `_Bordered` factor with a sheared one inside
+    (pathway 5), both from one stencil per distinct coordinate. These
+    two-variable factors are contracted, never formed. Anything else, and
+    every two-variable factor of an amplitude without a lattice, is
+    evaluated on the full mesh.
     """
     x, y = args
     t = q.t_ref
@@ -268,25 +320,20 @@ def _amplitude_factor(amp, args: Tuple[Affine, Affine], bracket: bool,
         def line(u):
             return value(x(t, tau, T, u, 0.0), y(t, tau, T, u, 0.0))
 
-        def hankel(sums, target):
-            target[...] = sliding_window_view(line(sums), target.shape[1])
-
-        return _hankel(lambda T3, T4: line(T3 + T4), hankel, tau3, tau4,
-                       q.step)
+        return _hankel(lambda T3, T4: line(T3 + T4), line, tau3, tau4, q.step)
     if isinstance(amp, BiphotonAmplitude):
         for swap, (row, col) in ((False, (x, y)), (True, (y, x))):
             if not (row.t3 and not row.t4 and col.t4):
                 continue
             rows = row(t, tau, T, tau3, 0.0)
             if not col.t3:
-                return amp.fill_grid(np.empty((tau3.size, tau4.size), complex),
-                                     rows, col(t, tau, T, 0.0, tau4), False,
-                                     swap, bracket)
+                return amp.lattice_factor(rows, col(t, tau, T, 0.0, tau4),
+                                          False, swap, bracket)
             if col.t3 == col.t4:
                 return _hankel(
-                    mesh, lambda sums, target: amp.fill_grid(
-                        target, rows[1:-1], col(t, tau, T, sums, 0.0), True,
-                        swap, bracket),
+                    mesh, lambda sums: amp.lattice_factor(
+                        rows[1:-1], col(t, tau, T, sums, 0.0), True, swap,
+                        bracket),
                     tau3, tau4, q.step)
     return mesh(tau3[:, None], tau4[None, :])
 
@@ -299,8 +346,10 @@ def _sub_term_value(sub: SubTerm, interaction: int, tau: float, T: float,
     The correlator separates on the box, F = sum_p A_p(tau3) B_p(tau4), and
     the amplitude factors that depend on one variable fold into that
     variable's weights, so the sub-term is sum_p (w3 A_p)^T H (w4 B_p) with H
-    the product of the two-variable amplitude factors (absent when there are
-    none).
+    the one factor that depends on both variables (no sub-term has two;
+    none at all makes it a product of sums). A `_Bordered` or
+    `LatticeFactor` H contracts itself; only a full-mesh H is multiplied.
+    A correlator without terms gives 0 before any box is built.
 
     A conjugate factor that depends on neither variable multiplies the
     integral of the direct factor, which sub-terms differing only in that
@@ -309,6 +358,9 @@ def _sub_term_value(sub: SubTerm, interaction: int, tau: float, T: float,
     constraint in `_tighten` only passes or fails, so sharing sub-terms
     with non-empty boxes have equal boxes.
     """
+    expansion = ops.expansion(interaction)
+    if expansion.coeffs.size == 0:
+        return 0.0 + 0.0j
     box = _box(sub, tau, T, amp, q)
     if box is None:
         return 0.0 + 0.0j
@@ -327,19 +379,20 @@ def _sub_term_value(sub: SubTerm, interaction: int, tau: float, T: float,
             elif f.shape[0] == 1:
                 w4 = w4 * f[0]
             else:
-                H = f if H is None else H * f
+                H = f
         first = np.broadcast_to(sub.first_interval(0.0, tau, T, tau3, 0.0),
                                 tau3.shape)
-        A, B = ops.expansion(interaction).factors(first, tau3, tau4)
+        A, B = expansion.factors(first, tau3, tau4)
         A *= w3[:, None]
         B *= w4[:, None]
         if H is None:
             return complex(A.sum(axis=0) @ B.sum(axis=0))
-        return complex((A * (H @ B)).sum())
+        if isinstance(H, np.ndarray):
+            return complex((A * (H @ B)).sum())
+        return H.contract(A, B)
 
-    # every factor is a fresh array, so it is conjugated in place
-    conj = np.asarray(factor(sub.conj_args, False))
-    np.conjugate(conj, out=conj)
+    conj = factor(sub.conj_args, False)
+    conj = conj.conj() if isinstance(conj, _Bordered) else np.conj(conj)
     if any(a.t3 or a.t4 for a in sub.conj_args):
         return integral(conj, factor(sub.args, sub.symmetrize))
     shared = {} if shared is None else shared

@@ -75,6 +75,20 @@ class TestBuildJsa:
         assert np.array_equal(amp.values, -amp.values.T)
         assert np.all(np.diag(amp.values) == 0)
 
+    @pytest.mark.parametrize("n", [256, 255])
+    def test_values_are_the_amplitude_on_the_grid(self, n):
+        # the coverage reference is evaluated on the doubled lattice and the
+        # JSA taken from its centre block: it must equal the amplitude
+        # evaluated on the grid's own frequencies bit for bit
+        grid = default_grid(PUMP, CRYSTAL, n=n)
+        amp = build_jsa(PUMP, CRYSTAL, 0.3, grid)
+        wa, wb = grid.axis_a.values(), grid.axis_b.values()
+        raw = pair_amplitude_point(PUMP, CRYSTAL, 0.3, wa[:, None],
+                                   wb[None, :])
+        direct = from_frequency_values(wa, wb, raw, theta=0.3)
+        assert np.array_equal(amp.omega_a, wa)
+        assert np.array_equal(amp.values, direct.values)
+
     def test_coverage_refusal(self):
         tiny = GridAxis(1.45, 0.01, 16)
         with pytest.raises(GridCoverageError):

@@ -351,8 +351,44 @@ class TestLatticeFactors:
         finally:
             tracemalloc.stop()
         assert np.isfinite(value) and value != 0
-        # half of the 58.8 MB the full-mesh pathway-4/5 factors peaked at
-        assert peak < 29.4e6, f"peak {peak / 1e6:.1f} MB"
+        # half of the 15.0 MB a formed 947 x 947 amplitude matrix peaked at
+        assert peak < 7.5e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_contractions_match_the_dense_factor(self, golden_point,
+                                                 monkeypatch):
+        # every two-variable factor class, contracted in place, against the
+        # same sub-term with that factor formed as a matrix
+        (tau, T, _), amp, ops, q = golden_point
+        kinds = {}
+        for term in term_table() + complete_term_table():
+            for sub in term.sub_terms:
+                both = [a for a in (sub.conj_args, sub.args)
+                        if any(x.t3 for x in a) and any(x.t4 for x in a)]
+                assert len(both) <= 1, term.label  # at most one matrix
+                if both:
+                    first = both[0][0]
+                    kind = ("hankel" if all(x.t3 == x.t4 for x in both[0])
+                            else "sheared" if any(map(_moves_with_sum,
+                                                      both[0]))
+                            else "rectilinear")
+                    kinds.setdefault((kind, both[0] is sub.conj_args,
+                                      bool(first.t3 and not first.t4),
+                                      sub.symmetrize),
+                                     (sub, term.interaction))
+        assert {k[0] for k in kinds} == {"hankel", "rectilinear", "sheared"}
+        assert len(kinds) >= 8
+
+        def dense(*args):
+            f = _amplitude_factor(*args)
+            return np.asarray(f) if hasattr(f, "contract") else f
+
+        for sub, interaction in kinds.values():
+            got = _sub_term_value(sub, interaction, tau, T, amp, ops, q)
+            with monkeypatch.context() as m:
+                m.setattr(signal, "_amplitude_factor", dense)
+                want = _sub_term_value(sub, interaction, tau, T, amp, ops, q)
+            _, scale = full_mesh_value(sub, interaction, tau, T, amp, ops, q)
+            assert abs(got - want) <= 1e-12 * scale, (sub, got, want)
 
 
 @pytest.fixture(scope="module", params=["golden", "separable"])
@@ -615,6 +651,26 @@ class TestScan:
         grid = scan([1.0], [2.0], [3.0], "bs_removed", amp, ops, q, workers=1)
         assert grid.values[0, 0, 0] == coincidence(1.0, 2.0, 3.0, amp, ops, q,
                                                    hom=unit)
+
+
+class TestEmptyCorrelator:
+    def test_builds_no_box_for_a_correlator_without_terms(self, small_setup,
+                                                          monkeypatch):
+        # a 2-level system has no f level, so F5 has no terms
+        ops, amp, q = small_setup
+        assert ops.expansion(5).coeffs.size == 0
+        boxes = []
+
+        def counting(sub, *rest):
+            boxes.append(sub)
+            return _box(sub, *rest)
+
+        monkeypatch.setattr(signal, "_box", counting)
+        value = coincidence(1.0, 2.0, 3.0, amp, ops, q, hom=HomSpec(T=2.0))
+        f5 = {sub for term in term_table() if term.interaction == 5
+              for sub in term.sub_terms}
+        assert np.isfinite(value) and boxes
+        assert not f5 & set(boxes)
 
 
 class TestSignalGrid:
