@@ -175,7 +175,8 @@ def _coverage(pump, crystal, theta,
     wide = pair_amplitude_point(pump, crystal, theta, wa[:, None], wb[None, :])
     # wide node m sits at offset m - n, grid node k at k - n // 2
     ka, kb = a.n - a.n // 2, b.n - b.n // 2
-    vals = wide[ka:ka + a.n, kb:kb + b.n]
+    # a copy, so the doubled lattice is freed on return
+    vals = wide[ka:ka + a.n, kb:kb + b.n].copy()
     total = _mass(wide, a, b)
     if total == 0.0:
         raise GridCoverageError("amplitude vanishes on the doubled grid")
