@@ -252,7 +252,7 @@ class _Bordered:
         """sum_p A[:, p]^T H B[:, p] for this factor H."""
         total = self.edge @ (A[self.i] * B[self.j]).sum(axis=1)
         if isinstance(self.inner, np.ndarray):
-            # sum_ij a_i inner[i + j] b_j = inner . (a * b), a convolution
+            # sum_ij a_i inner[i + j] b_j = inner . (a convolved with b)
             total += sum(self.inner @ np.convolve(a, b)
                          for a, b in zip(A[1:-1].T, B[1:-1].T))
         elif self.inner is not None:
