@@ -354,10 +354,14 @@ class TestLatticeFactors:
         # half of the 15.0 MB a formed 947 x 947 amplitude matrix peaked at
         assert peak < 7.5e6, f"peak {peak / 1e6:.1f} MB"
 
-    def test_contractions_match_the_dense_factor(self, golden_point,
+
+class TestContractions:
+    """The two-variable amplitude factors (Hankel, pathway 4, pathway 5)
+    contract without being formed; each must equal the same sub-term with
+    its factor formed as a matrix."""
+
+    def test_each_class_matches_its_formed_matrix(self, golden_point,
                                                  monkeypatch):
-        # every two-variable factor class, contracted in place, against the
-        # same sub-term with that factor formed as a matrix
         (tau, T, _), amp, ops, q = golden_point
         kinds = {}
         for term in term_table() + complete_term_table():
