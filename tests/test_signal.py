@@ -361,7 +361,7 @@ class TestContractions:
     its factor formed as a matrix."""
 
     def test_each_class_matches_its_formed_matrix(self, golden_point,
-                                                 monkeypatch):
+                                                  monkeypatch):
         (tau, T, _), amp, ops, q = golden_point
         kinds = {}
         for term in term_table() + complete_term_table():
