@@ -13,7 +13,9 @@ so the L2 norm equals 1 in both domains.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import logging
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -38,6 +40,8 @@ __all__ = [
 
 COVERAGE_TOLERANCE = 1e-3
 NORM_TOLERANCE = 1e-6
+
+log = logging.getLogger(__name__)
 
 
 class GridCoverageError(ValueError):
@@ -144,7 +148,7 @@ def default_grid(pump: PumpSpec, crystal: CrystalSpec, n: int = 256,
     center = 0.5 * (crystal.omega_a + crystal.omega_b)
     t_half = 1.5 * (max(abs(crystal.T_a), abs(crystal.T_b)) + 6.0 / pump.sigma_p)
     half = 6.0 * pump.sigma_p
-    for _ in range(8):
+    for doublings in range(8):
         spacing = 2 * half / n
         if spacing > np.pi / t_half:
             need = int(np.ceil(2 * half * t_half / np.pi))
@@ -154,7 +158,11 @@ def default_grid(pump: PumpSpec, crystal: CrystalSpec, n: int = 256,
                 f"grid to >= {need} samples per axis")
         axis = GridAxis(center, spacing, n)
         grid = FrequencyGrid(axis, axis)
-        if _coverage(pump, crystal, theta, grid)[0] >= 1.0 - COVERAGE_TOLERANCE:
+        coverage = _coverage(pump, crystal, theta, grid)[0]
+        if coverage >= 1.0 - COVERAGE_TOLERANCE:
+            log.debug("default grid: n=%d spacing=%.6g rad/fs half-span=%.6g "
+                      "rad/fs coverage=%.9f after %d span doublings", n,
+                      spacing, half, coverage, doublings)
             return grid
         half *= 2.0
     raise GridCoverageError("could not find a covering grid within 8 doublings")
@@ -164,11 +172,17 @@ def _mass(vals: np.ndarray, axis_a: GridAxis, axis_b: GridAxis) -> float:
     return float(np.sum(np.abs(vals) ** 2) * axis_a.spacing * axis_b.spacing)
 
 
+@functools.lru_cache(maxsize=1)
 def _coverage(pump, crystal, theta,
               grid: FrequencyGrid) -> Tuple[float, np.ndarray]:
     """Fraction of L2 mass the grid captures, vs a span-doubled reference,
     and the unnormalized amplitude on the grid: the reference's centre
-    block, whose frequencies equal `GridAxis.values()` bit for bit."""
+    block, whose frequencies equal `GridAxis.values()` bit for bit.
+
+    The last result is kept (all arguments are frozen specs or floats), so
+    `build_jsa` on the grid `default_grid` just accepted reuses its doubled
+    lattice instead of evaluating it again; the block is read-only because
+    every caller shares it."""
     a, b = grid.axis_a, grid.axis_b
     wa = GridAxis(a.center, a.spacing, 2 * a.n).values()
     wb = GridAxis(b.center, b.spacing, 2 * b.n).values()
@@ -177,6 +191,7 @@ def _coverage(pump, crystal, theta,
     ka, kb = a.n - a.n // 2, b.n - b.n // 2
     # a copy, so the doubled lattice is freed on return
     vals = wide[ka:ka + a.n, kb:kb + b.n].copy()
+    vals.flags.writeable = False
     total = _mass(wide, a, b)
     if total == 0.0:
         raise GridCoverageError("amplitude vanishes on the doubled grid")
@@ -423,6 +438,14 @@ def to_time_domain(amp: BiphotonAmplitude, s: Optional[float] = None,
     arm's time axis (photon delayed by s). Zero-padding (`pad_factor`, by
     default chosen to reach ~1024 time samples per axis) densifies the time
     lattice so envelope interpolation between nodes stays accurate.
+
+    The padded 2-D transform is done axis by axis on the data block alone:
+    first along axis a over the block's nb columns, then along axis b over
+    every row, so neither the zero-padded input nor the transform of its
+    zero columns is formed (this agrees with `np.fft.fft2` of the padded
+    array to rounding, not bit for bit). The phases are applied in place,
+    and the time norm and the boundary mass are summed without forming
+    |Phi|^2 on the whole lattice.
     """
     if s is None:
         s = amp.s
@@ -438,30 +461,32 @@ def to_time_domain(amp: BiphotonAmplitude, s: Optional[float] = None,
     if pad_factor is None:
         pad_factor = max(1, 1024 // max(na, nb))
     npa, npb = pad_factor * na, pad_factor * nb
-    work = np.zeros((npa, npb), dtype=complex)
     t1, pre_a, post_a = _axis_transform_phases(amp.omega_a[0], amp.d_omega_a, npa)
     t2, pre_b, post_b = _axis_transform_phases(amp.omega_b[0], amp.d_omega_b, npb)
-    work[:na, :nb] = vals * pre_a[:na, None] * pre_b[None, :nb]
-    ft = np.fft.fft2(work)
-    scale = amp.d_omega_a * amp.d_omega_b / (2.0 * np.pi)
-    tvals = scale * ft * post_a[:, None] * post_b[None, :]
+    block = vals * pre_a[:na, None] * pre_b[None, :nb]
+    tvals = np.fft.fft(np.fft.fft(block, n=npa, axis=0), n=npb, axis=1)
+    tvals *= amp.d_omega_a * amp.d_omega_b / (2.0 * np.pi)
+    tvals *= post_a[:, None]
+    tvals *= post_b[None, :]
     ca = 0.5 * (amp.omega_a[0] + amp.omega_a[-1])
     cb = 0.5 * (amp.omega_b[0] + amp.omega_b[-1])
-    envelope = tvals * np.exp(1j * ca * t1)[:, None] * np.exp(1j * cb * t2)[None, :]
+    envelope = tvals * np.exp(1j * ca * t1)[:, None]
+    envelope *= np.exp(1j * cb * t2)[None, :]
     out = BiphotonAmplitude(
         theta=amp.theta, s=s, delay_arm=amp.delay_arm,
         omega_a=amp.omega_a, omega_b=amp.omega_b, values=amp.values,
         t1=t1, t2=t2, time_values=tvals, _envelope=envelope, _carrier=(ca, cb),
     )
-    fnorm, tnorm = out.frequency_norm(), out.time_norm()
+    fnorm = out.frequency_norm()
+    tnorm = float(np.vdot(tvals, tvals).real * out.dt1 * out.dt2)
     if abs(fnorm - 1.0) > NORM_TOLERANCE or abs(tnorm - 1.0) > NORM_TOLERANCE:
         raise ValueError(
             f"normalization broken: |Phi|^2 integrates to {fnorm:.9f} "
             f"(frequency) / {tnorm:.9f} (time)"
         )
-    frame = np.abs(tvals) ** 2
-    edge = (frame[:2, :].sum() + frame[-2:, :].sum()
-            + frame[:, :2].sum() + frame[:, -2:].sum()) * out.dt1 * out.dt2
+    edge = sum(float(np.sum(np.abs(strip) ** 2)) for strip in (
+        tvals[:2, :], tvals[-2:, :], tvals[:, :2], tvals[:, -2:])
+    ) * out.dt1 * out.dt2
     if edge > 1e-4:
         raise GridCoverageError(
             f"time-domain amplitude wraps the lattice (boundary mass "

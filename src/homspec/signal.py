@@ -103,10 +103,15 @@ class QuadratureSpec:
 
 
 def reference_time(amp: BiphotonAmplitude, offset: float = 0.0) -> float:
-    """Centroid of the arrival-time distribution plus an optional offset."""
-    w = np.abs(amp.time_values) ** 2
-    mid = 0.5 * (amp.t1[:, None] + amp.t2[None, :])
-    return float((w * mid).sum() / w.sum()) + offset
+    """Centroid of the arrival-time distribution plus an optional offset.
+
+    The mean of (t1 + t2) / 2 under w = |Phi|^2, taken from the two
+    marginals of w: (sum_i t1_i sum_j w_ij + sum_j t2_j sum_i w_ij) / 2 sum w,
+    so no lattice-sized array of midpoints is formed."""
+    w = np.abs(amp.time_values)
+    w *= w
+    rows, cols = w.sum(axis=1), w.sum(axis=0)
+    return float(0.5 * (amp.t1 @ rows + amp.t2 @ cols) / rows.sum()) + offset
 
 
 def default_quadrature(ops: LiouvilleOperatorSet, amp=None, *,
@@ -415,8 +420,9 @@ def term_value(term: PathwayTerm, tau: float, T: float, s: float,
     """Unsigned value of one ledger row (sum of its sub-term integrals).
 
     Detection sign and beam-splitter channel weights are applied by
-    :func:`coincidence`, not here.
+    :func:`coincidence`, not here. Like it, refuses tau < 0 or T < 0.
     """
+    _check_domain(tau, T)
     return _row_value(term, tau, T, _resolve_amplitude(amp, s), ops, q, {})
 
 

@@ -1,13 +1,18 @@
+import logging
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import gaussian_amplitude
+from homspec import biphoton
 from homspec.biphoton import (BiphotonAmplitude, CrystalSpec, DeltaAmplitude,
                               FrequencyGrid, GridAxis, GridCoverageError,
                               PumpSpec, build_jsa, default_grid,
                               delta_limit_amplitude, entanglement_time,
                               export_intensity, from_frequency_values,
                               pair_amplitude_point, to_time_domain)
+from homspec.signal import reference_time
 
 PUMP = PumpSpec(omega_p=2.9, sigma_p=0.5)
 CRYSTAL = CrystalSpec(omega_a=1.5, omega_b=1.4, T_a=10.0, T_b=-14.0)
@@ -164,6 +169,128 @@ class TestTimeDomain:
         vals = rng.normal(size=(32, 32))
         with pytest.raises(GridCoverageError, match="wraps"):
             from_frequency_values(w, w, vals)
+
+
+def padded_fft2(amp, s, pad):
+    """The two-time cache by its definition: the phased frequency block
+    zero-padded to (pad na, pad nb), one `np.fft.fft2`, and the unitary
+    scale with the per-axis phases that map FFT bins onto the centred time
+    lattice."""
+    vals = amp.values
+    if amp.delay_arm == "a":
+        vals = vals * np.exp(1j * amp.omega_a * s)[:, None]
+    else:
+        vals = vals * np.exp(1j * amp.omega_b * s)[None, :]
+    na, nb = vals.shape
+
+    def phases(omega, n_pad):
+        c, dw = n_pad // 2, omega[1] - omega[0]
+        t = (np.arange(n_pad) - c) * 2.0 * np.pi / (n_pad * dw)
+        return (np.exp(2j * np.pi * np.arange(omega.size) * c / n_pad),
+                np.exp(-1j * omega[0] * t))
+
+    pre_a, post_a = phases(amp.omega_a, pad * na)
+    pre_b, post_b = phases(amp.omega_b, pad * nb)
+    work = np.zeros((pad * na, pad * nb), complex)
+    work[:na, :nb] = vals * pre_a[:, None] * pre_b[None, :]
+    scale = amp.d_omega_a * amp.d_omega_b / (2.0 * np.pi)
+    return scale * np.fft.fft2(work) * post_a[:, None] * post_b[None, :]
+
+
+def non_square_gaussian():
+    wa = np.linspace(1.0 - 2.0, 1.0 + 2.0, 96)
+    wb = np.linspace(0.9 - 1.5, 0.9 + 1.5, 128)
+    vals = np.exp(-((wa[:, None] + wb[None, :] - 1.9) / 0.3) ** 2
+                  - ((wa[:, None] - wb[None, :] - 0.1) / 0.5) ** 2)
+    return from_frequency_values(wa, wb, vals)
+
+
+class TestTransformMatchesPaddedFft2:
+    @pytest.mark.parametrize("case, s, pad, default_pad", [
+        ("golden", 0.0, None, 4),
+        ("gauss128", 0.0, None, 8),
+        ("non_square", 2.0, None, 8),
+        ("golden", 0.0, 1, 1),
+        ("gauss128_arm_b", 3.0, None, 8),
+    ])
+    def test_time_values(self, jsa, case, s, pad, default_pad):
+        amp = {"golden": lambda: jsa,
+               "gauss128": lambda: gaussian_amplitude(n=128),
+               "non_square": non_square_gaussian,
+               "gauss128_arm_b": lambda: gaussian_amplitude(
+                   n=128, delay_arm="b")}[case]()
+        got = to_time_domain(amp, s=s, pad_factor=pad)
+        want = padded_fft2(amp, s, default_pad)
+        assert got.time_values.shape == want.shape
+        err = np.max(np.abs(got.time_values - want))
+        assert err <= 1e-14 * np.max(np.abs(want))
+
+
+def mesh_centroid(amp):
+    """Mean of (t1 + t2) / 2 under |Phi|^2, on the full mesh."""
+    w = np.abs(amp.time_values) ** 2
+    mid = 0.5 * (amp.t1[:, None] + amp.t2[None, :])
+    return float((w * mid).sum() / w.sum())
+
+
+def golden_setup():
+    grid = default_grid(PUMP, CRYSTAL, n=256)
+    amp = build_jsa(PUMP, CRYSTAL, 0.0, grid, s=15.0)
+    return amp, reference_time(amp)
+
+
+class TestSetUp:
+    def test_doubled_lattice_is_evaluated_once_per_grid(self, monkeypatch):
+        # the first span is refused, the second accepted; build_jsa on the
+        # accepted grid reuses its coverage evaluation (whatever an earlier
+        # call left cached, the refused span evaluates afresh)
+        sizes = []
+        real = biphoton.pair_amplitude_point
+
+        def counted(*args):
+            out = real(*args)
+            sizes.append(np.size(out))
+            return out
+
+        monkeypatch.setattr(biphoton, "pair_amplitude_point", counted)
+        golden_setup()
+        assert sizes.count(512 * 512) == 2
+
+    def test_coverage_block_is_read_only(self):
+        grid = default_grid(PUMP, CRYSTAL, n=256)
+        _, block = biphoton._coverage(PUMP, CRYSTAL, 0.0, grid)
+        assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0, 0] = 0.0
+
+    def test_golden_setup_memory_peak(self):
+        tracemalloc.start()
+        try:
+            golden_setup()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 60e6
+
+    @pytest.mark.parametrize("case", ["golden", "gauss_delayed"])
+    def test_reference_time_is_the_mesh_centroid(self, case):
+        amp = (golden_setup()[0] if case == "golden"
+               else gaussian_amplitude(n=128, s=3.0))
+        want = mesh_centroid(amp)
+        assert abs(reference_time(amp) - want) <= 1e-13 * abs(want)
+        assert reference_time(amp, 2.5) == reference_time(amp) + 2.5
+
+    def test_default_grid_logs_its_choice(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="homspec.biphoton"):
+            grid = default_grid(PUMP, CRYSTAL, n=256)
+        (record,) = [r for r in caplog.records if r.name == "homspec.biphoton"]
+        msg = record.getMessage()
+        spacing = grid.axis_a.spacing
+        assert f"spacing={spacing:.6g}" in msg
+        assert f"half-span={spacing * 256 / 2:.6g}" in msg
+        assert "after 1 span doublings" in msg
+        coverage = float(msg.split("coverage=")[1].split()[0])
+        assert 1.0 - biphoton.COVERAGE_TOLERANCE <= coverage <= 1.0
 
 
 class TestDeltaLimit:

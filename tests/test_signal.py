@@ -114,12 +114,14 @@ class TestWeights:
 
 
 class TestTermValue:
-    def test_causally_dead_term(self, slow_ladder, quad):
-        # detector difference negative: the first correlator argument of the
-        # direct rows is negative over the whole domain
+    def test_refuses_points_outside_the_ledger_domain(self, slow_ladder, quad):
+        # one row alone is no safer than the sum of rows: below tau = 0 or
+        # T = 0 the ledger's causal half is not the row's value
         amp = GaussLine(s=3.0, sigma=0.3)
-        assert term_value(TABLE[("I", 1)], -5.0, 2.0, 3.0, amp, slow_ladder,
-                          quad) == 0
+        for tau, T in [(-5.0, 2.0), (1.0, -2.0)]:
+            with pytest.raises(ValueError, match="tau >= 0 and T >= 0"):
+                term_value(TABLE[("I", 1)], tau, T, 3.0, amp, slow_ladder,
+                           quad)
 
     def test_narrow_ridge_reproduces_closed_form_windows(self, slow_ladder, quad):
         # each exchange row collapses onto its closed-form value inside its
