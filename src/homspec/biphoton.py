@@ -101,10 +101,21 @@ def exchange_phase_factor(theta: float) -> complex:
 
 def pair_amplitude_point(pump: PumpSpec, crystal: CrystalSpec, theta: float,
                          omega_a, omega_b) -> np.ndarray:
-    """Unnormalized exchange-phased amplitude at arbitrary frequency points."""
-    direct = pump.envelope(np.asarray(omega_a) + np.asarray(omega_b))
+    """Unnormalized exchange-phased amplitude at arbitrary frequency points.
+
+    When the points are a mesh whose omega_b is omega_a transposed (a column
+    and a row of the same frequencies, as on a square grid), the exchanged
+    term is the direct one transposed, bit for bit, and is not evaluated
+    again."""
+    omega_a, omega_b = np.asarray(omega_a), np.asarray(omega_b)
+    direct = pump.envelope(omega_a + omega_b)
     phi_ab = direct * crystal.matching(omega_a, omega_b)
-    phi_ba = direct * crystal.matching(omega_b, omega_a)
+    shape = phi_ab.shape
+    if len(shape) == 2 and shape[0] == shape[1] and np.all(
+            np.broadcast_to(omega_a, shape).T == omega_b):
+        phi_ba = phi_ab.T
+    else:
+        phi_ba = direct * crystal.matching(omega_b, omega_a)
     return (phi_ab + exchange_phase_factor(theta) * phi_ba) / np.sqrt(2.0)
 
 
@@ -200,15 +211,19 @@ def _coverage(pump, crystal, theta,
 
 @dataclass
 class BiphotonAmplitude:
-    """Two-photon amplitude on a frequency lattice plus its two-time cache.
+    """Two-photon amplitude on a frequency lattice plus its two-time
+    envelope.
 
     Immutable after construction, apart from the support box that
     `time_support` computes on first use; `time_value` and `time_support` are
     safe to call from parallel workers (two workers racing on the first
     `time_support` store the same tuple). `values` is L2-normalized on the
-    grid; the time-domain cache is the unitary transform of `values` with the
-    pair delay `s` applied as a spectral phase on `delay_arm` before
-    transforming.
+    grid. The two-time amplitude Phi is the unitary transform of `values`
+    with the pair delay `s` applied as a spectral phase on `delay_arm`
+    before transforming; only its carrier-demodulated `envelope` E =
+    Phi e^{i ca t1 + i cb t2} is stored. |E| = |Phi|, so norms, the support
+    box and the arrival-time centroid read E; `time_values` restores Phi on
+    the whole lattice when a caller needs it.
     """
 
     theta: Optional[float]
@@ -219,10 +234,9 @@ class BiphotonAmplitude:
     values: np.ndarray
     t1: np.ndarray = field(default=None, repr=False)
     t2: np.ndarray = field(default=None, repr=False)
-    time_values: np.ndarray = field(default=None, repr=False)
     # carrier-demodulated envelope: the lattice undersamples the optical
     # carrier, so interpolation must happen on the envelope
-    _envelope: np.ndarray = field(default=None, repr=False)
+    envelope: np.ndarray = field(default=None, repr=False)
     _carrier: Tuple[float, float] = field(default=(0.0, 0.0), repr=False)
     _support: Optional[Tuple[float, float, float, float]] = field(
         default=None, init=False, repr=False, compare=False)
@@ -246,8 +260,25 @@ class BiphotonAmplitude:
     def frequency_norm(self) -> float:
         return float(np.sum(np.abs(self.values) ** 2) * self.d_omega_a * self.d_omega_b)
 
+    @property
+    def time_values(self) -> np.ndarray:
+        """Phi on the (t1, t2) lattice: the envelope with its carrier phase
+        restored, a new array on every call."""
+        ca, cb = self._carrier
+        return (self.envelope * np.exp(-1j * ca * self.t1)[:, None]
+                * np.exp(-1j * cb * self.t2)[None, :])
+
+    @functools.cached_property
+    def _square(self) -> bool:
+        """Whether t1 and t2 are one lattice with one carrier: then both
+        axes give a coordinate the same stencil, and Phi(y, x) reads the
+        transposed envelope with the stencils of Phi(x, y)."""
+        return (self._carrier[0] == self._carrier[1]
+                and np.array_equal(self.t1, self.t2))
+
     def time_norm(self) -> float:
-        return float(np.sum(np.abs(self.time_values) ** 2) * self.dt1 * self.dt2)
+        return float(np.vdot(self.envelope, self.envelope).real
+                     * self.dt1 * self.dt2)
 
     def _stencil(self, axis: int, coord) -> Tuple[np.ndarray, np.ndarray,
                                                   np.ndarray]:
@@ -266,41 +297,61 @@ class BiphotonAmplitude:
         phase = np.where(inside, np.exp(-1j * self._carrier[axis] * coord), 0.0)
         return cell, (1.0 - w) * phase, w * phase
 
-    def time_value(self, x, y) -> np.ndarray:
+    def _cached_stencil(self, axis: int, coord, memo: Optional[dict]):
+        """`_stencil`, kept in `memo` (when given) by the coordinates'
+        bytes: a caller that holds one memo per (tau, T, s) point
+        interpolates each distinct coordinate array once per point. On a
+        square lattice both axes share an entry."""
+        if memo is None:
+            return self._stencil(axis, coord)
+        coord = np.asarray(coord, dtype=float)
+        key = (0 if self._square else axis, coord.shape, coord.tobytes())
+        stencil = memo.get(key)
+        if stencil is None:
+            stencil = memo[key] = self._stencil(axis, coord)
+        return stencil
+
+    def time_value(self, x, y, memo: Optional[dict] = None) -> np.ndarray:
         """Two-time amplitude at arbitrary points (zero off-lattice).
 
         Bilinear interpolation of the carrier-demodulated envelope, with the
         carrier phase restored at the query point; exact on lattice nodes.
+        `memo` keeps the stencils (see `_cached_stencil`).
         """
-        ix, x0, x1 = self._stencil(0, x)
-        iy, y0, y1 = self._stencil(1, y)
-        v = self._envelope
+        ix, x0, x1 = self._cached_stencil(0, x, memo)
+        iy, y0, y1 = self._cached_stencil(1, y, memo)
+        v = self.envelope
         return ((v[ix, iy] * x0 + v[ix + 1, iy] * x1) * y0
                 + (v[ix, iy + 1] * x0 + v[ix + 1, iy + 1] * x1) * y1)
 
     def lattice_factor(self, rows, cols, sheared: bool, swap: bool,
-                       bracket: bool) -> "LatticeFactor":
+                       bracket: bool,
+                       memo: Optional[dict] = None) -> "LatticeFactor":
         """Phi(rows[i], cols[k]) on the (i, j) mesh, with k = j, or k = i + j
         when `sheared` (`cols` then holds rows.size + n - 1 coordinates for
         n mesh columns, as when one argument moves with tau3 and the other
         with tau3 + tau4); Phi(cols[k], rows[i]) with `swap`, and the sum of
         both with `bracket`. One stencil per coordinate, no per-node
         exponential; the mesh is contracted, not formed (see
-        `LatticeFactor`)."""
+        `LatticeFactor`). On a square lattice a bracket is one contraction
+        of E + E^T (both orientations share their stencils); elsewhere it
+        takes one per orientation. `memo` keeps the stencils (see
+        `_cached_stencil`)."""
         n = cols.size - rows.size + 1 if sheared else cols.size
+        folded = bracket and self._square
         parts = []
-        for flip in ((swap, not swap) if bracket else (swap,)):
+        for flip in ((swap, not swap) if bracket and not folded else (swap,)):
             # the envelope axis of the row coordinates comes first
-            parts.append((self._envelope.T if flip else self._envelope,
-                          self._stencil(int(flip), rows),
-                          self._stencil(1 - int(flip), cols)))
-        return LatticeFactor((rows.size, n), sheared, tuple(parts))
+            parts.append((self.envelope.T if flip else self.envelope,
+                          self._cached_stencil(int(flip), rows, memo),
+                          self._cached_stencil(1 - int(flip), cols, memo)))
+        return LatticeFactor((rows.size, n), sheared, tuple(parts), folded)
 
     def time_support(self) -> Tuple[float, float, float, float]:
         """Bounding box (t1_lo, t1_hi, t2_lo, t2_hi) where the amplitude
         exceeds 1e-6 of its peak magnitude; scanned once, on first use."""
         if self._support is None:
-            mag = np.abs(self.time_values)
+            mag = np.abs(self.envelope)
             thresh = 1e-6 * mag.max()
             rows = np.where(mag.max(axis=1) > thresh)[0]
             cols = np.where(mag.max(axis=0) > thresh)[0]
@@ -338,6 +389,13 @@ def _scatter(stencil, X: np.ndarray) -> Tuple[np.ndarray, int]:
     return out, lo
 
 
+def _band(v: np.ndarray, rows: slice, cols: slice,
+          folded: bool) -> np.ndarray:
+    """The block v[rows, cols], or (v + v^T)[rows, cols] when `folded`."""
+    band = v[rows, cols]
+    return band + v[cols, rows].T if folded else band
+
+
 @dataclass(frozen=True)
 class LatticeFactor:
     """A two-time amplitude factor on an (n3, n4) node mesh, held as 1-D
@@ -346,13 +404,16 @@ class LatticeFactor:
     Entry (i, j) is sum over `parts` of sum_ab r_a[i] c_b[k] v[ir[i] + a,
     ic[k] + b], with k = j, or k = i + j when `sheared`; each part is an
     envelope orientation v with its row stencil (ir, r0, r1) and column
-    stencil (ic, c0, c1). `contract` never forms the mesh; `np.asarray`
-    does, for comparison.
+    stencil (ic, c0, c1). When `folded`, each part reads v + v^T instead of
+    v, a bracket contracted once; that sum is formed only on the blocks of
+    nodes a contraction touches. `contract` never forms the mesh;
+    `np.asarray` does, for comparison.
     """
 
     shape: Tuple[int, int]
     sheared: bool
     parts: tuple
+    folded: bool = False
     ndim = 2
 
     def contract(self, A: np.ndarray, B: np.ndarray) -> complex:
@@ -360,13 +421,14 @@ class LatticeFactor:
         total = 0j
         for v, rows, cols in self.parts:
             if self.sheared:
-                total += _contract_sheared(v, rows, cols, A, B)
+                total += _contract_sheared(v, rows, cols, A, B, self.folded)
             else:
                 # S_r^T V S_c: scatter both sides onto the envelope, then one
                 # product with the band of envelope nodes they touch
                 U, lo = _scatter(rows, A)
                 W, k0 = _scatter(cols, B)
-                band = v[lo:lo + U.shape[0], k0:k0 + W.shape[0]]
+                band = _band(v, slice(lo, lo + U.shape[0]),
+                             slice(k0, k0 + W.shape[0]), self.folded)
                 total += (U * (band @ W)).sum()
         return complex(total)
 
@@ -377,20 +439,25 @@ class LatticeFactor:
         out = np.zeros(self.shape, complex)
         for v, (ir, *r), (ic, *c) in self.parts:
             for a, b in itertools.product((0, 1), (0, 1)):
-                out += r[a][:, None] * c[b][k] * v[ir[:, None] + a, ic[k] + b]
+                node = ir[:, None] + a, ic[k] + b
+                val = v[node] + v[node[::-1]] if self.folded else v[node]
+                out += r[a][:, None] * c[b][k] * val
         return out if dtype is None else out.astype(dtype)
 
 
 def _contract_sheared(v: np.ndarray, row_stencil, col_stencil, A: np.ndarray,
-                      B: np.ndarray) -> complex:
+                      B: np.ndarray, folded: bool) -> complex:
     """sum_ij A[i] . H[i, j] B[j] for H[i, j] = sum_ab r_a[i] c_b[i + j]
-    v[ir[i] + a, ic[i + j] + b].
+    v[ir[i] + a, ic[i + j] + b], with v + v^T for v when `folded`.
 
-    Rows go in blocks: each block interpolates the envelope rows it touches
-    at the column stencil, picks its two rows per mesh row, contracts them
-    with B along the sheared window (a strided view) and weights them by
-    A r0 and A r1, so no temporary has the mesh's size. Rows and columns
-    whose stencil lies off the lattice (zero weights) are skipped.
+    Rows go in blocks: each block interpolates the band of envelope nodes it
+    touches at the column stencil, picks its two rows per mesh row,
+    contracts them with B along the sheared window (a strided view) and
+    weights them by A r0 and A r1, so no temporary has the mesh's size.
+    The band is taken transposed, so that the interpolation gathers
+    contiguous rows. Rows and columns whose stencil lies off the lattice
+    (zero weights) are skipped; the band spans the live columns' nodes
+    only, and a dead column reads any of them.
     """
     ir, r0, r1 = row_stencil
     ic, c0, c1 = col_stencil
@@ -407,9 +474,13 @@ def _contract_sheared(v: np.ndarray, row_stencil, col_stencil, A: np.ndarray,
         if j1 <= j0:
             continue
         ks = slice(a + j0, b - 1 + j1)
-        lo = ir[a:b].min()
-        band = v[lo:ir[a:b].max() + 2]
-        C = band[:, ic[ks]] * c0[ks] + band[:, ic[ks] + 1] * c1[ks]
+        live = ic[max(ks.start, k_lo):min(ks.stop, k_hi)]
+        lo, k_min = ir[a:b].min(), live.min()
+        band = _band(v.T, slice(k_min, live.max() + 2),
+                     slice(lo, ir[a:b].max() + 2), folded)
+        k = np.clip(ic[ks] - k_min, 0, band.shape[0] - 2)
+        C = np.ascontiguousarray(
+            (band[k] * c0[ks, None] + band[k + 1] * c1[ks, None]).T)
         for r, pick in ((r0, ir[a:b] - lo), (r1, ir[a:b] + 1 - lo)):
             R = C[pick]
             # R[m, m + j] as a view: row m of the window starts one row and
@@ -420,18 +491,24 @@ def _contract_sheared(v: np.ndarray, row_stencil, col_stencil, A: np.ndarray,
     return total
 
 
-def _axis_transform_phases(omega0: float, spacing: float, n_pad: int):
+def _axis_transform_phases(omega: np.ndarray, n_pad: int):
+    """One axis of the padded transform: its centred time lattice t, the
+    phase on the frequency samples that centres it, the axis' carrier c (the
+    middle of its frequency span) and the phase that maps the transform's
+    bins onto the envelope, e^{-i omega[0] t} e^{i c t}. It is formed as
+    that product, so the carrier that `time_values` removes again,
+    e^{-i c t}, cancels its factor to rounding whatever the size of c t."""
     c = n_pad // 2
-    dt = 2.0 * np.pi / (n_pad * spacing)
+    dt = 2.0 * np.pi / (n_pad * (omega[1] - omega[0]))
     t = (np.arange(n_pad) - c) * dt
-    pre = np.exp(2j * np.pi * np.arange(n_pad) * c / n_pad)
-    post = np.exp(-1j * omega0 * t)
-    return t, pre, post
+    pre = np.exp(2j * np.pi * np.arange(omega.size) * c / n_pad)
+    carrier = 0.5 * (omega[0] + omega[-1])
+    return t, pre, carrier, np.exp(-1j * omega[0] * t) * np.exp(1j * carrier * t)
 
 
 def to_time_domain(amp: BiphotonAmplitude, s: Optional[float] = None,
                    pad_factor: Optional[int] = None) -> BiphotonAmplitude:
-    """Return a copy with the two-time cache (re)computed.
+    """Return a copy with the two-time envelope (re)computed.
 
     The delay multiplies the delayed arm's frequency axis by exp(i w s)
     before transforming, which translates the time-domain array along that
@@ -443,9 +520,11 @@ def to_time_domain(amp: BiphotonAmplitude, s: Optional[float] = None,
     first along axis a over the block's nb columns, then along axis b over
     every row, so neither the zero-padded input nor the transform of its
     zero columns is formed (this agrees with `np.fft.fft2` of the padded
-    array to rounding, not bit for bit). The phases are applied in place,
-    and the time norm and the boundary mass are summed without forming
-    |Phi|^2 on the whole lattice.
+    array to rounding, not bit for bit). The envelope is the one lattice
+    stored: the unitary scale and the axis-a phase go onto the narrower
+    first transform, the axis-b phase onto the second in place, and the
+    time norm and the boundary mass are summed from |E| = |Phi| without
+    forming |Phi|^2 on the whole lattice.
     """
     if s is None:
         s = amp.s
@@ -461,31 +540,26 @@ def to_time_domain(amp: BiphotonAmplitude, s: Optional[float] = None,
     if pad_factor is None:
         pad_factor = max(1, 1024 // max(na, nb))
     npa, npb = pad_factor * na, pad_factor * nb
-    t1, pre_a, post_a = _axis_transform_phases(amp.omega_a[0], amp.d_omega_a, npa)
-    t2, pre_b, post_b = _axis_transform_phases(amp.omega_b[0], amp.d_omega_b, npb)
-    block = vals * pre_a[:na, None] * pre_b[None, :nb]
-    tvals = np.fft.fft(np.fft.fft(block, n=npa, axis=0), n=npb, axis=1)
-    tvals *= amp.d_omega_a * amp.d_omega_b / (2.0 * np.pi)
-    tvals *= post_a[:, None]
-    tvals *= post_b[None, :]
-    ca = 0.5 * (amp.omega_a[0] + amp.omega_a[-1])
-    cb = 0.5 * (amp.omega_b[0] + amp.omega_b[-1])
-    envelope = tvals * np.exp(1j * ca * t1)[:, None]
-    envelope *= np.exp(1j * cb * t2)[None, :]
+    t1, pre_a, ca, post_a = _axis_transform_phases(amp.omega_a, npa)
+    t2, pre_b, cb, post_b = _axis_transform_phases(amp.omega_b, npb)
+    half = np.fft.fft(vals * pre_a[:, None] * pre_b[None, :], n=npa, axis=0)
+    half *= (amp.d_omega_a * amp.d_omega_b / (2.0 * np.pi)) * post_a[:, None]
+    envelope = np.fft.fft(half, n=npb, axis=1)
+    envelope *= post_b[None, :]
     out = BiphotonAmplitude(
         theta=amp.theta, s=s, delay_arm=amp.delay_arm,
         omega_a=amp.omega_a, omega_b=amp.omega_b, values=amp.values,
-        t1=t1, t2=t2, time_values=tvals, _envelope=envelope, _carrier=(ca, cb),
+        t1=t1, t2=t2, envelope=envelope, _carrier=(ca, cb),
     )
     fnorm = out.frequency_norm()
-    tnorm = float(np.vdot(tvals, tvals).real * out.dt1 * out.dt2)
+    tnorm = out.time_norm()
     if abs(fnorm - 1.0) > NORM_TOLERANCE or abs(tnorm - 1.0) > NORM_TOLERANCE:
         raise ValueError(
             f"normalization broken: |Phi|^2 integrates to {fnorm:.9f} "
             f"(frequency) / {tnorm:.9f} (time)"
         )
     edge = sum(float(np.sum(np.abs(strip) ** 2)) for strip in (
-        tvals[:2, :], tvals[-2:, :], tvals[:, :2], tvals[:, -2:])
+        envelope[:2, :], envelope[-2:, :], envelope[:, :2], envelope[:, -2:])
     ) * out.dt1 * out.dt2
     if edge > 1e-4:
         raise GridCoverageError(
@@ -499,7 +573,8 @@ def to_time_domain(amp: BiphotonAmplitude, s: Optional[float] = None,
 def from_frequency_values(omega_a: np.ndarray, omega_b: np.ndarray,
                           values: np.ndarray, *, theta: Optional[float] = None,
                           s: float = 0.0, delay_arm: str = "a") -> BiphotonAmplitude:
-    """Normalize explicit frequency-domain values and fill the time cache."""
+    """Normalize explicit frequency-domain values and transform them to the
+    two-time envelope."""
     omega_a = np.asarray(omega_a, dtype=float)
     omega_b = np.asarray(omega_b, dtype=float)
     values = np.asarray(values, dtype=complex)
@@ -560,7 +635,8 @@ def delta_limit_amplitude(t1, t2, s: float, grid_spacing: float,
 
 @dataclass(frozen=True)
 class DeltaAmplitude:
-    """Duck-typed narrow-limit amplitude usable wherever a time cache is read."""
+    """Duck-typed narrow-limit amplitude usable wherever a two-time
+    amplitude is read."""
 
     s: float
     spacing: float

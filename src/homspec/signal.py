@@ -107,8 +107,9 @@ def reference_time(amp: BiphotonAmplitude, offset: float = 0.0) -> float:
 
     The mean of (t1 + t2) / 2 under w = |Phi|^2, taken from the two
     marginals of w: (sum_i t1_i sum_j w_ij + sum_j t2_j sum_i w_ij) / 2 sum w,
-    so no lattice-sized array of midpoints is formed."""
-    w = np.abs(amp.time_values)
+    so no lattice-sized array of midpoints is formed; w = |E|^2 for the
+    stored envelope E."""
+    w = np.abs(amp.envelope)
     w *= w
     rows, cols = w.sum(axis=1), w.sum(axis=0)
     return float(0.5 * (amp.t1 @ rows + amp.t2 @ cols) / rows.sum()) + offset
@@ -295,7 +296,8 @@ def _hankel(edge, interior, tau3: np.ndarray, tau4: np.ndarray,
 
 def _amplitude_factor(amp, args: Tuple[Affine, Affine], bracket: bool,
                       tau: float, T: float, tau3: np.ndarray,
-                      tau4: np.ndarray, q: QuadratureSpec):
+                      tau4: np.ndarray, q: QuadratureSpec,
+                      stencils: Optional[dict] = None):
     """The amplitude at `args` on the box, plus its swapped-argument value
     when `bracket` is set, evaluated once per distinct argument.
 
@@ -308,14 +310,20 @@ def _amplitude_factor(amp, args: Tuple[Affine, Affine], bracket: bool,
     (pathway 5), both from one stencil per distinct coordinate. These
     two-variable factors are contracted, never formed. Anything else, and
     every two-variable factor of an amplitude without a lattice, is
-    evaluated on the full mesh.
+    evaluated on the full mesh. A lattice amplitude keeps its stencils in
+    `stencils`, a memo for one point (see
+    `BiphotonAmplitude._cached_stencil`).
     """
     x, y = args
     t = q.t_ref
+    lattice = isinstance(amp, BiphotonAmplitude)
+
+    def at(u, v):
+        return amp.time_value(u, v, stencils) if lattice else amp.time_value(u, v)
 
     def value(u, v):
-        out = amp.time_value(u, v)
-        return out + amp.time_value(v, u) if bracket else out
+        out = at(u, v)
+        return out + at(v, u) if bracket else out
 
     def mesh(T3, T4):
         return value(x(t, tau, T, T3, T4), y(t, tau, T, T3, T4))
@@ -326,19 +334,19 @@ def _amplitude_factor(amp, args: Tuple[Affine, Affine], bracket: bool,
             return value(x(t, tau, T, u, 0.0), y(t, tau, T, u, 0.0))
 
         return _hankel(lambda T3, T4: line(T3 + T4), line, tau3, tau4, q.step)
-    if isinstance(amp, BiphotonAmplitude):
+    if lattice:
         for swap, (row, col) in ((False, (x, y)), (True, (y, x))):
             if not (row.t3 and not row.t4 and col.t4):
                 continue
             rows = row(t, tau, T, tau3, 0.0)
             if not col.t3:
                 return amp.lattice_factor(rows, col(t, tau, T, 0.0, tau4),
-                                          False, swap, bracket)
+                                          False, swap, bracket, stencils)
             if col.t3 == col.t4:
                 return _hankel(
                     mesh, lambda sums: amp.lattice_factor(
                         rows[1:-1], col(t, tau, T, sums, 0.0), True, swap,
-                        bracket),
+                        bracket, stencils),
                     tau3, tau4, q.step)
     return mesh(tau3[:, None], tau4[None, :])
 
@@ -361,7 +369,9 @@ def _sub_term_value(sub: SubTerm, interaction: int, tau: float, T: float,
     constant share: `shared` memoizes it per (interaction, args, symmetrize,
     first_interval) for one (tau, T, s) point and one amplitude. A constant
     constraint in `_tighten` only passes or fails, so sharing sub-terms
-    with non-empty boxes have equal boxes.
+    with non-empty boxes have equal boxes. Under the key "stencils",
+    `shared` also holds the point's lattice stencils (see
+    `_amplitude_factor`).
     """
     expansion = ops.expansion(interaction)
     if expansion.coeffs.size == 0:
@@ -370,9 +380,12 @@ def _sub_term_value(sub: SubTerm, interaction: int, tau: float, T: float,
     if box is None:
         return 0.0 + 0.0j
     tau3, tau4 = box
+    shared = {} if shared is None else shared
+    stencils = shared.setdefault("stencils", {})
 
     def factor(args, bracket):
-        return _amplitude_factor(amp, args, bracket, tau, T, tau3, tau4, q)
+        return _amplitude_factor(amp, args, bracket, tau, T, tau3, tau4, q,
+                                 stencils)
 
     def integral(*factors):
         w3 = _weights(tau3, q.step, q.rule)
@@ -400,7 +413,6 @@ def _sub_term_value(sub: SubTerm, interaction: int, tau: float, T: float,
     conj = conj.conj() if isinstance(conj, _Bordered) else np.conj(conj)
     if any(a.t3 or a.t4 for a in sub.conj_args):
         return integral(conj, factor(sub.args, sub.symmetrize))
-    shared = {} if shared is None else shared
     key = (interaction, sub.args, sub.symmetrize, sub.first_interval)
     if key not in shared:
         shared[key] = integral(factor(sub.args, sub.symmetrize))

@@ -41,6 +41,16 @@ def gaussian_amplitude(center=1.0, sigma_sum=0.3, sigma_diff=0.5, n=192,
     return from_frequency_values(w, w, vals, s=s, delay_arm=delay_arm)
 
 
+def non_square_gaussian(s=0.0):
+    """Gaussian pair amplitude on a 96 x 128 grid with unequal spans and
+    centres: its t1 and t2 lattices and carriers differ."""
+    wa = np.linspace(1.0 - 2.0, 1.0 + 2.0, 96)
+    wb = np.linspace(0.9 - 1.5, 0.9 + 1.5, 128)
+    vals = np.exp(-((wa[:, None] + wb[None, :] - 1.9) / 0.3) ** 2
+                  - ((wa[:, None] - wb[None, :] - 0.1) / 0.5) ** 2)
+    return from_frequency_values(wa, wb, vals, s=s)
+
+
 @pytest.fixture
 def gauss_amp():
     return gaussian_amplitude()

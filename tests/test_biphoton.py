@@ -4,14 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import gaussian_amplitude
-from homspec import biphoton
+from conftest import gaussian_amplitude, non_square_gaussian
+from homspec import biphoton, crosscheck
 from homspec.biphoton import (BiphotonAmplitude, CrystalSpec, DeltaAmplitude,
                               FrequencyGrid, GridAxis, GridCoverageError,
                               PumpSpec, build_jsa, default_grid,
                               delta_limit_amplitude, entanglement_time,
-                              export_intensity, from_frequency_values,
-                              pair_amplitude_point, to_time_domain)
+                              exchange_phase_factor, export_intensity,
+                              from_frequency_values, pair_amplitude_point,
+                              to_time_domain)
 from homspec.signal import reference_time
 
 PUMP = PumpSpec(omega_p=2.9, sigma_p=0.5)
@@ -61,6 +62,20 @@ class TestSpecs:
         expected = (direct + swapped) / np.sqrt(2.0)
         got = pair_amplitude_point(pump, crystal, 0.0, wa, wb)
         assert got == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("shift", [0.0, 0.01])
+    def test_exchanged_term_on_a_mesh(self, shift):
+        # a column and a row of the same frequencies take the exchanged term
+        # as the direct one transposed; it must equal the formula bit for
+        # bit, and a row of other frequencies must keep the formula
+        w = GridAxis(1.45, 0.02, 64).values()
+        wa, wb = w[:, None], (w + shift)[None, :]
+        direct = PUMP.envelope(wa + wb)
+        phi_ab = direct * CRYSTAL.matching(wa, wb)
+        phi_ba = direct * CRYSTAL.matching(wb, wa)
+        want = (phi_ab + exchange_phase_factor(0.3) * phi_ba) / np.sqrt(2.0)
+        got = pair_amplitude_point(PUMP, CRYSTAL, 0.3, wa, wb)
+        assert np.array_equal(got, want)
 
 
 class TestBuildJsa:
@@ -143,6 +158,25 @@ class TestTimeDomain:
         vals = jsa.time_value(jsa.t1[100], jsa.t2[200])
         assert abs(vals - jsa.time_values[100, 200]) < 1e-12
 
+    @pytest.mark.parametrize("case", ["golden", "scan", "oracle"])
+    def test_support_box_from_the_envelope(self, case):
+        # |E| and |Phi| differ by rounding, which could move a node across
+        # the 1e-6 threshold; on the benchmark amplitudes it does not (the
+        # README example builds the golden amplitude: same pump, crystal,
+        # theta, n and s)
+        amp = {"golden": lambda: golden_setup()[0],
+               "scan": lambda: gaussian_amplitude(
+                   center=0.4, sigma_sum=0.3, sigma_diff=0.5, n=128,
+                   half_span=1.6, s=3.0),
+               "oracle": lambda: crosscheck.three_level_benchmark().amplitude,
+               }[case]()
+        mag = np.abs(amp.time_values)
+        keep = mag > 1e-6 * mag.max()
+        rows, cols = np.flatnonzero(keep.any(axis=1)), np.flatnonzero(
+            keep.any(axis=0))
+        assert amp.time_support() == (amp.t1[rows[0]], amp.t1[rows[-1]],
+                                      amp.t2[cols[0]], amp.t2[cols[-1]])
+
     def test_interpolation_accurate_between_nodes(self):
         amp = gaussian_amplitude()
         mid = amp.t1.size // 2
@@ -195,14 +229,6 @@ def padded_fft2(amp, s, pad):
     work[:na, :nb] = vals * pre_a[:, None] * pre_b[None, :]
     scale = amp.d_omega_a * amp.d_omega_b / (2.0 * np.pi)
     return scale * np.fft.fft2(work) * post_a[:, None] * post_b[None, :]
-
-
-def non_square_gaussian():
-    wa = np.linspace(1.0 - 2.0, 1.0 + 2.0, 96)
-    wb = np.linspace(0.9 - 1.5, 0.9 + 1.5, 128)
-    vals = np.exp(-((wa[:, None] + wb[None, :] - 1.9) / 0.3) ** 2
-                  - ((wa[:, None] - wb[None, :] - 0.1) / 0.5) ** 2)
-    return from_frequency_values(wa, wb, vals)
 
 
 class TestTransformMatchesPaddedFft2:
@@ -270,7 +296,7 @@ class TestSetUp:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 60e6
+        assert peak < 30e6
 
     @pytest.mark.parametrize("case", ["golden", "gauss_delayed"])
     def test_reference_time_is_the_mesh_centroid(self, case):

@@ -5,9 +5,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import gaussian_amplitude
-from homspec.biphoton import (CrystalSpec, DeltaAmplitude, PumpSpec,
-                              build_jsa, default_grid)
+from conftest import gaussian_amplitude, non_square_gaussian
+from homspec.biphoton import (BiphotonAmplitude, CrystalSpec, DeltaAmplitude,
+                              LatticeFactor, PumpSpec, build_jsa,
+                              default_grid)
 from homspec.model import ExcitonSystem, Level, LiouvilleOperatorSet
 from homspec import signal
 from homspec.pathways import HomSpec, complete_term_table, term_table
@@ -306,13 +307,29 @@ def _moves_with_sum(expr):
     return expr.t3 != 0 and expr.t3 == expr.t4
 
 
+@pytest.fixture(scope="module", params=["golden", "non_square"])
+def lattice_point(request, golden_point):
+    """The golden point (a square lattice, where a bracket is one
+    contraction of E + E^T), or a point on the 96 x 128 Gaussian whose t1
+    and t2 lattices differ (a bracket keeps both orientations)."""
+    if request.param == "golden":
+        return request.param, golden_point
+    amp = non_square_gaussian(s=2.0)
+    q = QuadratureSpec(cutoff=48.0, step=0.4, rule="trapezoid",
+                       t_ref=reference_time(amp))
+    return request.param, ((1.0, 3.0, 2.0), amp, None, q)
+
+
 class TestLatticeFactors:
     """Pathway-4 (one argument in tau3, the other in tau4) and pathway-5
     (one in tau3, the other in tau3 + tau4) factors of a lattice amplitude
-    come from 1-D stencils; they must equal `time_value` on the mesh."""
+    come from 1-D stencils; they must equal `time_value` on the mesh, and
+    contract as the matrix they stand for."""
 
-    def test_match_time_value_on_the_full_mesh(self, golden_point):
-        (tau, T, _), amp, _, q = golden_point
+    def test_match_time_value_on_the_full_mesh(self, lattice_point):
+        name, ((tau, T, _), amp, _, q) = lattice_point
+        square = np.array_equal(amp.t1, amp.t2)
+        rng = np.random.default_rng(5)
         seen, slivers = set(), 0
         for term in term_table() + complete_term_table():
             if term.interaction not in (4, 5):
@@ -330,19 +347,56 @@ class TestLatticeFactors:
                 assert got.shape == want.shape
                 err = np.max(np.abs(got - want))
                 assert err <= 1e-13 * np.max(np.abs(want)), (term.label, err)
+                A = rng.normal(size=(tau3.size, 2))
+                B = rng.normal(size=(tau4.size, 2))
+                dense = np.asarray(got)
+                scale = (np.abs(A) * (np.abs(dense) @ np.abs(B))).sum()
+                assert abs(got.contract(A, B) - (A * (dense @ B)).sum()) \
+                    <= 1e-13 * scale, term.label
+                lattice = got if isinstance(got, LatticeFactor) else got.inner
+                assert lattice.folded == (sub.symmetrize and square)
                 first = sub.args[0]
                 seen.add(("sheared" if any(map(_moves_with_sum, sub.args))
                           else "rectilinear", bool(first.t3 and not first.t4),
                           sub.symmetrize))
                 slivers += (tau4[-1] - tau4[-2] < q.step
                             and tau3[-1] - tau3[-2] < q.step)
-        # both argument orders of each class, brackets, and sliver ends
-        assert seen >= {("rectilinear", True, False),
-                        ("rectilinear", False, False),
-                        ("rectilinear", True, True),
-                        ("rectilinear", False, True),
-                        ("sheared", True, True), ("sheared", False, True)}
+        assert square == (name == "golden")
+        # brackets of each class, and sliver ends
+        assert {(kind, bracket) for kind, _, bracket in seen} >= {
+            ("rectilinear", True), ("sheared", True)}
         assert slivers > 0
+        if name == "golden":
+            # and both argument orders of each class
+            assert seen >= {("rectilinear", True, False),
+                            ("rectilinear", False, False),
+                            ("rectilinear", True, True),
+                            ("rectilinear", False, True),
+                            ("sheared", True, True), ("sheared", False, True)}
+
+    def test_one_stencil_per_distinct_coordinate_array(self, golden_point,
+                                                       monkeypatch):
+        # the point's memo hands out each stencil again; on the square
+        # golden lattice both axes share it
+        (tau, T, s), amp, ops, q = golden_point
+        made, asked = [], []
+        stencil, cached = (BiphotonAmplitude._stencil,
+                           BiphotonAmplitude._cached_stencil)
+
+        def making(self, axis, coord):
+            coord = np.asarray(coord, dtype=float)
+            made.append((coord.shape, coord.tobytes()))
+            return stencil(self, axis, coord)
+
+        def asking(self, *args):
+            asked.append(args)
+            return cached(self, *args)
+
+        monkeypatch.setattr(BiphotonAmplitude, "_stencil", making)
+        monkeypatch.setattr(BiphotonAmplitude, "_cached_stencil", asking)
+        coincidence(tau, T, s, amp, ops, q, hom=HomSpec(T=T))
+        assert len(made) == len(set(made)) > 0
+        assert len(asked) > 3 * len(made)
 
     def test_golden_point_memory(self, golden_point):
         (tau, T, s), amp, ops, q = golden_point
