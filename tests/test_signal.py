@@ -307,27 +307,42 @@ def _moves_with_sum(expr):
     return expr.t3 != 0 and expr.t3 == expr.t4
 
 
-@pytest.fixture(scope="module", params=["golden", "non_square"])
-def lattice_point(request, golden_point):
-    """The golden point (a square lattice, where a bracket is one
-    contraction of E + E^T), or a point on the 96 x 128 Gaussian whose t1
-    and t2 lattices differ (a bracket keeps both orientations)."""
-    if request.param == "golden":
-        return request.param, golden_point
-    amp = non_square_gaussian(s=2.0)
-    q = QuadratureSpec(cutoff=48.0, step=0.4, rule="trapezoid",
-                       t_ref=reference_time(amp))
-    return request.param, ((1.0, 3.0, 2.0), amp, None, q)
-
-
 class TestLatticeFactors:
     """Pathway-4 (one argument in tau3, the other in tau4) and pathway-5
     (one in tau3, the other in tau3 + tau4) factors of a lattice amplitude
     come from 1-D stencils; they must equal `time_value` on the mesh, and
     contract as the matrix they stand for."""
 
-    def test_match_time_value_on_the_full_mesh(self, lattice_point):
-        name, ((tau, T, _), amp, _, q) = lattice_point
+    def test_match_time_value_on_the_full_mesh(self, golden_point):
+        seen, slivers = self.match_every_factor(golden_point)
+        # both argument orders of each class, brackets, and sliver ends
+        assert seen >= {("rectilinear", True, False),
+                        ("rectilinear", False, False),
+                        ("rectilinear", True, True),
+                        ("rectilinear", False, True),
+                        ("sheared", True, True), ("sheared", False, True)}
+        assert slivers > 0
+
+    def test_unequal_axes_keep_both_orientations(self):
+        # 96 x 128 samples at unequal spacings: t1 and t2 differ, so a
+        # bracket is contracted as two orientations of the envelope
+        amp = non_square_gaussian(s=2.0)
+        q = QuadratureSpec(cutoff=48.0, step=0.4, rule="trapezoid",
+                           t_ref=reference_time(amp))
+        seen, slivers = self.match_every_factor(((1.0, 3.0, 2.0), amp, None,
+                                                 q))
+        assert {(kind, bracket) for kind, _, bracket in seen} >= {
+            ("rectilinear", True), ("sheared", True)}
+        assert slivers > 0
+
+    @staticmethod
+    def match_every_factor(point):
+        """Assert that every pathway-4 and pathway-5 factor at `point`
+        equals `time_value` on the full mesh, contracts as its formed
+        matrix, and is one folded part exactly when it is a bracket on a
+        square lattice; return the (class, argument order, bracket) triples
+        seen and the number of boxes with sliver ends."""
+        (tau, T, _), amp, _, q = point
         square = np.array_equal(amp.t1, amp.t2)
         rng = np.random.default_rng(5)
         seen, slivers = set(), 0
@@ -361,18 +376,7 @@ class TestLatticeFactors:
                           sub.symmetrize))
                 slivers += (tau4[-1] - tau4[-2] < q.step
                             and tau3[-1] - tau3[-2] < q.step)
-        assert square == (name == "golden")
-        # brackets of each class, and sliver ends
-        assert {(kind, bracket) for kind, _, bracket in seen} >= {
-            ("rectilinear", True), ("sheared", True)}
-        assert slivers > 0
-        if name == "golden":
-            # and both argument orders of each class
-            assert seen >= {("rectilinear", True, False),
-                            ("rectilinear", False, False),
-                            ("rectilinear", True, True),
-                            ("rectilinear", False, True),
-                            ("sheared", True, True), ("sheared", False, True)}
+        return seen, slivers
 
     def test_one_stencil_per_distinct_coordinate_array(self, golden_point,
                                                        monkeypatch):
