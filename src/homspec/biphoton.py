@@ -134,11 +134,6 @@ class GridAxis:
     def values(self) -> np.ndarray:
         return self.center + (np.arange(self.n) - self.n // 2) * self.spacing
 
-    def conjugate(self) -> "GridAxis":
-        """The FFT-conjugate time lattice (center 0)."""
-        dt = 2.0 * np.pi / (self.n * self.spacing)
-        return GridAxis(0.0, dt, self.n)
-
 
 @dataclass(frozen=True)
 class FrequencyGrid:
@@ -215,15 +210,13 @@ class BiphotonAmplitude:
     envelope.
 
     Immutable after construction, apart from the support box that
-    `time_support` computes on first use; `time_value` and `time_support` are
-    safe to call from parallel workers (two workers racing on the first
-    `time_support` store the same tuple). `values` is L2-normalized on the
-    grid. The two-time amplitude Phi is the unitary transform of `values`
-    with the pair delay `s` applied as a spectral phase on `delay_arm`
-    before transforming; only its carrier-demodulated `envelope` E =
-    Phi e^{i ca t1 + i cb t2} is stored. |E| = |Phi|, so norms, the support
-    box and the arrival-time centroid read E; `time_values` restores Phi on
-    the whole lattice when a caller needs it.
+    `time_support` computes and stores on first use. `values` is
+    L2-normalized on the grid. The two-time amplitude Phi is the unitary
+    transform of `values` with the pair delay `s` applied as a spectral
+    phase on `delay_arm` before transforming; only its carrier-demodulated
+    `envelope` E = Phi e^{i ca t1 + i cb t2} is stored. |E| = |Phi|, so
+    norms, the support box and the arrival-time centroid read E;
+    `time_values` restores Phi on the whole lattice when a caller needs it.
     """
 
     theta: Optional[float]

@@ -9,6 +9,9 @@ units in the key names, each listed once, with its check and default, in
     simulate pathways dump
     simulate oracle [--benchmark three-level|three-level-converged]
 
+``--workers`` is accepted for compatibility and ignored: scans run on the
+calling thread.
+
 The environment variable SIM_LOG (error|warn|info|debug) controls logging.
 """
 
@@ -205,7 +208,8 @@ FIELDS: Tuple[Field, ...] = (
     Field("quadrature.t_ref_offset_fs", "t_ref_offset", _number, None),
     Field("mode", "mode", _choice(*MODES), "full"),
     Field("output", "output", _text, "signal.dat"),
-    Field("workers", "workers", _integer(1), os.cpu_count() or 1),
+    # accepted for compatibility; scans run on the calling thread
+    Field("workers", "workers", _integer(1), 1),
 )
 
 # constructors that check across fields (level order, dipole shapes,
@@ -237,10 +241,6 @@ class RunConfig:
     mode: str
     output: str
     workers: int
-
-    @property
-    def hom_t(self) -> float:
-        return self.hom.t_coeff
 
 
 def _check_keys(mapping: Dict[Any, Any], prefix: str = "") -> None:
@@ -352,18 +352,16 @@ def run(config: RunConfig) -> int:
     q = default_quadrature(ops, amp, step=config.quad_step,
                            cutoff=config.quad_cutoff, rule=config.quad_rule,
                            t_ref=config.t_ref, t_ref_offset=config.t_ref_offset or 0.0)
-    log.info("scan: mode=%s grid=%dx%dx%d workers=%d", config.mode,
-             config.tau_axis.size, config.T_axis.size, config.s_axis.size,
-             config.workers)
+    log.info("scan: mode=%s grid=%dx%dx%d", config.mode,
+             config.tau_axis.size, config.T_axis.size, config.s_axis.size)
     grid = scan(config.tau_axis, config.T_axis, config.s_axis, config.mode, amp,
-                ops, q, hom=config.hom, workers=config.workers)
+                ops, q, hom=config.hom)
     grid.save(config.output)
     sidecar = {
         "config": yaml.safe_load(serialize_config(config)),
         "system_hash": system_hash(ops),
         "amplitude_hash": amp.content_hash() if amp is not None else None,
         "wall_time_s": time.time() - started,
-        "workers": config.workers,
     }
     with open(config.output + ".meta", "w") as fh:
         yaml.safe_dump(sidecar, fh, sort_keys=False)

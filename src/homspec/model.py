@@ -223,7 +223,7 @@ class LiouvilleState:
 class LiouvilleOperatorSet:
     """Precomputed propagation phases and dipole superoperators for one system.
 
-    Immutable after construction; safe to share across parallel workers.
+    Immutable after construction.
     The damping of the free propagator uses the system's pair rates with a
     global floor ``eta_floor`` so long-time integrals stay convergent even
     when a user sets all rates to zero.

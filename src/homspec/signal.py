@@ -3,7 +3,7 @@
 Evaluates each contribution row of the pathway ledger as a double quadrature
 over the two free interaction intervals, sums the signed rows into the real
 coincidence value C(tau, T, s), provides the closed-form narrow-amplitude
-limit, and scans lattices of (tau, T, s) deterministically in parallel.
+limit, and scans lattices of (tau, T, s) point by point.
 
 Every sub-term of a row is integrated over one box of nodes: the region
 where the two-time amplitude factors can be nonzero (their arguments are
@@ -30,8 +30,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -747,12 +745,12 @@ def scan(tau_axis: Sequence[float], T_axis: Sequence[float],
          workers: Optional[int] = None) -> SignalGrid:
     """Evaluate the chosen signal over the lattice.
 
-    Points are independent and dispatched to ``workers`` threads (default:
-    the CPU count); results land in disjoint array slots, so the output is
-    deterministic for any worker count. In short_Te mode every lattice point
+    Points are evaluated in lattice order on the calling thread.
+    ``workers`` is accepted for compatibility and ignored, so the output is
+    the same for any worker count. In short_Te mode every lattice point
     must satisfy tau >= -T and s > 0, and the system must be damped (see
     `short_te_terms`); in the other modes tau, T >= 0 (the ledger's domain).
-    Violations abort before any work is dispatched. The
+    Violations abort before any point is evaluated. The
     short_Te and bs_removed modes fix the splitter themselves, so they
     refuse a ``hom`` that is not 50:50 (see `HomSpec.balanced`).
     """
@@ -802,17 +800,8 @@ def scan(tau_axis: Sequence[float], T_axis: Sequence[float],
             return coincidence(tau_axis[i], T_axis[j], float(s_axis[k]),
                                amps[float(s_axis[k])], ops, q, hom=hom)
 
-    jobs = [(i, j, k) for i in range(tau_axis.size)
-            for j in range(T_axis.size) for k in range(s_axis.size)]
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for (i, j, k), val in zip(jobs, pool.map(lambda t: point(*t), jobs)):
-                values[i, j, k] = val
-    else:
-        for i, j, k in jobs:
-            values[i, j, k] = point(i, j, k)
+    for i, j, k in np.ndindex(values.shape):
+        values[i, j, k] = point(i, j, k)
     return SignalGrid(tau_axis, T_axis, s_axis, values, mode, meta)
 
 

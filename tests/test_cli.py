@@ -1,9 +1,10 @@
-import os
+import threading
 
 import numpy as np
 import pytest
 import yaml
 
+import homspec.signal
 from homspec.cli import ConfigError, load_config, main, run, serialize_config
 from homspec.signal import SignalGrid
 
@@ -52,7 +53,7 @@ class TestLoadConfig:
         config = load_config(write_config(tmp_path))
         assert config.theta == 0.0
         assert config.delay_arm == "a"
-        assert config.hom_t == pytest.approx(1 / np.sqrt(2))
+        assert config.hom.t_coeff == pytest.approx(1 / np.sqrt(2))
         assert config.mode == "full"
         assert config.output == "signal.dat"
         assert np.array_equal(config.tau_axis, [0.0, 2.0])
@@ -233,7 +234,21 @@ class TestMain:
         cfg = write_config(tmp_path, {"output": str(out), "scan.tau_fs": [1.0]})
         assert main(["run", "--config", str(cfg)]) == 0
         sidecar = yaml.safe_load((tmp_path / "o.dat.meta").read_text())
-        assert sidecar["workers"] == sidecar["config"]["workers"] == os.cpu_count()
+        assert sidecar["config"]["workers"] == 1
+        assert "workers" not in sidecar
+
+    def test_run_evaluates_on_the_calling_thread(self, tmp_path, monkeypatch):
+        threads = []
+        inner = homspec.signal.coincidence
+
+        def recording(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(homspec.signal, "coincidence", recording)
+        cfg = write_config(tmp_path, {"output": str(tmp_path / "o.dat")})
+        assert main(["run", "--config", str(cfg), "--workers", "2"]) == 0
+        assert threads == [threading.get_ident()] * 2
 
     @pytest.mark.parametrize("file_mode", ["full", "bs_removed", "short_Te"])
     @pytest.mark.parametrize("bs_removed", [False, True])

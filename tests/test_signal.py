@@ -1,4 +1,5 @@
 import dataclasses
+import threading
 import tracemalloc
 from dataclasses import dataclass
 
@@ -679,6 +680,19 @@ class TestScan:
         grids = [scan([0.0, 1.0, 2.0], [1.0, 3.0], [2.0], "full", amp, ops, q,
                       workers=w) for w in (1, 3)]
         assert grids[0].serialize() == grids[1].serialize()
+
+    def test_points_run_on_the_calling_thread(self, small_setup, monkeypatch):
+        ops, amp, q = small_setup
+        threads = []
+        inner = signal.coincidence
+
+        def recording(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(signal, "coincidence", recording)
+        scan([0.0, 1.0, 2.0], [1.0, 3.0], [2.0], "full", amp, ops, q, workers=2)
+        assert threads == [threading.get_ident()] * 6
 
     def test_short_te_domain_violation_names_point(self, small_setup):
         ops, amp, q = small_setup
