@@ -7,7 +7,7 @@ units in the key names, each listed once, with its check and default, in
     simulate run --config cfg.yaml [--workers N] [--mode ...] [--out path]
     simulate validate --config cfg.yaml
     simulate pathways dump
-    simulate oracle [--benchmark three-level|three-level-converged]
+    simulate oracle [--benchmark three-level-converged|three-level]
 
 ``--workers`` is accepted for compatibility and ignored: scans run on the
 calling thread.
@@ -22,7 +22,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -33,7 +33,7 @@ from .biphoton import (BiphotonAmplitude, CrystalSpec, FrequencyGrid, GridAxis,
                        PumpSpec, build_jsa, default_grid)
 from .model import ETA_FLOOR, ExcitonSystem, Level, LiouvilleOperatorSet
 from .pathways import HomSpec, format_term_table
-from .signal import MODES, default_quadrature, scan, system_hash
+from .signal import MODES, default_quadrature, scan
 
 log = logging.getLogger("homspec")
 
@@ -218,29 +218,13 @@ SPECS: Dict[str, Callable[..., Any]] = {
     "system": ExcitonSystem, "pump": PumpSpec, "crystal": CrystalSpec, "hom": HomSpec}
 
 
-@dataclass
-class RunConfig:
-    """Fully resolved run settings (defaults already applied); see FIELDS."""
-
-    system: ExcitonSystem
-    pump: Optional[PumpSpec]
-    crystal: Optional[CrystalSpec]
-    hom: HomSpec
-    theta: float
-    delay_arm: str
-    tau_axis: np.ndarray
-    T_axis: np.ndarray
-    s_axis: np.ndarray
-    grid_n: int
-    grid_half_span: Optional[float]
-    quad_step: Optional[float]
-    quad_cutoff: Optional[float]
-    quad_rule: str
-    t_ref: Optional[float]
-    t_ref_offset: Optional[float]
-    mode: str
-    output: str
-    workers: int
+# one attribute per SPECS section and per undotted FIELDS target;
+# load_config folds hom.bs_removed into mode
+RunConfig = make_dataclass(
+    "RunConfig", list(SPECS) + [f.target for f in FIELDS
+                                if "." not in f.target and f.target != "bs_removed"],
+    namespace={"__module__": __name__, "__doc__":
+               "Fully resolved run settings (defaults already applied); see FIELDS."})
 
 
 def _check_keys(mapping: Dict[Any, Any], prefix: str = "") -> None:
@@ -359,8 +343,8 @@ def run(config: RunConfig) -> int:
     grid.save(config.output)
     sidecar = {
         "config": yaml.safe_load(serialize_config(config)),
-        "system_hash": system_hash(ops),
-        "amplitude_hash": amp.content_hash() if amp is not None else None,
+        "system_hash": grid.meta["system_hash"],
+        "amplitude_hash": grid.meta.get("amplitude_hash"),
         "wall_time_s": time.time() - started,
     }
     with open(config.output + ".meta", "w") as fh:
@@ -393,7 +377,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     path_sub.add_parser("dump", help="print the 20-row contribution ledger")
 
     p_oracle = sub.add_parser("oracle", help="run a brute-force cross-check")
-    p_oracle.add_argument("--benchmark", default="three-level",
+    p_oracle.add_argument("--benchmark", default="three-level-converged",
                           choices=sorted(crosscheck.BENCHMARKS))
 
     args = parser.parse_args(argv)

@@ -713,6 +713,9 @@ class SignalGrid:
                         meta[key] = val
                 elif line.strip():
                     rows.append([float(x) for x in line.split()])
+        for key in ("tau_values", "T_values", "s_values"):
+            if key not in axes:
+                raise ValueError(f"{path}: header line '# {key}:' is missing")
         tau, T, s = axes["tau_values"], axes["T_values"], axes["s_values"]
         # serialize order: tau slowest, s fastest
         expected = [[tv, Tv, sv] for tv in tau for Tv in T for sv in s]
@@ -763,7 +766,9 @@ def scan(tau_axis: Sequence[float], T_axis: Sequence[float],
     T_axis = np.asarray(T_axis, dtype=float)
     s_axis = np.asarray(s_axis, dtype=float)
     _check_axes(tau_axis, T_axis, s_axis)
-    values = np.zeros((tau_axis.size, T_axis.size, s_axis.size))
+    shape = (tau_axis.size, T_axis.size, s_axis.size)
+    # lattice order: tau slowest, s fastest (the order SignalGrid writes)
+    lattice = list(itertools.product(tau_axis, T_axis, s_axis))
     meta = {
         "system_hash": system_hash(ops),
         "quadrature": (f"cutoff={q.cutoff:.17g} step={q.step:.17g} "
@@ -771,37 +776,25 @@ def scan(tau_axis: Sequence[float], T_axis: Sequence[float],
     }
     if hasattr(amp, "content_hash"):
         meta["amplitude_hash"] = amp.content_hash()
-    if values.size == 0:
-        return SignalGrid(tau_axis, T_axis, s_axis, values, mode, meta)
+    if not lattice:
+        return SignalGrid(tau_axis, T_axis, s_axis, np.zeros(shape), mode, meta)
 
     if mode == "short_Te":
-        for tv in tau_axis:
-            for Tv in T_axis:
-                for sv in s_axis:
-                    if sv <= 0:
-                        raise ValueError(
-                            f"short_Te mode requires s > 0; offending point "
-                            f"(tau={tv}, T={Tv}, s={sv})")
-                    if tv < -Tv:
-                        raise ValueError(
-                            f"short_Te mode requires tau >= -T; offending "
-                            f"point (tau={tv}, T={Tv}, s={sv})")
+        for tv, Tv, sv in lattice:
+            rule = "s > 0" if sv <= 0 else "tau >= -T" if tv < -Tv else None
+            if rule is not None:
+                raise ValueError(f"short_Te mode requires {rule}; offending "
+                                 f"point (tau={tv}, T={Tv}, s={sv})")
         _check_damped(ops, q)
-
-        def point(i, j, k):
-            return coincidence_short_Te(tau_axis[i], T_axis[j], s_axis[k], ops, q)
+        values = [coincidence_short_Te(tv, Tv, sv, ops, q) for tv, Tv, sv in lattice]
     else:
         _check_domain(tau_axis.min(), T_axis.min())
         if mode == "bs_removed":
             hom = HomSpec(t_coeff=1.0, r_coeff=0.0)
         amps = {float(sv): _resolve_amplitude(amp, float(sv)) for sv in s_axis}
-
-        def point(i, j, k):
-            return coincidence(tau_axis[i], T_axis[j], float(s_axis[k]),
-                               amps[float(s_axis[k])], ops, q, hom=hom)
-
-    for i, j, k in np.ndindex(values.shape):
-        values[i, j, k] = point(i, j, k)
+        values = [coincidence(tv, Tv, float(sv), amps[float(sv)], ops, q, hom=hom)
+                  for tv, Tv, sv in lattice]
+    values = np.reshape(values, shape)
     return SignalGrid(tau_axis, T_axis, s_axis, values, mode, meta)
 
 

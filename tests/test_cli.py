@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
+import homspec.crosscheck
 import homspec.signal
 from homspec.cli import ConfigError, load_config, main, run, serialize_config
 from homspec.signal import SignalGrid
@@ -160,6 +161,13 @@ class TestRun:
         sidecar = yaml.safe_load((tmp_path / "out.dat.meta").read_text())
         assert "config" in sidecar and "wall_time_s" in sidecar
         assert sidecar["system_hash"] == grid.meta["system_hash"]
+        assert sidecar["amplitude_hash"] == grid.meta["amplitude_hash"]
+        # short_Te builds no amplitude: null in the sidecar, absent in the header
+        assert run(load_config(cfg, {"mode": "short_Te"})) == 0
+        sidecar = yaml.safe_load((tmp_path / "out.dat.meta").read_text())
+        assert sidecar["amplitude_hash"] is None
+        assert "amplitude_hash" not in SignalGrid.load(out).meta
+        assert "amplitude_hash:" not in out.read_text()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         out = tmp_path / "out.dat"
@@ -200,6 +208,21 @@ class TestMain:
         cfg = write_config(tmp_path, drop=["pump.sigma_p_rad_per_fs"])
         assert main(["validate", "--config", str(cfg)]) == 2
         assert "pump.sigma_p_rad_per_fs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("deviation, code", [(5e-3, 0), (2.35, 1)])
+    def test_oracle_defaults_to_the_converged_benchmark(self, monkeypatch,
+                                                        capsys, deviation, code):
+        names = []
+
+        def stub(name):
+            names.append(name)
+            return {"s": 1.0, "points": [(0.0, 1.0)], "pipeline_normalized": [1.0],
+                    "brute_force_normalized": [1.0], "max_rel_dev": deviation}
+
+        monkeypatch.setattr(homspec.crosscheck, "run_benchmark", stub)
+        assert main(["oracle"]) == code
+        assert names == ["three-level-converged"]
+        assert "benchmark: three-level-converged" in capsys.readouterr().out
 
     def test_pathways_dump(self, capsys):
         assert main(["pathways", "dump"]) == 0

@@ -698,6 +698,18 @@ class TestScan:
         ops, amp, q = small_setup
         with pytest.raises(ValueError, match=r"s > 0.*s=0\.0"):
             scan([1.0], [2.0], [0.0], "short_Te", amp, ops, q)
+        # several offending points: the first in lattice order (tau slowest,
+        # s fastest) is named; a walk with s slowest would reach tau=-3 first
+        with pytest.raises(ValueError, match=r"s > 0; offending point "
+                                             r"\(tau=1\.0, T=1\.0, s=0\.0\)"):
+            scan([1.0, -3.0], [1.0], [2.0, 0.0], "short_Te", amp, ops, q)
+        with pytest.raises(ValueError, match=r"tau >= -T; offending point "
+                                             r"\(tau=-1\.5, T=1\.0, s=1\.0\)"):
+            scan([1.0, -1.5], [2.0, 1.0], [1.0], "short_Te", amp, ops, q)
+        # a point that breaks both rules reports the s rule
+        with pytest.raises(ValueError, match=r"s > 0; offending point "
+                                             r"\(tau=-3\.0, T=1\.0, s=0\.0\)"):
+            scan([-3.0, 1.0], [1.0], [0.0, 1.0], "short_Te", amp, ops, q)
 
     @pytest.mark.parametrize("mode", ["full", "bs_removed"])
     def test_ledger_modes_refuse_negative_delays(self, small_setup, mode):
@@ -788,6 +800,17 @@ class TestSignalGrid:
         path = tmp_path / "grid.dat"
         path.write_text("\n".join(header + edit(rows)) + "\n")
         with pytest.raises(ValueError, match=bad_row):
+            SignalGrid.load(path)
+
+    def test_load_names_a_missing_axis_header(self, tmp_path):
+        grid = SignalGrid(np.array([0.0, 1.0]), np.array([1.0]), np.array([3.0]),
+                          np.zeros((2, 1, 1)), "full")
+        lines = grid.serialize().splitlines()
+        path = tmp_path / "grid.dat"
+        path.write_text("\n".join(ln for ln in lines
+                                  if not ln.startswith("# tau_values:")) + "\n")
+        with pytest.raises(ValueError, match=r"grid\.dat: header line "
+                                             r"'# tau_values:' is missing"):
             SignalGrid.load(path)
 
 
