@@ -167,7 +167,6 @@ class TestRun:
         sidecar = yaml.safe_load((tmp_path / "out.dat.meta").read_text())
         assert sidecar["amplitude_hash"] is None
         assert "amplitude_hash" not in SignalGrid.load(out).meta
-        assert "amplitude_hash:" not in out.read_text()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         out = tmp_path / "out.dat"
