@@ -33,7 +33,7 @@ from .biphoton import (BiphotonAmplitude, CrystalSpec, FrequencyGrid, GridAxis,
                        PumpSpec, build_jsa, default_grid)
 from .model import ETA_FLOOR, ExcitonSystem, Level, LiouvilleOperatorSet
 from .pathways import HomSpec, format_term_table
-from .signal import MODES, default_quadrature, scan
+from .signal import MODES, check_lattice, default_quadrature, scan
 
 log = logging.getLogger("homspec")
 
@@ -293,6 +293,10 @@ def load_config(path: str, overrides: Optional[Mapping[str, Any]] = None) -> Run
     if values["mode"] != "full" and not hom.balanced:
         raise ConfigError("hom", f"mode {values['mode']} ignores t_coeff and "
                           "r_coeff; only a 50:50 splitter is allowed")
+    try:
+        check_lattice(*(values[k] for k in ("tau_axis", "T_axis", "s_axis", "mode")))
+    except ValueError as exc:
+        raise ConfigError("scan", str(exc)) from exc
     if values["mode"] == "short_Te" and values["system"].closed(ETA_FLOOR):
         raise ConfigError("system.dephasing", "short_Te mode needs damped "
                           "pairs; give every pair a dephasing rate above the "
@@ -377,7 +381,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     path_sub.add_parser("dump", help="print the 20-row contribution ledger")
 
     p_oracle = sub.add_parser("oracle", help="run a brute-force cross-check")
-    p_oracle.add_argument("--benchmark", default="three-level-converged",
+    p_oracle.add_argument("--benchmark", default=crosscheck.DEFAULT_BENCHMARK,
                           choices=sorted(crosscheck.BENCHMARKS))
 
     args = parser.parse_args(argv)

@@ -37,7 +37,7 @@ from .oracle import (DiscretizedField, PerturbativeKet, detection_amplitudes,
                      evolve_perturbative, fourth_order_coincidence)
 from .pathways import HomSpec, PathwayTerm, complete_term_table
 from .signal import (BLOCK_FACTOR, QuadratureSpec, coincidence,
-                     complete_coincidence, term_value)
+                     complete_coincidence, default_quadrature, term_value)
 
 __all__ = [
     "Benchmark",
@@ -123,11 +123,9 @@ def _pair_field(s: float, n_modes: int, half_band: float) -> DiscretizedField:
 
 
 def _quadrature(system: ExcitonSystem) -> QuadratureSpec:
-    ops = LiouvilleOperatorSet(system)   # dephasing floored at eta_min
-    omega_span = float(ops.omega.max() - ops.omega.min())
-    return QuadratureSpec(cutoff=12.0 / ops.eta_floor,
-                          step=0.5 * 0.1 * 2 * np.pi / omega_span,
-                          rule="trapezoid", t_ref=0.0)
+    """The default spec of the system with its step halved, detection at 0."""
+    q = default_quadrature(LiouvilleOperatorSet(system), t_ref=0.0)
+    return dataclasses.replace(q, step=0.5 * q.step)
 
 
 def three_level_benchmark(n_modes: int = 32, n_steps: int = 64) -> Benchmark:
@@ -223,6 +221,7 @@ def converged_benchmark(band_scale: float = 1.0, mode_density: float = 1.0
 
 BENCHMARKS = {"three-level": three_level_benchmark,
               "three-level-converged": converged_benchmark}
+DEFAULT_BENCHMARK = "three-level-converged"
 
 
 def _absorbs_first(arm: str) -> Callable[[str, str], bool]:
@@ -291,7 +290,7 @@ def normalized_deviation(curve: np.ndarray, reference: np.ndarray) -> float:
     return float(np.max(np.abs(curve_n - ref_n)) / np.max(np.abs(ref_n)))
 
 
-def run_benchmark(name: str = "three-level") -> Dict[str, np.ndarray]:
+def run_benchmark(name: str = DEFAULT_BENCHMARK) -> Dict[str, np.ndarray]:
     """Faithful comparison at the benchmark points.
 
     Evaluates the benchmark's pipeline signal (the published ledger's

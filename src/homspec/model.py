@@ -418,24 +418,13 @@ class CorrelatorExpansion:
         return cls(C[ic, ib, ia], z[a[ia]], z[b[ib]], z[c[ic]])
 
     def evaluate(self, tau1, tau2, tau3) -> np.ndarray:
-        """Vectorized F(tau1, tau2, tau3); zero where any interval is < 0."""
-        t1, t2, t3 = np.broadcast_arrays(
-            np.asarray(tau1, dtype=float),
-            np.asarray(tau2, dtype=float),
-            np.asarray(tau3, dtype=float),
-        )
-        out = np.zeros(t1.shape, dtype=complex)
-        if self.coeffs.size == 0:
-            return out
-        mask = (t1 >= 0) & (t2 >= 0) & (t3 >= 0)
-        if not np.any(mask):
-            return out
-        a1 = t1[mask][..., None]
-        a2 = t2[mask][..., None]
-        a3 = t3[mask][..., None]
-        vals = self.coeffs * np.exp(-self.z1 * a1 - self.z2 * a2 - self.z3 * a3)
-        out[mask] = (-1j) ** 3 * vals.sum(axis=-1)
-        return out
+        """Vectorized F(tau1, tau2, tau3): the term sum of the :meth:`factors`
+        product, zero where any interval is < 0 (evaluated there at 0, so
+        that no exponential overflows)."""
+        t = np.broadcast_arrays(*map(np.asarray, (tau1, tau2, tau3)))
+        live = (t[0] >= 0) & (t[1] >= 0) & (t[2] >= 0)
+        A, B = self.factors(*(np.where(live, x, 0.0).ravel() for x in t))
+        return np.where(live, (A * B).sum(axis=-1).reshape(live.shape), 0.0)
 
     def factors(self, tau1, tau2, tau3) -> Tuple[np.ndarray, np.ndarray]:
         """Separable form of F(tau1, tau2, tau3) with tau1 a function of tau2.

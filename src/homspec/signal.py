@@ -53,6 +53,7 @@ __all__ = [
     "complete_coincidence_terms",
     "coincidence_short_Te",
     "short_te_terms",
+    "check_lattice",
     "scan",
     "pathway_probabilities",
     "system_hash",
@@ -549,10 +550,6 @@ def _kron(x: float, y: float) -> float:
     return 1.0 if abs(x - y) <= _DELTA_TOL else 0.0
 
 
-def _heaviside(x: float) -> float:
-    return 1.0 if x >= 0 else 0.0
-
-
 def _line_integral_F5(arg1: float, arg3: float, ops: LiouvilleOperatorSet,
                       q: QuadratureSpec) -> complex:
     tau3 = np.arange(0, q.n_nodes + 1) * q.step
@@ -604,25 +601,22 @@ def short_te_terms(tau: float, T: float, s: float, ops: LiouvilleOperatorSet,
         # detection pattern O_II
         _, reflected, exchange, _ = detection_pathways()
         w_exchange, w_direct = exchange.weight(hom), reflected.weight(hom)
-    exp1 = ops.expansion(1)
-    exp2 = ops.expansion(2)
-    exp3 = ops.expansion(3)
-    th = _heaviside(tau + T)
+    exp1, exp2, exp3 = (ops.expansion(i) for i in (1, 2, 3))
     if s == 0.0:
         return {
             "F1": 0.0j,
             "F2": 0.0j,
-            "F3a": -w_exchange * th * complex(exp3.evaluate(T, tau, T)),
+            "F3a": -w_exchange * complex(exp3.evaluate(T, tau, T)),
             "F3b": 0.0j,
             "F5_direct": 0.0j,
             "F5_exchange": 0.0j,
         }
     out: Dict[str, complex] = {
-        "F1": -w_exchange * th * complex(exp1.evaluate(T, tau + T - s, 2 * s - T)),
-        "F2": -w_exchange * th * complex(
+        "F1": -w_exchange * complex(exp1.evaluate(T, tau + T - s, 2 * s - T)),
+        "F2": -w_exchange * complex(
             exp2.evaluate(2 * T + tau - s, s - T - tau, tau + s)),
-        "F3a": -w_exchange * th * complex(exp3.evaluate(T, tau + s, T - 2 * s)),
-        "F3b": -w_exchange * th * complex(
+        "F3a": -w_exchange * complex(exp3.evaluate(T, tau + s, T - 2 * s)),
+        "F3b": -w_exchange * complex(
             exp3.evaluate(T + tau, s - 2 * T - tau, T + tau)),
         "F5_direct": 0.0j,
         "F5_exchange": 0.0j,
@@ -693,8 +687,8 @@ class SignalGrid:
     @classmethod
     def load(cls, path) -> "SignalGrid":
         meta: Dict[str, str] = {}
-        axes: Dict[str, np.ndarray] = {}
-        mode = ""
+        required = ("mode", "tau_values", "T_values", "s_values")
+        header: Dict[str, str] = {}
         rows = []
         with open(path) as fh:
             for line in fh:
@@ -705,18 +699,21 @@ class SignalGrid:
                         continue
                     key, _, val = body.partition(":")
                     key, val = key.strip(), val.strip()
-                    if key == "mode":
-                        mode = val
-                    elif key in ("tau_values", "T_values", "s_values"):
-                        axes[key] = np.array([float(x) for x in val.split()])
+                    if key in required:
+                        header[key] = val
                     elif key not in ("columns", "homspec signal grid v1"):
                         meta[key] = val
                 elif line.strip():
-                    rows.append([float(x) for x in line.split()])
-        for key in ("tau_values", "T_values", "s_values"):
-            if key not in axes:
+                    try:
+                        rows.append([float(x) for x in line.split()])
+                    except ValueError:
+                        raise ValueError(f"{path}: data row {len(rows)} is "
+                                         f"{line!r}, not numbers") from None
+        for key in required:
+            if key not in header:
                 raise ValueError(f"{path}: header line '# {key}:' is missing")
-        tau, T, s = axes["tau_values"], axes["T_values"], axes["s_values"]
+        tau, T, s = (np.array([float(x) for x in header[key].split()])
+                     for key in required[1:])
         # serialize order: tau slowest, s fastest
         expected = [[tv, Tv, sv] for tv in tau for Tv in T for sv in s]
         for n, (row, want) in enumerate(itertools.zip_longest(rows, expected)):
@@ -724,7 +721,7 @@ class SignalGrid:
                 raise ValueError(f"{path}: data row {n} is {row}, the header axes "
                                  f"give {want}")
         values = np.array([r[3] for r in rows]).reshape(tau.size, T.size, s.size)
-        return cls(tau, T, s, values, mode, meta)
+        return cls(tau, T, s, values, header["mode"], meta)
 
 
 def system_hash(ops: LiouvilleOperatorSet) -> str:
@@ -742,6 +739,21 @@ def _check_axes(*axes: np.ndarray) -> None:
             raise ValueError("scan axes must be strictly monotone")
 
 
+def check_lattice(tau_axis: Sequence[float], T_axis: Sequence[float],
+                  s_axis: Sequence[float], mode: str) -> None:
+    """Refuse a lattice of non-empty axes with a point outside the mode's
+    domain: in short_Te mode s > 0 and tau >= -T, naming the first offending
+    point in lattice order (tau slowest, s fastest); else tau, T >= 0."""
+    if mode == "short_Te":
+        for tv, Tv, sv in itertools.product(tau_axis, T_axis, s_axis):
+            rule = "s > 0" if sv <= 0 else "tau >= -T" if tv < -Tv else None
+            if rule is not None:
+                raise ValueError(f"short_Te mode requires {rule}; offending "
+                                 f"point (tau={tv}, T={Tv}, s={sv})")
+    else:
+        _check_domain(min(tau_axis), min(T_axis))
+
+
 def scan(tau_axis: Sequence[float], T_axis: Sequence[float],
          s_axis: Sequence[float], mode: str, amp, ops: LiouvilleOperatorSet,
          q: QuadratureSpec, hom: Optional[HomSpec] = None,
@@ -750,12 +762,11 @@ def scan(tau_axis: Sequence[float], T_axis: Sequence[float],
 
     Points are evaluated in lattice order on the calling thread.
     ``workers`` is accepted for compatibility and ignored, so the output is
-    the same for any worker count. In short_Te mode every lattice point
-    must satisfy tau >= -T and s > 0, and the system must be damped (see
-    `short_te_terms`); in the other modes tau, T >= 0 (the ledger's domain).
-    Violations abort before any point is evaluated. The
-    short_Te and bs_removed modes fix the splitter themselves, so they
-    refuse a ``hom`` that is not 50:50 (see `HomSpec.balanced`).
+    the same for any worker count. A lattice outside the mode's domain (see
+    `check_lattice`), or an undamped system in short_Te mode (see
+    `short_te_terms`), aborts before any point is evaluated. The short_Te
+    and bs_removed modes fix the splitter themselves, so they refuse a
+    ``hom`` that is not 50:50 (see `HomSpec.balanced`).
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -779,16 +790,11 @@ def scan(tau_axis: Sequence[float], T_axis: Sequence[float],
     if not lattice:
         return SignalGrid(tau_axis, T_axis, s_axis, np.zeros(shape), mode, meta)
 
+    check_lattice(tau_axis, T_axis, s_axis, mode)
     if mode == "short_Te":
-        for tv, Tv, sv in lattice:
-            rule = "s > 0" if sv <= 0 else "tau >= -T" if tv < -Tv else None
-            if rule is not None:
-                raise ValueError(f"short_Te mode requires {rule}; offending "
-                                 f"point (tau={tv}, T={Tv}, s={sv})")
         _check_damped(ops, q)
         values = [coincidence_short_Te(tv, Tv, sv, ops, q) for tv, Tv, sv in lattice]
     else:
-        _check_domain(tau_axis.min(), T_axis.min())
         if mode == "bs_removed":
             hom = HomSpec(t_coeff=1.0, r_coeff=0.0)
         amps = {float(sv): _resolve_amplitude(amp, float(sv)) for sv in s_axis}

@@ -28,6 +28,30 @@ BASE_CONFIG = {
 }
 
 
+# the README's example config, with two tau points
+README_CONFIG = {
+    "system": {
+        "levels": [
+            {"label": "g0", "manifold": "g", "energy_rad_per_fs": 0.0},
+            {"label": "e0", "manifold": "e", "energy_rad_per_fs": 1.5},
+            {"label": "f0", "manifold": "f", "energy_rad_per_fs": 2.9},
+        ],
+        "dipoles_ge": [[1.0]],
+        "dipoles_ef": [[0.8]],
+        "dephasing": {"default_per_fs": 0.05},
+    },
+    "pump": {"omega_p_rad_per_fs": 2.9, "sigma_p_rad_per_fs": 0.5},
+    "crystal": {"omega_a_rad_per_fs": 1.5, "omega_b_rad_per_fs": 1.4,
+                "T_a_fs": 10.0, "T_b_fs": -14.0},
+    "preparation": {"theta_rad": 0.0, "delay_arm": "a"},
+    "hom": {"bs_removed": False},
+    "scan": {"tau_fs": [0.0, 10.0], "T_fs": [10.0], "s_fs": [15.0]},
+    "grid": {"n": 256},
+    "quadrature": {"step_fs": 0.2, "rule": "trapezoid"},
+    "mode": "full",
+}
+
+
 def write_config(tmp_path, overrides=None, drop=None):
     import copy
 
@@ -176,6 +200,20 @@ class TestRun:
         run(load_config(cfg))
         assert out.read_bytes() == first
 
+    def test_default_grid_sets_the_amplitude(self, tmp_path):
+        from homspec.biphoton import build_jsa, default_grid
+
+        out = tmp_path / "out.dat"
+        cfg = tmp_path / "readme.yaml"
+        cfg.write_text(yaml.safe_dump(dict(README_CONFIG, output=str(out))))
+        assert main(["run", "--config", str(cfg)]) == 0
+        config = load_config(cfg)
+        amp = build_jsa(config.pump, config.crystal, 0.0,
+                        default_grid(config.pump, config.crystal, n=256), s=15.0)
+        sidecar = yaml.safe_load((tmp_path / "out.dat.meta").read_text())
+        assert sidecar["amplitude_hash"] == amp.content_hash()
+        assert SignalGrid.load(out).values.shape == (2, 1, 1)
+
     def test_single_point_matches_api(self, tmp_path):
         from homspec.biphoton import FrequencyGrid, GridAxis, build_jsa
         from homspec.model import LiouvilleOperatorSet
@@ -234,9 +272,20 @@ class TestMain:
             "scan.s_fs": [0.0],
             "output": str(tmp_path / "o.dat"),
         })
-        code = main(["run", "--config", str(cfg)])
-        assert code == 1
-        assert "s > 0" in capsys.readouterr().err
+        # refused when the config is loaded, so validate refuses it too
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(cfg)]) == 2
+            assert "scan: short_Te mode requires s > 0" in capsys.readouterr().err
+        assert not (tmp_path / "o.dat").exists()
+
+    def test_negative_delay_refused_at_load(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"scan.tau_fs": [-5.0, 0.0],
+                                      "output": str(tmp_path / "o.dat")})
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(cfg)]) == 2
+            assert "scan: the pathway ledger covers tau >= 0 and T >= 0" in (
+                capsys.readouterr().err)
+        assert not (tmp_path / "o.dat").exists()
 
     def test_mode_full_on_short_te_config_names_pump(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"mode": "short_Te",

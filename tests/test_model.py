@@ -214,7 +214,10 @@ class TestCorrelator:
                 exp = ops.expansion(i)
                 tau1 = 3.0 - tau2  # the last interval is negative
                 A, B = exp.factors(tau1, tau2, tau3)
-                want = exp.evaluate(tau1[:, None], tau2[:, None], tau3[None, :])
+                # against the dense propagation, not `evaluate`, which is
+                # built from `factors`
+                want = [[correlator(i, t1, t2, t3, ops) for t3 in tau3]
+                        for t1, t2 in zip(tau1, tau2)]
                 assert np.allclose(A @ B.T, want, rtol=1e-13, atol=1e-15)
                 assert np.all(A[-1] == 0)
 
@@ -224,6 +227,18 @@ class TestCorrelator:
         vals = exp.evaluate(t, 1.0, 1.0)
         assert vals[0] == 0
         assert vals[1] != 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_expansion_long_negative_interval_is_zero(self, ladder_ops):
+        # a dead entry must reach no exponential that overflows
+        for i in range(1, 6):
+            exp = ladder_ops.expansion(i)
+            for dead in range(3):
+                args = [1.0, 1.0, 1.0]
+                args[dead] = np.array([-1e4, 1.0])
+                vals = exp.evaluate(*args)
+                assert vals[0] == 0
+                assert vals[1] != 0
 
     def test_operator_set_unchanged_by_evaluation(self, ladder, gauss_amp):
         from homspec.signal import coincidence, default_quadrature

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import homspec.crosscheck
 from homspec.crosscheck import (CONVERGED_STEPS, CONVERGED_WINDOW, RESTRICTIONS,
                                 _gaussian_pair_values, brute_force_curve,
                                 converged_benchmark, evolve_benchmark_kets,
@@ -185,6 +186,20 @@ class TestConvergedBenchmark:
         assert (refined.n_modes, refined.n_steps) > (converged.n_modes,
                                                     converged.n_steps)
         assert normalized_deviation(brute_force_curve(refined), base) < 3e-3
+
+
+def test_run_benchmark_defaults_to_the_converged_benchmark(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def stub():
+        raise Reached
+
+    # any other default name is an unknown benchmark here
+    monkeypatch.setattr(homspec.crosscheck, "BENCHMARKS",
+                        {"three-level-converged": stub})
+    with pytest.raises(Reached):
+        homspec.crosscheck.run_benchmark()
 
 
 class TestAgainstDenseReference:

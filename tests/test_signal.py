@@ -813,6 +813,25 @@ class TestSignalGrid:
                                              r"'# tau_values:' is missing"):
             SignalGrid.load(path)
 
+    def test_load_names_a_missing_mode_header(self, tmp_path):
+        grid = SignalGrid(np.array([0.0, 1.0]), np.array([1.0]), np.array([3.0]),
+                          np.zeros((2, 1, 1)), "full")
+        path = tmp_path / "grid.dat"
+        path.write_text("".join(ln for ln in grid.serialize().splitlines(True)
+                                if not ln.startswith("# mode:")))
+        with pytest.raises(ValueError, match=r"grid\.dat: header line "
+                                             r"'# mode:' is missing"):
+            SignalGrid.load(path)
+
+    def test_load_names_a_row_that_is_not_numbers(self, tmp_path):
+        grid = SignalGrid(np.array([0.0, 1.0]), np.array([1.0]), np.array([3.0]),
+                          np.zeros((2, 1, 1)), "full")
+        path = tmp_path / "grid.dat"
+        path.write_text(grid.serialize().replace("1 1 3 0\n", "1 1 3 x\n"))
+        with pytest.raises(ValueError, match=r"grid\.dat: data row 1 is "
+                                             r"'1 1 3 x', not numbers"):
+            SignalGrid.load(path)
+
 
 class TestPathwayProbabilities:
     def test_valid_distribution(self, slow_ladder, quad):
