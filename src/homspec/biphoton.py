@@ -292,17 +292,35 @@ class BiphotonAmplitude:
 
     def _cached_stencil(self, axis: int, coord, memo: Optional[dict]):
         """`_stencil`, kept in `memo` (when given) by the coordinates'
-        bytes: a caller that holds one memo per (tau, T, s) point
-        interpolates each distinct coordinate array once per point. On a
+        bytes: a caller that holds one memo per batch of (tau, T) points
+        interpolates each distinct coordinate array once per batch. On a
         square lattice both axes share an entry."""
         if memo is None:
             return self._stencil(axis, coord)
         coord = np.asarray(coord, dtype=float)
-        key = (0 if self._square else axis, coord.shape, coord.tobytes())
+        key = self._stencil_key(axis, coord)
         stencil = memo.get(key)
         if stencil is None:
             stencil = memo[key] = self._stencil(axis, coord)
         return stencil
+
+    def _stencil_key(self, axis: int, coord: np.ndarray):
+        return (0 if self._square else axis, coord.shape, coord.tobytes())
+
+    def _repeated_coordinate(self, axes, coord, counts, memo: dict,
+                             into: dict) -> np.ndarray:
+        """np.repeat(coord, counts), with its stencil on each of `axes` put
+        in `into` as the stencil of `coord` repeated, and that of `coord`
+        kept in `memo` (see `_cached_stencil`): a coordinate that many
+        nodes share is interpolated once, and its repeated stencil lives
+        only as long as `into`."""
+        coord = np.asarray(coord, dtype=float)
+        out = np.repeat(coord, counts)
+        for axis in axes:
+            into[self._stencil_key(axis, out)] = tuple(
+                np.repeat(a, counts)
+                for a in self._cached_stencil(axis, coord, memo))
+        return out
 
     def time_value(self, x, y, memo: Optional[dict] = None) -> np.ndarray:
         """Two-time amplitude at arbitrary points (zero off-lattice).
@@ -425,6 +443,16 @@ class LatticeFactor:
                 total += (U * (band @ W)).sum()
         return complex(total)
 
+    def block(self, rows: slice, cols: slice) -> "LatticeFactor":
+        """One point's factor out of a batch: this factor built on the
+        concatenated coordinates of several points, restricted to the
+        stencils of one point's `rows` and `cols` (slices of them)."""
+        n3, n = rows.stop - rows.start, cols.stop - cols.start
+        return LatticeFactor(
+            (n3, n - n3 + 1 if self.sheared else n), self.sheared,
+            tuple((v, tuple(a[rows] for a in r), tuple(a[cols] for a in c))
+                  for v, r, c in self.parts), self.folded)
+
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         n3, n4 = self.shape
         k = np.arange(n4)[None, :] + (np.arange(n3)[:, None] if self.sheared
@@ -449,8 +477,9 @@ def _contract_sheared(v: np.ndarray, row_stencil, col_stencil, A: np.ndarray,
     weights them by A r0 and A r1, so no temporary has the mesh's size.
     The band is taken transposed, so that the interpolation gathers
     contiguous rows. Rows and columns whose stencil lies off the lattice
-    (zero weights) are skipped; the band spans the live columns' nodes
-    only, and a dead column reads any of them.
+    (zero weights) are skipped: the band spans the live columns' nodes
+    only, and only the window's live columns are interpolated, its dead
+    ones left zero.
     """
     ir, r0, r1 = row_stencil
     ic, c0, c1 = col_stencil
@@ -466,14 +495,17 @@ def _contract_sheared(v: np.ndarray, row_stencil, col_stencil, A: np.ndarray,
         j0, j1 = max(0, k_lo - (b - 1)), min(n, k_hi - a)
         if j1 <= j0:
             continue
-        ks = slice(a + j0, b - 1 + j1)
-        live = ic[max(ks.start, k_lo):min(ks.stop, k_hi)]
+        # the window's columns ks, of which [c_lo, c_hi) are live
+        ks = a + j0
+        c_lo, c_hi = max(ks, k_lo), min(b - 1 + j1, k_hi)
+        live = ic[c_lo:c_hi]
         lo, k_min = ir[a:b].min(), live.min()
         band = _band(v.T, slice(k_min, live.max() + 2),
                      slice(lo, ir[a:b].max() + 2), folded)
-        k = np.clip(ic[ks] - k_min, 0, band.shape[0] - 2)
-        C = np.ascontiguousarray(
-            (band[k] * c0[ks, None] + band[k + 1] * c1[ks, None]).T)
+        k = np.clip(live - k_min, 0, band.shape[0] - 2)
+        C = np.zeros((band.shape[1], b - 1 + j1 - ks), complex)
+        C[:, c_lo - ks:c_hi - ks] = (band[k] * c0[c_lo:c_hi, None]
+                                     + band[k + 1] * c1[c_lo:c_hi, None]).T
         for r, pick in ((r0, ir[a:b] - lo), (r1, ir[a:b] + 1 - lo)):
             R = C[pick]
             # R[m, m + j] as a view: row m of the window starts one row and

@@ -96,7 +96,12 @@ class Affine:
     t4: int = 0
 
     def __call__(self, t: float, tau: float, T: float, tau3, tau4):
-        out = np.asarray(self.shift(t, tau, T))
+        return self.with_shift(self.shift(t, tau, T), tau3, tau4)
+
+    def with_shift(self, shift, tau3, tau4):
+        """The expression at (tau3, tau4) given its scalar part `shift`
+        (see `shift`), which may hold one value per node."""
+        out = np.asarray(shift)
         if self.t3:
             out = out + self.t3 * np.asarray(tau3)
         if self.t4:

@@ -3,7 +3,7 @@
 Evaluates each contribution row of the pathway ledger as a double quadrature
 over the two free interaction intervals, sums the signed rows into the real
 coincidence value C(tau, T, s), provides the closed-form narrow-amplitude
-limit, and scans lattices of (tau, T, s) point by point.
+limit, and scans lattices of (tau, T, s) one batch of points per s.
 
 Every sub-term of a row is integrated over one box of nodes: the region
 where the two-time amplitude factors can be nonzero (their arguments are
@@ -23,6 +23,16 @@ lattice and takes one product with the band of nodes they touch, and a
 pathway-5 factor (tau3 and tau3 + tau4) contracts blocks of interpolated
 envelope rows with b_p along a sheared window. The box's sliver rows and
 columns are contracted from their own values.
+
+The quadrature takes a batch of (tau, T) points at one s. For each
+sub-term it tightens every point's box at once, and builds the nodes, the
+weights, the amplitude factors (one `time_value` or stencil call per
+distinct argument) and the correlator's A and B once, on the concatenation
+of every point's nodes. The nodes are ragged, one offset per point and no
+padding, so each elementwise value equals the one a batch of one computes,
+bit for bit. Only the sums over one point's nodes (the contractions and
+weight folds) and the shared direct integrals run point by point. A scan
+is one batch per s; a single point is a batch of one.
 """
 
 from __future__ import annotations
@@ -139,99 +149,213 @@ def default_quadrature(ops: LiouvilleOperatorSet, amp=None, *,
 # quadrature core
 # ---------------------------------------------------------------------------
 
-def _weights(nodes: np.ndarray, h: float, rule: str) -> np.ndarray:
+#: Nodes times correlator terms that one batch of points may hold on each
+#: integration axis, counting cutoff / step + 2 nodes per point; bounds a
+#: batch's temporaries and its stencil memo (see `_signed_rows`).
+_BATCH_NODES = 1 << 12
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """Start of each run of a concatenation of runs of these lengths, then
+    the end."""
+    out = np.zeros(len(counts) + 1, int)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
+def _ragged_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """np.arange(a, a + n) for each (a, n) of `starts` and `counts`,
+    concatenated."""
+    ends = counts.cumsum()
+    return (np.arange(ends[-1] if ends.size else 0)
+            + (starts - ends + counts).repeat(counts))
+
+
+def _weights(nodes: np.ndarray, h: float, rule: str,
+             off: Optional[np.ndarray] = None) -> np.ndarray:
     """Quadrature weights on sorted nodes whose cells have length h, except
     for shorter clipping slivers at the ends.
 
     Trapezoid on every cell; with ``rule="simpson"``, composite Simpson over
     the run of full-length cells (an odd last cell of the run stays
-    trapezoid) and trapezoid on the slivers.
+    trapezoid) and trapezoid on the slivers. With `off` (see `_Boxes`),
+    `nodes` is several points' runs of nodes and each run gets the weights
+    it would get alone.
     """
     d = np.diff(nodes)
+    if off is None:
+        off = np.array([0, nodes.size])
+    d[off[1:-1] - 1] = 0.0  # the cells between two runs
     w = np.zeros(nodes.size)
     if rule == "simpson":
-        full = np.flatnonzero(np.abs(d - h) <= 1e-9 * h)
+        full = np.abs(d - h) <= 1e-9 * h
         d[full] = h
-        k = full.size // 2 * 2  # cells of the run that Simpson covers
-        if k:
-            a = full[0]
-            w[a:a + k + 1] = h / 3.0
-            w[a + 1:a + k:2] = 4.0 * h / 3.0
-            w[a + 2:a + k - 1:2] = 2.0 * h / 3.0
-            d[a:a + k] = 0.0  # these cells take no trapezoid share
+        # per run: its first full cell a and the k cells that Simpson covers
+        a = np.minimum.reduceat(np.where(full, np.arange(d.size), d.size),
+                                off[:-1])
+        k = np.add.reduceat(full.astype(np.intp), off[:-1]) // 2 * 2
+        n = np.diff(off)
+        r, k = np.arange(nodes.size) - np.repeat(a, n), np.repeat(k, n)
+        simpson = (r >= 0) & (r <= k) & (k > 0)
+        w[simpson] = np.where((r == 0) | (r == k), h / 3.0, np.where(
+            r % 2 == 1, 4.0 * h / 3.0, 2.0 * h / 3.0))[simpson]
+        d[(simpson & (r < k))[:-1]] = 0.0  # these cells take no trapezoid share
     w[:-1] += d / 2.0
     w[1:] += d / 2.0
     return w
 
 
-def _tighten(I3: List[float], I4: List[float],
-             constraints: Sequence[Tuple[float, int, int, float, float]]) -> bool:
-    """Shrink node intervals so every affine constraint can still be met."""
+def _tighten(I3: List[np.ndarray], I4: List[np.ndarray], constraints
+             ) -> np.ndarray:
+    """Shrink node intervals so every affine constraint can still be met.
+
+    Each interval is a [lo, hi] pair of (sub-term, point) arrays. Each
+    constraint (shift, c3, c4, lo, hi) asks lo <= shift + c3 tau3 + c4 tau4
+    <= hi, its shift an array like the intervals and its integer
+    coefficients one per sub-term (a column); a constraint without tau3
+    and tau4 only passes or fails. Returns the mask of non-empty intervals.
+    Intervals only shrink, so an entry is judged once, at the end; until
+    then an emptied interval shrinks on harmlessly.
+    """
+    ok = np.ones(np.shape(I3[0]), bool)
+    bounds = []
+    for shift, c3, c4, lo, hi in constraints:
+        ok &= (c3 != 0) | (c4 != 0) | ((shift >= lo) & (shift <= hi))
+        bounds.append((lo - shift, hi - shift, c3, c4))
     for _ in range(2):
-        for shift, c3, c4, lo, hi in constraints:
-            if c3 == 0 and c4 == 0:
-                if shift < lo or shift > hi:
-                    return False
-                continue
+        for lo, hi, c3, c4 in bounds:
             for (ci, cj, Ii, Ij) in ((c3, c4, I3, I4), (c4, c3, I4, I3)):
-                if ci == 0:
+                if not ci.any():
                     continue
-                m = min(cj * Ij[0], cj * Ij[1])
-                M = max(cj * Ij[0], cj * Ij[1])
-                lo_i = (lo - shift - M) / ci
-                hi_i = (hi - shift - m) / ci
-                if ci < 0:
-                    lo_i, hi_i = hi_i, lo_i
-                Ii[0] = max(Ii[0], lo_i)
-                Ii[1] = min(Ii[1], hi_i)
-                if Ii[0] > Ii[1]:
-                    return False
-    return True
+                # the least and greatest cj * Ij on the interval
+                m = np.minimum(cj * Ij[0], cj * Ij[1])
+                M = np.maximum(cj * Ij[0], cj * Ij[1])
+                div = np.where(ci == 0, 1, ci)
+                lo_i, hi_i = (lo - M) / div, (hi - m) / div
+                flip = ci < 0
+                lo_i, hi_i = np.where(flip, hi_i, lo_i), np.where(flip, lo_i, hi_i)
+                Ii[0] = np.where(ci == 0, Ii[0], np.maximum(Ii[0], lo_i))
+                Ii[1] = np.where(ci == 0, Ii[1], np.minimum(Ii[1], hi_i))
+    return ok & (I3[0] <= I3[1]) & (I4[0] <= I4[1])
 
 
-def _segment_nodes(lo: float, hi: float, q: QuadratureSpec) -> Optional[np.ndarray]:
-    """Step-multiple nodes inside [lo, hi] with the exact endpoints included."""
-    if hi - lo < 1e-12:
-        return None
+def _segment_nodes(lo: np.ndarray, hi: np.ndarray, q: QuadratureSpec
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Step-multiple nodes inside each [lo[k], hi[k]] with the exact
+    endpoints included: one concatenation of runs, their offsets and their
+    lengths."""
     eps = 1e-9 * q.step
-    j_lo = int(np.ceil((lo + eps) / q.step))
-    j_hi = int(np.floor((hi - eps) / q.step))
-    inner = np.arange(j_lo, j_hi + 1) * q.step
-    return np.concatenate(([lo], inner, [hi]))
+    j_lo = np.ceil((lo + eps) / q.step).astype(int)
+    j_hi = np.floor((hi - eps) / q.step).astype(int)
+    inner = np.maximum(j_hi - j_lo + 1, 0)
+    off = _offsets(inner + 2)
+    nodes = np.empty(off[-1])
+    nodes[off[:-1]] = lo
+    nodes[off[1:] - 1] = hi
+    nodes[_ragged_arange(off[:-1] + 1, inner)] = (_ragged_arange(j_lo, inner)
+                                                  * q.step)
+    return nodes, off, inner + 2
 
 
-def _box(sub: SubTerm, tau: float, T: float, amp,
-         q: QuadratureSpec) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """The (tau3, tau4) nodes of one sub-term, or None when its box is empty.
+@dataclass(frozen=True)
+class _Boxes:
+    """The boxes of one sub-term at the points of a batch where it is not
+    empty: those points' places in the batch (`index`), their tau and T,
+    and each axis' nodes as one concatenation of runs, point k's tau3 being
+    tau3[o3[k]:o3[k + 1]], n3[k] nodes (likewise tau4). No run is padded,
+    so whatever is computed node by node on the concatenation equals, bit
+    for bit, its value on one point's box alone."""
 
-    The box is [0, cutoff]^2 tightened to the amplitude support and to the
+    index: np.ndarray
+    tau: np.ndarray
+    T: np.ndarray
+    tau3: np.ndarray
+    o3: np.ndarray
+    n3: np.ndarray
+    tau4: np.ndarray
+    o4: np.ndarray
+    n4: np.ndarray
+
+    def __len__(self) -> int:
+        return self.index.size
+
+    def runs(self, k: int) -> Tuple[slice, slice]:
+        """Point k's slices of the tau3 and tau4 nodes."""
+        return (slice(self.o3[k], self.o3[k + 1]),
+                slice(self.o4[k], self.o4[k + 1]))
+
+    def evaluate(self, expr: Affine, t: float, counts, tau3,
+                 tau4) -> np.ndarray:
+        """`expr` at (tau3, tau4), which hold `counts[k]` entries of point
+        k in turn (or are scalars)."""
+        return expr.with_shift(
+            expr.shift(t, self.tau, self.T).repeat(counts), tau3, tau4)
+
+    def select(self, keep: Sequence[int]) -> "_Boxes":
+        """The boxes of the points `keep` (positions in this batch)."""
+        n3, n4 = self.n3[keep], self.n4[keep]
+        return _Boxes(self.index[keep], self.tau[keep], self.T[keep],
+                      self.tau3[_ragged_arange(self.o3[keep], n3)],
+                      _offsets(n3), n3,
+                      self.tau4[_ragged_arange(self.o4[keep], n4)],
+                      _offsets(n4), n4)
+
+
+def _boxes(subs: Sequence[SubTerm], tau: np.ndarray, T: np.ndarray, amp,
+           q: QuadratureSpec) -> List[Optional[_Boxes]]:
+    """The (tau3, tau4) nodes of each sub-term at points (tau[k], T[k]), or
+    None for a sub-term whose every box is empty.
+
+    A box is [0, cutoff]^2 tightened to the amplitude support and to the
     one causal constraint first_interval >= 0 (tau3, tau4 >= 0 hold on the
     box). That constraint comes last in each pass of `_tighten` and depends
     on at most one variable, so it ends as a box edge: the correlator's
-    arguments are non-negative on every node.
+    arguments are non-negative on every node. Every sub-term and point is
+    tightened at once, as one (sub-term, point) array.
     """
-    t = q.t_ref
+    if not subs:
+        return []
     support = amp.time_support()
-    constraints: List[Tuple[float, int, int, float, float]] = []
+    sym = np.array([[sub.symmetrize] for sub in subs])
+    # one (sub-term expressions, t, lo, hi) per constraint, in order
+    slots = []
     if support is not None:
         t1_lo, t1_hi, t2_lo, t2_hi = support
-        if sub.symmetrize:
-            u_lo, u_hi = min(t1_lo, t2_lo), max(t1_hi, t2_hi)
-            boxes = [(t1_lo, t1_hi), (t2_lo, t2_hi), (u_lo, u_hi), (u_lo, u_hi)]
-        else:
-            boxes = [(t1_lo, t1_hi), (t2_lo, t2_hi), (t1_lo, t1_hi), (t2_lo, t2_hi)]
-        for expr, (lo, hi) in zip(sub.conj_args + sub.args, boxes):
-            constraints.append((expr.shift(t, tau, T), expr.t3, expr.t4, lo, hi))
-    first = sub.first_interval
-    constraints.append((first.shift(0.0, tau, T), first.t3, first.t4, 0.0, np.inf))
-    I3, I4 = [0.0, q.cutoff], [0.0, q.cutoff]
-    if not _tighten(I3, I4, constraints):
-        return None
-    tau3 = _segment_nodes(I3[0], I3[1], q)
-    tau4 = _segment_nodes(I4[0], I4[1], q)
-    if tau3 is None or tau4 is None:
-        return None
-    return tau3, tau4
+        u_lo, u_hi = min(t1_lo, t2_lo), max(t1_hi, t2_hi)
+        for n, (lo, hi) in enumerate(((t1_lo, t1_hi), (t2_lo, t2_hi)) * 2):
+            if n >= 2:  # a bracket's two orientations share one box
+                lo, hi = np.where(sym, u_lo, lo), np.where(sym, u_hi, hi)
+            slots.append(([(sub.conj_args + sub.args)[n] for sub in subs],
+                          q.t_ref, lo, hi))
+    slots.append(([sub.first_interval for sub in subs], 0.0, 0.0, np.inf))
+    constraints = []
+    for exprs, t, lo, hi in slots:
+        c = np.array([[e.t, e.tau, e.T, e.t3, e.t4] for e in exprs])
+        # Affine.shift, one row per sub-term
+        shift = c[:, :1] * t + c[:, 1:2] * tau + c[:, 2:3] * T
+        constraints.append((shift, c[:, 3:4], c[:, 4:5], lo, hi))
+    shape = (len(subs), tau.size)
+    I3 = [np.zeros(shape), np.full(shape, q.cutoff)]
+    I4 = [np.zeros(shape), np.full(shape, q.cutoff)]
+    live = (_tighten(I3, I4, constraints) & (I3[1] - I3[0] >= 1e-12)
+            & (I4[1] - I4[0] >= 1e-12))
+    which, index = np.nonzero(live)
+    nodes, off, n = _segment_nodes(np.concatenate((I3[0][live], I4[0][live])),
+                                   np.concatenate((I3[1][live], I4[1][live])),
+                                   q)
+    # (sub-term, point) entries of sub-term s: [ends[s] - count[s], ends[s])
+    ends = np.cumsum(np.bincount(which, minlength=len(subs)))
+    out: List[Optional[_Boxes]] = []
+    for a, b in zip(np.r_[0, ends[:-1]].tolist(), ends.tolist()):
+        if a == b:
+            out.append(None)
+            continue
+        o3, o4 = off[a:b + 1], off[which.size + a:which.size + b + 1]
+        k = index[a:b]
+        out.append(_Boxes(k, tau[k], T[k], nodes[o3[0]:o3[-1]], o3 - o3[0],
+                          n[a:b], nodes[o4[0]:o4[-1]], o4 - o4[0],
+                          n[which.size + a:which.size + b]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -264,10 +388,6 @@ class _Bordered:
             total += self.inner.contract(A[1:-1], B[1:-1])
         return complex(total)
 
-    def conj(self) -> "_Bordered":
-        return dataclasses.replace(self, edge=self.edge.conj(), inner=(
-            None if self.inner is None else self.inner.conj()))
-
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         out = np.empty(self.shape, complex)
         out[self.i, self.j] = self.edge
@@ -278,152 +398,278 @@ class _Bordered:
         return out if dtype is None else out.astype(dtype)
 
 
-def _hankel(edge, interior, tau3: np.ndarray, tau4: np.ndarray,
-            h: float) -> _Bordered:
-    """The `_Bordered` factor with border values `edge(T3, T4)`, from one
-    call on the border nodes' coordinates, and interior `interior(sums)`
-    from the interior's distinct node sums."""
-    n3, n4 = tau3.size, tau4.size
-    i = np.r_[np.repeat([0, n3 - 1], n4), np.repeat(np.arange(1, n3 - 1), 2)]
-    j = np.r_[np.tile(np.arange(n4), 2), np.tile([0, n4 - 1], n3 - 2)]
+def _border(n3: int, n4: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The nodes (i, j) of an (n3, n4) box's border in `_Bordered` order:
+    rows 0 and n3 - 1, then columns 0 and n4 - 1 of each inner row."""
+    i = np.empty(2 * (n4 + n3 - 2), int)
+    j = np.empty_like(i)
+    i[:n4], i[n4:2 * n4] = 0, n3 - 1
+    i[2 * n4:] = np.arange(2, 2 * n3 - 2) // 2
+    j[:n4] = j[n4:2 * n4] = np.arange(n4)
+    j[2 * n4::2], j[2 * n4 + 1::2] = 0, n4 - 1
+    return i, j
+
+
+def _hankel(box: _Boxes, h: float, edge, interior):
+    """The `_Bordered` factors of a batch, as a function of the point.
+
+    The border values of every point come from one call
+    `edge(counts, T3, T4)` on all border nodes, and the interiors from one
+    call `interior(counts, sums)` on all distinct interior node sums, which
+    returns their 1-D array or a batch `LatticeFactor` (see
+    `LatticeFactor.block`) whose rows are the boxes' inner tau3 nodes.
+    """
+    n3, n4 = box.n3, box.n4
+    border = [_border(a, b) for a, b in zip(n3.tolist(), n4.tolist())]
+    eo = _offsets([i.size for i, _ in border])
+    values = edge(np.diff(eo), box.tau3[np.concatenate(
+        [i + o for (i, _), o in zip(border, box.o3.tolist())])],
+                  box.tau4[np.concatenate(
+        [j + o for (_, j), o in zip(border, box.o4.tolist())])])
+    has = (n3 > 2) & (n4 > 2)
+    m = np.where(has, n3 + n4 - 5, 0)
+    so, ro = _offsets(m), _offsets(np.where(has, n3 - 2, 0))
     inner = None
-    if n3 > 2 and n4 > 2:
-        j0 = round(tau3[1] / h) + round(tau4[1] / h)
-        inner = interior(np.arange(j0, j0 + n3 + n4 - 5) * h)
-    return _Bordered((n3, n4), i, j, edge(tau3[i], tau4[j]), inner)
+    if so[-1]:
+        j0 = (np.rint(box.tau3[box.o3[:-1] + 1] / h).astype(int)
+              + np.rint(box.tau4[box.o4[:-1] + 1] / h).astype(int))
+        inner = interior(m, _ragged_arange(j0, m) * h)
+
+    def point(k: int) -> _Bordered:
+        s = slice(so[k], so[k + 1])
+        if not has[k]:
+            block = None
+        elif isinstance(inner, np.ndarray):
+            block = inner[s]
+        else:
+            block = inner.block(slice(ro[k], ro[k + 1]), s)
+        return _Bordered((n3[k], n4[k]), *border[k], values[eo[k]:eo[k + 1]],
+                         block)
+
+    return point
+
+
+@dataclass(frozen=True)
+class _Line:
+    """An amplitude factor of one variable or none: its values on the
+    batch's concatenated tau3 (`axis` 3) or tau4 (4) nodes, or one per
+    point (None)."""
+
+    axis: Optional[int]
+    values: np.ndarray
 
 
 def _amplitude_factor(amp, args: Tuple[Affine, Affine], bracket: bool,
-                      tau: float, T: float, tau3: np.ndarray,
-                      tau4: np.ndarray, q: QuadratureSpec,
-                      stencils: Optional[dict] = None):
-    """The amplitude at `args` on the box, plus its swapped-argument value
-    when `bracket` is set, evaluated once per distinct argument.
+                      box: _Boxes, q: QuadratureSpec,
+                      stencils: Optional[dict] = None, conj: bool = False):
+    """The amplitude at `args` on a batch's boxes, plus its swapped-argument
+    value when `bracket` is set, conjugated when `conj` is set, evaluated
+    once per distinct argument of the whole batch.
 
-    Arguments that miss tau4 (tau3) give an (n3, 1) ((1, n4)) array, or a
-    scalar when they miss both; arguments that move only with tau3 + tau4
-    give a `_Bordered` factor read from one 1-D array (a Hankel matrix). On
-    a lattice amplitude, one argument in tau3 and the other in tau4 give a
+    Arguments that miss tau4 (tau3) give a `_Line` on the tau3 (tau4)
+    nodes, or one value per point when they miss both. A two-variable
+    factor comes as a function of the point k, so that it is contracted
+    point by point: arguments that move only with tau3 + tau4 give a
+    `_Bordered` factor read from one 1-D array (a Hankel matrix). On a
+    lattice amplitude, one argument in tau3 and the other in tau4 give a
     rectilinear `LatticeFactor` (pathway 4), and one in tau3 and the other
     in tau3 + tau4 a `_Bordered` factor with a sheared one inside
     (pathway 5), both from one stencil per distinct coordinate. These
     two-variable factors are contracted, never formed. Anything else, and
     every two-variable factor of an amplitude without a lattice, is
-    evaluated on the full mesh. A lattice amplitude keeps its stencils in
-    `stencils`, a memo for one point (see
-    `BiphotonAmplitude._cached_stencil`).
+    evaluated on one point's full mesh when that point asks for it.
+
+    A lattice amplitude keeps its stencils in `stencils`, a memo for one
+    batch (see `BiphotonAmplitude._cached_stencil`). An argument without
+    tau3 and tau4 is one value per point: next to an argument on the nodes
+    it is passed once when the whole batch shares it, and else
+    interpolated once per point and repeated over that point's nodes for
+    the one evaluation. Two such arguments are evaluated as one array per
+    batch, so that NumPy's scalar arithmetic never serves a batch of one.
     """
     x, y = args
     t = q.t_ref
     lattice = isinstance(amp, BiphotonAmplitude)
+    nodes = bool(x.t3 or x.t4 or y.t3 or y.t4)
 
     def at(u, v):
         return amp.time_value(u, v, stencils) if lattice else amp.time_value(u, v)
 
     def value(u, v):
         out = at(u, v)
-        return out + at(v, u) if bracket else out
+        if bracket:
+            out = out + at(v, u)
+        return np.conj(out) if conj else out
 
-    def mesh(T3, T4):
-        return value(x(t, tau, T, T3, T4), y(t, tau, T, T3, T4))
+    def coordinate(expr, axis, counts, tau3, tau4, repeated):
+        if expr.t3 or expr.t4:
+            return box.evaluate(expr, t, counts, tau3, tau4)
+        values = box.evaluate(expr, t, 1, 0.0, 0.0)
+        if (values == values[0]).all() and nodes:
+            # one value broadcast against the other argument's nodes
+            return np.asarray(values[0])
+        if lattice and stencils is not None:
+            return amp._repeated_coordinate(
+                (axis, 1 - axis) if bracket else (axis,), values, counts,
+                stencils, repeated)
+        return np.repeat(values, counts)
 
-    if x.t3 == x.t4 and y.t3 == y.t4 and (x.t3 or y.t3):
+    def on(counts, tau3, tau4):
+        repeated: dict = {}
+        u = coordinate(x, 0, counts, tau3, tau4, repeated)
+        v = coordinate(y, 1, counts, tau3, tau4, repeated)
+        # the repeated stencils join the memo for this evaluation only
+        added = [key for key in repeated if key not in stencils]
+        for key in added:
+            stencils[key] = repeated[key]
+        try:
+            out = value(u, v)
+        finally:
+            for key in added:
+                del stencils[key]
+        n = counts.sum()
+        return out if out.size == n else np.broadcast_to(out, (n,))
+
+    if not (x.t4 or y.t4):
+        if x.t3 or y.t3:
+            return _Line(3, on(box.n3, box.tau3, 0.0))
+        return _Line(None, on(np.ones(len(box), int), 0.0, 0.0))
+    if x.t3 == x.t4 and y.t3 == y.t4:
         # on the box x(tau3, tau4) = x(tau3 + tau4, 0), and likewise y
-        def line(u):
-            return value(x(t, tau, T, u, 0.0), y(t, tau, T, u, 0.0))
-
-        return _hankel(lambda T3, T4: line(T3 + T4), line, tau3, tau4, q.step)
-    if lattice:
+        return _hankel(box, q.step, lambda n, T3, T4: on(n, T3 + T4, 0.0),
+                       lambda n, sums: on(n, sums, 0.0))
+    if not (x.t3 or y.t3):
+        return _Line(4, on(box.n4, 0.0, box.tau4))
+    if lattice and not conj:
         for swap, (row, col) in ((False, (x, y)), (True, (y, x))):
             if not (row.t3 and not row.t4 and col.t4):
                 continue
-            rows = row(t, tau, T, tau3, 0.0)
             if not col.t3:
-                return amp.lattice_factor(rows, col(t, tau, T, 0.0, tau4),
-                                          False, swap, bracket, stencils)
+                factor = amp.lattice_factor(
+                    box.evaluate(row, t, box.n3, box.tau3, 0.0),
+                    box.evaluate(col, t, box.n4, 0.0, box.tau4), False, swap,
+                    bracket, stencils)
+                return lambda k: factor.block(*box.runs(k))
             if col.t3 == col.t4:
-                return _hankel(
-                    mesh, lambda sums: amp.lattice_factor(
-                        rows[1:-1], col(t, tau, T, sums, 0.0), True, swap,
-                        bracket, stencils),
-                    tau3, tau4, q.step)
-    return mesh(tau3[:, None], tau4[None, :])
+                def sheared(n, sums, row=row, col=col, swap=swap):
+                    inner = np.where((box.n3 > 2) & (box.n4 > 2), box.n3 - 2, 0)
+                    rows = box.tau3[_ragged_arange(box.o3[:-1] + 1, inner)]
+                    return amp.lattice_factor(
+                        box.evaluate(row, t, inner, rows, 0.0),
+                        box.evaluate(col, t, n, sums, 0.0), True, swap, bracket,
+                        stencils)
+
+                return _hankel(box, q.step, on, sheared)
+
+    def mesh(k: int) -> np.ndarray:
+        s3, s4 = box.runs(k)
+        T3, T4 = box.tau3[s3][:, None], box.tau4[s4][None, :]
+        return value(x(t, box.tau[k], box.T[k], T3, T4),
+                     y(t, box.tau[k], box.T[k], T3, T4))
+
+    return mesh
 
 
-def _sub_term_value(sub: SubTerm, interaction: int, tau: float, T: float,
-                    amp, ops: LiouvilleOperatorSet, q: QuadratureSpec,
-                    shared: Optional[dict] = None) -> complex:
-    """Double integral of one sub-term over its box (see `_box`).
+def _sub_term_values(sub: SubTerm, interaction: int, box: _Boxes, amp,
+                     ops: LiouvilleOperatorSet, q: QuadratureSpec,
+                     shared: Optional[dict] = None) -> np.ndarray:
+    """Double integral of one sub-term over its box (see `_boxes`) at each
+    point of a batch where the box is not empty, in the order of
+    `box.index`.
 
     The correlator separates on the box, F = sum_p A_p(tau3) B_p(tau4), and
     the amplitude factors that depend on one variable fold into that
     variable's weights, so the sub-term is sum_p (w3 A_p)^T H (w4 B_p) with H
     the one factor that depends on both variables (no sub-term has two;
-    none at all makes it a product of sums). A `_Bordered` or
-    `LatticeFactor` H contracts itself; only a full-mesh H is multiplied.
-    A correlator without terms gives 0 before any box is built.
+    none at all makes it a product of sums). Weights, amplitude factors
+    and the correlator's A and B are computed once for the batch, on every
+    point's nodes at once; only the sums over one point's nodes run point
+    by point. A `_Bordered` or `LatticeFactor` H contracts itself; only a
+    full-mesh H is multiplied.
 
     A conjugate factor that depends on neither variable multiplies the
     integral of the direct factor, which sub-terms differing only in that
     constant share: `shared` memoizes it per (interaction, args, symmetrize,
-    first_interval) for one (tau, T, s) point and one amplitude. A constant
+    first_interval) and point of the batch, for one amplitude. A constant
     constraint in `_tighten` only passes or fails, so sharing sub-terms
     with non-empty boxes have equal boxes. Under the key "stencils",
-    `shared` also holds the point's lattice stencils (see
+    `shared` also holds the batch's lattice stencils (see
     `_amplitude_factor`).
     """
     expansion = ops.expansion(interaction)
-    if expansion.coeffs.size == 0:
-        return 0.0 + 0.0j
-    box = _box(sub, tau, T, amp, q)
-    if box is None:
-        return 0.0 + 0.0j
-    tau3, tau4 = box
     shared = {} if shared is None else shared
     stencils = shared.setdefault("stencils", {})
 
-    def factor(args, bracket):
-        return _amplitude_factor(amp, args, bracket, tau, T, tau3, tau4, q,
-                                 stencils)
+    def factor(args, bracket, on, conj=False):
+        return _amplitude_factor(amp, args, bracket, on, q, stencils, conj)
 
-    def integral(*factors):
-        w3 = _weights(tau3, q.step, q.rule)
-        w4 = _weights(tau4, q.step, q.rule)
+    def integral(on: _Boxes, *factors) -> List[complex]:
+        w3 = _weights(on.tau3, q.step, q.rule, on.o3)
+        w4 = _weights(on.tau4, q.step, q.rule, on.o4)
         H = None
         for f in factors:
-            if f.ndim < 2 or f.shape[1] == 1:
-                w3 = w3 * np.ravel(f)
-            elif f.shape[0] == 1:
-                w4 = w4 * f[0]
-            else:
+            if not isinstance(f, _Line):
                 H = f
-        first = np.broadcast_to(sub.first_interval(0.0, tau, T, tau3, 0.0),
-                                tau3.shape)
-        A, B = expansion.factors(first, tau3, tau4)
+            elif f.axis == 4:
+                w4 = w4 * f.values
+            else:
+                w3 = w3 * (f.values if f.axis == 3
+                           else np.repeat(f.values, on.n3))
+        first = on.evaluate(sub.first_interval, 0.0, on.n3, on.tau3, 0.0)
+        A, B = expansion.factors(first, on.tau3, on.tau4)
         A *= w3[:, None]
         B *= w4[:, None]
-        if H is None:
-            return complex(A.sum(axis=0) @ B.sum(axis=0))
-        if isinstance(H, np.ndarray):
-            return complex((A * (H @ B)).sum())
-        return H.contract(A, B)
+        values = []
+        for k in range(len(on)):
+            s3, s4 = on.runs(k)
+            a, b = A[s3], B[s4]
+            if H is None:
+                values.append(complex(a.sum(axis=0) @ b.sum(axis=0)))
+                continue
+            h = H(k)
+            values.append(complex((a * (h @ b)).sum())
+                          if isinstance(h, np.ndarray) else h.contract(a, b))
+        return values
 
-    conj = factor(sub.conj_args, False)
-    conj = conj.conj() if isinstance(conj, _Bordered) else np.conj(conj)
+    conj = factor(sub.conj_args, False, box, conj=True)
     if any(a.t3 or a.t4 for a in sub.conj_args):
-        return integral(conj, factor(sub.args, sub.symmetrize))
-    key = (interaction, sub.args, sub.symmetrize, sub.first_interval)
-    if key not in shared:
-        shared[key] = integral(factor(sub.args, sub.symmetrize))
-    return complex(conj * shared[key])
+        return np.array(integral(box, conj,
+                                 factor(sub.args, sub.symmetrize, box)))
+    known = shared.setdefault(
+        (interaction, sub.args, sub.symmetrize, sub.first_interval), {})
+    todo = [k for k, i in enumerate(box.index) if i not in known]
+    if todo:
+        part = box if len(todo) == len(box) else box.select(todo)
+        known.update(zip(part.index, integral(
+            part, factor(sub.args, sub.symmetrize, part))))
+    return conj.values * np.array([known[i] for i in box.index])
 
 
-def _row_value(term: PathwayTerm, tau: float, T: float, amp,
-               ops: LiouvilleOperatorSet, q: QuadratureSpec,
-               shared: dict) -> complex:
-    return sum((_sub_term_value(sub, term.interaction, tau, T, amp, ops, q,
-                                shared) for sub in term.sub_terms),
-               start=0.0 + 0.0j)
+def _row_values(term: PathwayTerm, tau: np.ndarray, T: np.ndarray, amp,
+                ops: LiouvilleOperatorSet, q: QuadratureSpec,
+                shared: dict) -> np.ndarray:
+    """Sum of a row's sub-term integrals at each point (tau[k], T[k]). A
+    correlator without terms gives 0 before any box is built, and so does
+    an empty box. The batch's boxes are kept in `shared` under "boxes", by
+    sub-term object."""
+    total = np.zeros(tau.size, complex)
+    if ops.expansion(term.interaction).coeffs.size == 0:
+        return total
+    boxes = shared.setdefault("boxes", {})
+    missing = [sub for sub in term.sub_terms if id(sub) not in boxes]
+    if missing:
+        boxes.update(zip(map(id, missing), _boxes(missing, tau, T, amp, q)))
+    for sub in term.sub_terms:
+        box = boxes[id(sub)]
+        if box is not None:
+            total[box.index] += _sub_term_values(sub, term.interaction, box,
+                                                 amp, ops, q, shared)
+    return total
+
+
+def _point(tau: float, T: float) -> Tuple[np.ndarray, np.ndarray]:
+    """One point as a batch of one."""
+    return np.array([tau], float), np.array([T], float)
 
 
 def term_value(term: PathwayTerm, tau: float, T: float, s: float,
@@ -434,7 +680,8 @@ def term_value(term: PathwayTerm, tau: float, T: float, s: float,
     :func:`coincidence`, not here. Like it, refuses tau < 0 or T < 0.
     """
     _check_domain(tau, T)
-    return _row_value(term, tau, T, _resolve_amplitude(amp, s), ops, q, {})
+    return complex(_row_values(term, *_point(tau, T),
+                               _resolve_amplitude(amp, s), ops, q, {})[0])
 
 
 def _resolve_amplitude(amp, s: float):
@@ -455,21 +702,41 @@ def _check_domain(tau: float, T: float) -> None:
                          f"only; got tau={tau:g}, T={T:g}")
 
 
-def _signed_rows(table: Sequence[PathwayTerm], tau: float, T: float, s: float,
-                 amp, ops: LiouvilleOperatorSet, q: QuadratureSpec,
-                 hom: Optional[HomSpec]):
-    """Yield (row, signed and channel-weighted value), skipping rows the
-    splitter (default 50:50) weights to zero. Rows share the direct
-    integrals of their constant-conjugate sub-terms (see `_sub_term_value`)
-    through one dict that lives for this point only."""
-    _check_domain(tau, T)
+def _signed_rows(table: Sequence[PathwayTerm], tau: np.ndarray,
+                 T: np.ndarray, s: float, amp, ops: LiouvilleOperatorSet,
+                 q: QuadratureSpec, hom: Optional[HomSpec]
+                 ) -> List[Tuple[PathwayTerm, np.ndarray]]:
+    """Each row with its signed and channel-weighted value at every point
+    (tau[k], T[k]), skipping rows the splitter (default 50:50) weights to
+    zero.
+
+    The points go in batches of at most `_BATCH_NODES` nodes times
+    correlator terms per axis, counting the cutoff's nodes for every box.
+    Within a batch, rows share the direct integrals of their
+    constant-conjugate sub-terms and the lattice stencils (see
+    `_sub_term_values`) through one dict."""
+    if tau.size:
+        _check_domain(tau.min(), T.min())
     hom = hom or HomSpec()
     amp = _resolve_amplitude(amp, s)
-    shared: dict = {}
-    for term in table:
-        weight = term.pattern.sign * term.pattern.weight(hom)
-        if weight:
-            yield term, weight * _row_value(term, tau, T, amp, ops, q, shared)
+    rows = [(term, term.pattern.sign * term.pattern.weight(hom))
+            for term in table]
+    rows = [(term, weight) for term, weight in rows if weight]
+    terms = max((ops.expansion(term.interaction).coeffs.size
+                 for term, _ in rows), default=1)
+    size = max(1, _BATCH_NODES // ((q.n_nodes + 2) * max(terms, 1)))
+    values = [np.empty(tau.size, complex) for _ in rows]
+    subs = list({id(sub): sub for term, _ in rows
+                 if ops.expansion(term.interaction).coeffs.size
+                 for sub in term.sub_terms}.values())
+    for start in range(0, tau.size, size):
+        batch = slice(start, start + size)
+        shared = {"boxes": dict(zip(map(id, subs), _boxes(
+            subs, tau[batch], T[batch], amp, q)))}
+        for (term, weight), out in zip(rows, values):
+            out[batch] = weight * _row_values(term, tau[batch], T[batch], amp,
+                                              ops, q, shared)
+    return [(term, out) for (term, _), out in zip(rows, values)]
 
 
 def coincidence_terms(tau: float, T: float, s: float, amp,
@@ -483,22 +750,31 @@ def coincidence_terms(tau: float, T: float, s: float, amp,
     splitter ``HomSpec(t_coeff=1.0, r_coeff=0.0)`` (no beam splitter) leaves
     only the O_I rows.
     """
-    return {(term.detection, term.interaction): value for term, value
-            in _signed_rows(term_table(), tau, T, s, amp, ops, q, hom)}
+    return {(term.detection, term.interaction): complex(out[0]) for term, out
+            in _signed_rows(term_table(), *_point(tau, T), s, amp, ops, q,
+                            hom)}
 
 
-def coincidence(tau: float, T: float, s: float, amp,
-                ops: LiouvilleOperatorSet, q: QuadratureSpec,
-                hom: Optional[HomSpec] = None) -> float:
+def coincidence(tau, T, s: float, amp, ops: LiouvilleOperatorSet,
+                q: QuadratureSpec, hom: Optional[HomSpec] = None):
     """Real coincidence value: twice the real part of the signed row sum.
 
     This is the published ledger's signal; :func:`complete_coincidence` is
     the complete fourth-order counting probability. As in
     :func:`coincidence_terms`, ``hom`` supplies only t and r, and T comes
     from the argument.
+
+    ``tau`` and ``T`` may be arrays, broadcast against each other: their
+    points are evaluated in one batch (see `_sub_term_values`), and the
+    values come back in the broadcast shape, each equal bit for bit to the
+    float that its point alone gives.
     """
-    vals = coincidence_terms(tau, T, s, amp, ops, q, hom=hom)
-    return float(2.0 * np.real(sum(vals.values())))
+    tau, T = np.broadcast_arrays(np.asarray(tau, float), np.asarray(T, float))
+    rows = _signed_rows(term_table(), tau.ravel(), T.ravel(), s, amp, ops, q,
+                        hom)
+    values = 2.0 * np.real(sum((out for _, out in rows),
+                               np.zeros(tau.size, complex)))
+    return float(values[0]) if tau.ndim == 0 else values.reshape(tau.shape)
 
 
 #: Each correlator carries (-i)^3 from its three propagators, while the
@@ -519,9 +795,9 @@ def complete_coincidence_terms(tau: float, T: float, s: float, amp,
     counting probability is twice the real part of their sum. ``hom``
     supplies only t and r; T comes from the argument.
     """
-    return {term.label: BLOCK_FACTOR * value for term, value
-            in _signed_rows(complete_term_table(), tau, T, s, amp, ops, q,
-                            hom)}
+    return {term.label: BLOCK_FACTOR * complex(out[0]) for term, out
+            in _signed_rows(complete_term_table(), *_point(tau, T), s, amp,
+                            ops, q, hom)}
 
 
 def complete_coincidence(tau: float, T: float, s: float, amp,
@@ -712,8 +988,17 @@ class SignalGrid:
         for key in required:
             if key not in header:
                 raise ValueError(f"{path}: header line '# {key}:' is missing")
-        tau, T, s = (np.array([float(x) for x in header[key].split()])
-                     for key in required[1:])
+        axes = []
+        for key in required[1:]:
+            try:
+                axes.append(np.array([float(x) for x in header[key].split()]))
+            except ValueError:
+                raise ValueError(f"{path}: header line '# {key}:' is "
+                                 f"{header[key]!r}, not numbers") from None
+            if rows and not axes[-1].size:
+                raise ValueError(f"{path}: header line '# {key}:' is empty, "
+                                 f"but the file has {len(rows)} data rows")
+        tau, T, s = axes
         # serialize order: tau slowest, s fastest
         expected = [[tv, Tv, sv] for tv in tau for Tv in T for sv in s]
         for n, (row, want) in enumerate(itertools.zip_longest(rows, expected)):
@@ -760,9 +1045,13 @@ def scan(tau_axis: Sequence[float], T_axis: Sequence[float],
          workers: Optional[int] = None) -> SignalGrid:
     """Evaluate the chosen signal over the lattice.
 
-    Points are evaluated in lattice order on the calling thread.
-    ``workers`` is accepted for compatibility and ignored, so the output is
-    the same for any worker count. A lattice outside the mode's domain (see
+    Every (tau, T) point of one s is evaluated in one batch, one
+    :func:`coincidence` call on the calling thread, with the amplitude
+    transformed to that s alone, so one s value's two-time envelope is held
+    at a time. A point's value equals its own :func:`coincidence` bit for
+    bit. ``workers``
+    is accepted for compatibility and ignored, so the output is the same
+    for any worker count. A lattice outside the mode's domain (see
     `check_lattice`), or an undamped system in short_Te mode (see
     `short_te_terms`), aborts before any point is evaluated. The short_Te
     and bs_removed modes fix the splitter themselves, so they refuse a
@@ -778,8 +1067,6 @@ def scan(tau_axis: Sequence[float], T_axis: Sequence[float],
     s_axis = np.asarray(s_axis, dtype=float)
     _check_axes(tau_axis, T_axis, s_axis)
     shape = (tau_axis.size, T_axis.size, s_axis.size)
-    # lattice order: tau slowest, s fastest (the order SignalGrid writes)
-    lattice = list(itertools.product(tau_axis, T_axis, s_axis))
     meta = {
         "system_hash": system_hash(ops),
         "quadrature": (f"cutoff={q.cutoff:.17g} step={q.step:.17g} "
@@ -787,20 +1074,23 @@ def scan(tau_axis: Sequence[float], T_axis: Sequence[float],
     }
     if hasattr(amp, "content_hash"):
         meta["amplitude_hash"] = amp.content_hash()
-    if not lattice:
+    if not all(shape):
         return SignalGrid(tau_axis, T_axis, s_axis, np.zeros(shape), mode, meta)
 
     check_lattice(tau_axis, T_axis, s_axis, mode)
     if mode == "short_Te":
         _check_damped(ops, q)
-        values = [coincidence_short_Te(tv, Tv, sv, ops, q) for tv, Tv, sv in lattice]
+        # lattice order: tau slowest, s fastest (the order SignalGrid writes)
+        values = np.reshape([coincidence_short_Te(tv, Tv, sv, ops, q) for
+                             tv, Tv, sv in itertools.product(tau_axis, T_axis,
+                                                             s_axis)], shape)
     else:
         if mode == "bs_removed":
             hom = HomSpec(t_coeff=1.0, r_coeff=0.0)
-        amps = {float(sv): _resolve_amplitude(amp, float(sv)) for sv in s_axis}
-        values = [coincidence(tv, Tv, float(sv), amps[float(sv)], ops, q, hom=hom)
-                  for tv, Tv, sv in lattice]
-    values = np.reshape(values, shape)
+        values = np.empty(shape)
+        for k, sv in enumerate(s_axis):
+            values[:, :, k] = coincidence(tau_axis[:, None], T_axis[None, :],
+                                          float(sv), amp, ops, q, hom=hom)
     return SignalGrid(tau_axis, T_axis, s_axis, values, mode, meta)
 
 

@@ -375,3 +375,35 @@ def test_export_intensity(tmp_path, jsa):
     data = np.loadtxt(path)
     assert data.shape == jsa.values.shape
     assert np.allclose(data, np.abs(jsa.values) ** 2, atol=1e-10)
+
+
+class TestShearedContraction:
+    """A sheared `LatticeFactor` interpolates only the window columns whose
+    stencil lies on the lattice; its contraction must still equal the
+    formed matrix when a window's columns run off the lattice at both
+    ends."""
+
+    @pytest.mark.parametrize("bracket", [False, True])
+    def test_dead_columns_at_both_ends_of_a_window(self, bracket):
+        # a random envelope on a small square lattice: every node counts
+        rng = np.random.default_rng(2)
+        t = np.arange(40) * 0.5 - 10.0
+        amp = BiphotonAmplitude(
+            theta=0.0, s=0.0, delay_arm="a", omega_a=np.arange(4.0),
+            omega_b=np.arange(4.0), values=np.ones((4, 4)), t1=t, t2=t,
+            envelope=rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40)),
+            _carrier=(0.3, 0.3))
+        rows = np.linspace(-6.1, 6.3, 20)
+        # 20 mesh rows make one block; its window spans every column, and
+        # the columns leave the lattice on both sides
+        cols = np.arange(t[0] - 3.1, t[-1] + 3.0, 0.37)
+        lf = amp.lattice_factor(rows, cols, True, False, bracket)
+        live = np.flatnonzero(lf.parts[0][2][1])
+        assert live[0] > 5 and live[-1] < cols.size - 6
+        A = rng.normal(size=(rows.size, 2)) + 1j * rng.normal(size=(rows.size, 2))
+        B = rng.normal(size=(lf.shape[1], 2)) + 1j * rng.normal(size=(lf.shape[1], 2))
+        dense = np.asarray(lf)
+        # the first row's window starts, and the last one's ends, off it
+        assert not dense[0, :5].any() and not dense[-1, -5:].any()
+        scale = (np.abs(A) * (np.abs(dense) @ np.abs(B))).sum()
+        assert abs(lf.contract(A, B) - (A * (dense @ B)).sum()) <= 1e-13 * scale

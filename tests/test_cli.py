@@ -309,17 +309,18 @@ class TestMain:
         assert "workers" not in sidecar
 
     def test_run_evaluates_on_the_calling_thread(self, tmp_path, monkeypatch):
-        threads = []
+        # the config's two tau points at one s go in one batch
+        batches = []
         inner = homspec.signal.coincidence
 
-        def recording(*args, **kwargs):
-            threads.append(threading.get_ident())
-            return inner(*args, **kwargs)
+        def recording(tau, T, *args, **kwargs):
+            batches.append((threading.get_ident(), np.broadcast(tau, T).size))
+            return inner(tau, T, *args, **kwargs)
 
         monkeypatch.setattr(homspec.signal, "coincidence", recording)
         cfg = write_config(tmp_path, {"output": str(tmp_path / "o.dat")})
         assert main(["run", "--config", str(cfg), "--workers", "2"]) == 0
-        assert threads == [threading.get_ident()] * 2
+        assert batches == [(threading.get_ident(), 2)]
 
     @pytest.mark.parametrize("file_mode", ["full", "bs_removed", "short_Te"])
     @pytest.mark.parametrize("bs_removed", [False, True])

@@ -14,8 +14,8 @@ from homspec.model import ExcitonSystem, Level, LiouvilleOperatorSet
 from homspec import signal
 from homspec.pathways import HomSpec, complete_term_table, term_table
 from homspec.signal import (BLOCK_FACTOR, QuadratureSpec, SignalGrid,
-                            _amplitude_factor, _box, _segment_nodes,
-                            _sub_term_value, _weights, coincidence,
+                            _amplitude_factor, _boxes, _segment_nodes,
+                            _sub_term_values, _weights, coincidence,
                             coincidence_short_Te, coincidence_terms,
                             complete_coincidence, complete_coincidence_terms,
                             default_quadrature, pathway_probabilities,
@@ -57,6 +57,24 @@ def quad(slow_ladder):
 TABLE = {(t.detection, t.interaction): t for t in term_table()}
 
 
+def point_box(sub, tau, T, amp, q):
+    """One point's box of a sub-term: a batch of one, or None if empty."""
+    return _boxes([sub], np.array([tau]), np.array([T]), amp, q)[0]
+
+
+def box_at(sub, tau, T, amp, q):
+    """One point's box of a sub-term as (tau3, tau4), or None if empty."""
+    box = point_box(sub, tau, T, amp, q)
+    return None if box is None else (box.tau3, box.tau4)
+
+
+def sub_term_value(sub, interaction, tau, T, amp, ops, q):
+    """One point's integral of a sub-term: the quadrature's batch of one."""
+    box = point_box(sub, tau, T, amp, q)
+    return 0j if box is None else complex(
+        _sub_term_values(sub, interaction, box, amp, ops, q)[0])
+
+
 class TestQuadratureSpec:
     def test_rejects_bad_rule(self):
         with pytest.raises(ValueError):
@@ -87,7 +105,8 @@ class TestWeights:
 
     def nodes(self, caller, lo, hi):
         if caller == "segment":
-            return _segment_nodes(lo, hi, QuadratureSpec(cutoff=hi, step=self.H))
+            return _segment_nodes(np.array([lo]), np.array([hi]),
+                                  QuadratureSpec(cutoff=hi, step=self.H))[0]
         return np.arange(round(lo / self.H), round(hi / self.H) + 1) * self.H
 
     @pytest.mark.parametrize("caller", ["segment", "line"])
@@ -184,7 +203,7 @@ def full_mesh_value(sub, interaction, tau, T, amp, ops, q):
     """A sub-term the direct way: every amplitude factor and the correlator
     on the whole node mesh of its box. Returns the integral and the sum of
     the weighted integrand's magnitudes."""
-    box = _box(sub, tau, T, amp, q)
+    box = box_at(sub, tau, T, amp, q)
     if box is None:
         return 0j, 0.0
     tau3, tau4 = box
@@ -253,11 +272,11 @@ class TestSeparableQuadrature:
         two_node = evaluated = 0
         for term in term_table() + complete_term_table():
             for sub in term.sub_terms:
-                box = _box(sub, tau, T, amp, q)
+                box = box_at(sub, tau, T, amp, q)
                 two_node += box is not None and min(b.size for b in box) == 2
                 want, scale = full_mesh_value(sub, term.interaction, tau, T,
                                               amp, ops, q)
-                got = _sub_term_value(sub, term.interaction, tau, T, amp, ops, q)
+                got = sub_term_value(sub, term.interaction, tau, T, amp, ops, q)
                 assert abs(got - want) <= 1e-12 * scale, (term.label, got, want)
                 evaluated += scale > 0
         return two_node, evaluated
@@ -351,9 +370,10 @@ class TestLatticeFactors:
             if term.interaction not in (4, 5):
                 continue
             for sub in term.sub_terms:
-                tau3, tau4 = _box(sub, tau, T, amp, q)
-                got = _amplitude_factor(amp, sub.args, sub.symmetrize, tau, T,
-                                        tau3, tau4, q)
+                box = point_box(sub, tau, T, amp, q)
+                tau3, tau4 = box.tau3, box.tau4
+                got = _amplitude_factor(amp, sub.args, sub.symmetrize, box,
+                                        q)(0)
                 x, y = np.broadcast_arrays(
                     *(a(q.t_ref, tau, T, tau3[:, None], tau4[None, :])
                       for a in sub.args))
@@ -445,13 +465,13 @@ class TestContractions:
 
         def dense(*args):
             f = _amplitude_factor(*args)
-            return np.asarray(f) if hasattr(f, "contract") else f
+            return (lambda k: np.asarray(f(k))) if callable(f) else f
 
         for sub, interaction in kinds.values():
-            got = _sub_term_value(sub, interaction, tau, T, amp, ops, q)
+            got = sub_term_value(sub, interaction, tau, T, amp, ops, q)
             with monkeypatch.context() as m:
                 m.setattr(signal, "_amplitude_factor", dense)
-                want = _sub_term_value(sub, interaction, tau, T, amp, ops, q)
+                want = sub_term_value(sub, interaction, tau, T, amp, ops, q)
             _, scale = full_mesh_value(sub, interaction, tau, T, amp, ops, q)
             assert abs(got - want) <= 1e-12 * scale, (sub, got, want)
 
@@ -490,7 +510,7 @@ class TestSharedIntegrals:
             for term in table:
                 want = factor * term.pattern.sign * term.pattern.weight(
                     HomSpec()) * sum(
-                    _sub_term_value(sub, term.interaction, tau, T, amp, ops, q)
+                    sub_term_value(sub, term.interaction, tau, T, amp, ops, q)
                     for sub in term.sub_terms)
                 value = got[label(term)]
                 assert abs(value - want) <= 1e-14 * abs(want), (term.label,
@@ -502,7 +522,7 @@ class TestSharedIntegrals:
             boxes = {}
             for term in table:
                 for sub in term.sub_terms:
-                    box = _box(sub, tau, T, amp, q)
+                    box = box_at(sub, tau, T, amp, q)
                     if box is None or any(a.t3 or a.t4 for a in sub.conj_args):
                         continue
                     boxes.setdefault(self.key(sub, term.interaction), []).append(box)
@@ -682,17 +702,19 @@ class TestScan:
         assert grids[0].serialize() == grids[1].serialize()
 
     def test_points_run_on_the_calling_thread(self, small_setup, monkeypatch):
+        # every point of one s goes in one batch, on the calling thread
         ops, amp, q = small_setup
-        threads = []
+        batches = []
         inner = signal.coincidence
 
-        def recording(*args, **kwargs):
-            threads.append(threading.get_ident())
-            return inner(*args, **kwargs)
+        def recording(tau, T, *args, **kwargs):
+            batches.append((threading.get_ident(), np.broadcast(tau, T).size))
+            return inner(tau, T, *args, **kwargs)
 
         monkeypatch.setattr(signal, "coincidence", recording)
-        scan([0.0, 1.0, 2.0], [1.0, 3.0], [2.0], "full", amp, ops, q, workers=2)
-        assert threads == [threading.get_ident()] * 6
+        scan([0.0, 1.0, 2.0], [1.0, 3.0], [2.0, 2.5], "full", amp, ops, q,
+             workers=2)
+        assert batches == [(threading.get_ident(), 6)] * 2
 
     def test_short_te_domain_violation_names_point(self, small_setup):
         ops, amp, q = small_setup
@@ -751,11 +773,11 @@ class TestEmptyCorrelator:
         assert ops.expansion(5).coeffs.size == 0
         boxes = []
 
-        def counting(sub, *rest):
-            boxes.append(sub)
-            return _box(sub, *rest)
+        def counting(subs, *rest):
+            boxes.extend(subs)
+            return _boxes(subs, *rest)
 
-        monkeypatch.setattr(signal, "_box", counting)
+        monkeypatch.setattr(signal, "_boxes", counting)
         value = coincidence(1.0, 2.0, 3.0, amp, ops, q, hom=HomSpec(T=2.0))
         f5 = {sub for term in term_table() if term.interaction == 5
               for sub in term.sub_terms}
@@ -823,6 +845,33 @@ class TestSignalGrid:
                                              r"'# mode:' is missing"):
             SignalGrid.load(path)
 
+    def test_load_names_an_axis_header_that_is_not_numbers(self, tmp_path):
+        grid = SignalGrid(np.array([0.0, 1.0]), np.array([1.0]), np.array([3.0]),
+                          np.zeros((2, 1, 1)), "full")
+        path = tmp_path / "grid.dat"
+        path.write_text(grid.serialize().replace("# tau_values: 0 1\n",
+                                                 "# tau_values: 0 x\n"))
+        with pytest.raises(ValueError, match=r"grid\.dat: header line "
+                                             r"'# tau_values:' is '0 x', "
+                                             r"not numbers"):
+            SignalGrid.load(path)
+
+    def test_load_names_an_empty_axis_header(self, tmp_path):
+        grid = SignalGrid(np.array([0.0, 1.0]), np.array([1.0]), np.array([3.0]),
+                          np.zeros((2, 1, 1)), "full")
+        path = tmp_path / "grid.dat"
+        path.write_text(grid.serialize().replace("# s_values: 3\n",
+                                                 "# s_values: \n"))
+        with pytest.raises(ValueError, match=r"grid\.dat: header line "
+                                             r"'# s_values:' is empty, but "
+                                             r"the file has 2 data rows"):
+            SignalGrid.load(path)
+        # a grid with an empty axis has no rows, and loads
+        empty = SignalGrid(np.array([0.0, 1.0]), np.array([1.0]), np.array([]),
+                           np.zeros((2, 1, 0)), "full")
+        path.write_text(empty.serialize())
+        assert SignalGrid.load(path).serialize() == empty.serialize()
+
     def test_load_names_a_row_that_is_not_numbers(self, tmp_path):
         grid = SignalGrid(np.array([0.0, 1.0]), np.array([1.0]), np.array([3.0]),
                           np.zeros((2, 1, 1)), "full")
@@ -831,6 +880,96 @@ class TestSignalGrid:
         with pytest.raises(ValueError, match=r"grid\.dat: data row 1 is "
                                              r"'1 1 3 x', not numbers"):
             SignalGrid.load(path)
+
+
+class TestBatch:
+    """A scan evaluates all points of one s value in one batch; each value
+    must equal its point's own `coincidence`, a batch of one, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def ladder(self):
+        return random_ladder(np.random.default_rng(3), 2, 2, 0.25)
+
+    @pytest.mark.parametrize("mode", ["full", "bs_removed"])
+    @pytest.mark.parametrize("rule", ["trapezoid", "simpson"])
+    @pytest.mark.parametrize("kind", ["biphoton", "delta"])
+    def test_scan_equals_coincidence_bit_for_bit(self, ladder, kind, rule,
+                                                 mode):
+        s = 3.0
+        if kind == "biphoton":
+            amp = gaussian_amplitude(center=0.4, sigma_sum=0.3,
+                                     sigma_diff=0.5, n=128, half_span=1.6,
+                                     s=s)
+            t_ref = reference_time(amp)
+        else:
+            amp, t_ref = DeltaAmplitude(s=s, spacing=0.4), 0.0
+        q = QuadratureSpec(cutoff=48.0, step=0.4, rule=rule, t_ref=t_ref)
+        tau_axis, T_axis = [0.0, 0.3, 2.0, 7.5], [0.0, 1.3, 6.0]
+        # some sub-term's box is empty at some points and not at others
+        points = [(tv, Tv) for tv in tau_axis for Tv in T_axis]
+        live = [sum(point_box(sub, tv, Tv, amp, q) is not None
+                    for tv, Tv in points)
+                for term in term_table() for sub in term.sub_terms]
+        assert any(0 < n < len(points) for n in live)
+        hom = HomSpec(t_coeff=1.0, r_coeff=0.0) if mode == "bs_removed" else None
+        grid = scan(tau_axis, T_axis, [s], mode, amp, ladder, q)
+        for i, tv in enumerate(tau_axis):
+            for j, Tv in enumerate(T_axis):
+                assert grid.values[i, j, 0] == coincidence(
+                    tv, Tv, s, amp, ladder, q, hom=hom), (tv, Tv)
+
+    def test_batches_of_any_size_agree(self, small_setup, monkeypatch):
+        ops, amp, q = small_setup
+        lattice = ([0.0, 1.0, 2.5, 4.0], [0.5, 3.0], [3.0])
+        whole = scan(*lattice, "full", amp, ops, q).serialize()
+        # two points per batch
+        monkeypatch.setattr(signal, "_BATCH_NODES", 2 * (q.n_nodes + 2))
+        assert scan(*lattice, "full", amp, ops, q).serialize() == whole
+
+    def test_scan_makes_no_more_time_value_calls_than_one_point(
+            self, monkeypatch):
+        # the criterion-10 amplitude and lattice, 4 x 4 of its points
+        ops = LiouvilleOperatorSet(ExcitonSystem(
+            levels=[Level("g0", "g", 0.0), Level("e0", "e", 0.8)],
+            dipoles_ge=[[1.0]], dephasing_default=0.25))
+        amp = gaussian_amplitude(center=0.4, sigma_sum=0.3, sigma_diff=0.5,
+                                 n=128, half_span=1.6, s=3.0)
+        q = QuadratureSpec(cutoff=48.0, step=0.4, rule="trapezoid",
+                           t_ref=reference_time(amp))
+        axis = np.linspace(0.0, 9.5, 20)[[2, 7, 12, 17]]
+        calls = []
+        inner = BiphotonAmplitude.time_value
+
+        def counting(self, *args, **kwargs):
+            calls.append(args[0].size)
+            return inner(self, *args, **kwargs)
+
+        monkeypatch.setattr(BiphotonAmplitude, "time_value", counting)
+        scan(axis, axis, [3.0], "full", amp, ops, q)
+        batch = len(calls)
+        single = []
+        for tv in axis:
+            for Tv in axis:
+                calls.clear()
+                coincidence(tv, Tv, 3.0, amp, ops, q, hom=HomSpec(T=Tv))
+                single.append(len(calls))
+        assert 0 < batch <= max(single), (batch, single)
+
+    def test_scan_holds_one_s_amplitude_at_a_time(self, small_setup):
+        # each s value transforms the pair amplitude to its own 1024^2
+        # envelope; the scan releases one before building the next
+        ops, amp, q = small_setup
+
+        def peak(s_axis):
+            tracemalloc.start()
+            try:
+                scan([1.0], [2.0], s_axis, "full", amp, ops, q)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, four = peak([2.0]), peak([2.0, 2.5, 3.5, 4.0])
+        assert four < 2 * one, (one, four)
 
 
 class TestPathwayProbabilities:
