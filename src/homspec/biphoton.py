@@ -305,6 +305,8 @@ class BiphotonAmplitude:
         return stencil
 
     def _stencil_key(self, axis: int, coord: np.ndarray):
+        """A memo key of `coord` on `axis`: (axis, shape, bytes), the axis
+        0 for both on a square lattice."""
         return (0 if self._square else axis, coord.shape, coord.tobytes())
 
     def _repeated_coordinate(self, axes, coord, counts, memo: dict,
@@ -429,7 +431,11 @@ class LatticeFactor:
 
     def contract(self, A: np.ndarray, B: np.ndarray) -> complex:
         """sum_p A[:, p]^T H B[:, p] for this factor H, A (n3, P), B (n4, P)."""
-        total = 0j
+        return complex(self.contract_terms(A, B).sum())
+
+    def contract_terms(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """A[:, p]^T H B[:, p] for each p, as a (P,) array."""
+        total = np.zeros(A.shape[1], complex)
         for v, rows, cols in self.parts:
             if self.sheared:
                 total += _contract_sheared(v, rows, cols, A, B, self.folded)
@@ -440,8 +446,8 @@ class LatticeFactor:
                 W, k0 = _scatter(cols, B)
                 band = _band(v, slice(lo, lo + U.shape[0]),
                              slice(k0, k0 + W.shape[0]), self.folded)
-                total += (U * (band @ W)).sum()
-        return complex(total)
+                total += (U * (band @ W)).sum(axis=0)
+        return total
 
     def block(self, rows: slice, cols: slice) -> "LatticeFactor":
         """One point's factor out of a batch: this factor built on the
@@ -467,9 +473,10 @@ class LatticeFactor:
 
 
 def _contract_sheared(v: np.ndarray, row_stencil, col_stencil, A: np.ndarray,
-                      B: np.ndarray, folded: bool) -> complex:
-    """sum_ij A[i] . H[i, j] B[j] for H[i, j] = sum_ab r_a[i] c_b[i + j]
-    v[ir[i] + a, ic[i + j] + b], with v + v^T for v when `folded`.
+                      B: np.ndarray, folded: bool) -> np.ndarray:
+    """sum_ij A[i, p] H[i, j] B[j, p] for each term p, as a (P,) array, for
+    H[i, j] = sum_ab r_a[i] c_b[i + j] v[ir[i] + a, ic[i + j] + b], with
+    v + v^T for v when `folded`.
 
     Rows go in blocks: each block interpolates the band of envelope nodes it
     touches at the column stencil, picks its two rows per mesh row,
@@ -485,11 +492,11 @@ def _contract_sheared(v: np.ndarray, row_stencil, col_stencil, A: np.ndarray,
     ic, c0, c1 = col_stencil
     live_r = np.flatnonzero(r0)
     live_c = np.flatnonzero(c0)
+    total = np.zeros(B.shape[1], complex)
     if not live_r.size or not live_c.size:
-        return 0j
+        return total
     n = B.shape[0]
     k_lo, k_hi = live_c[0], live_c[-1] + 1
-    total = 0j
     for a in range(live_r[0], live_r[-1] + 1, _ROW_BLOCK):
         b = min(a + _ROW_BLOCK, live_r[-1] + 1)
         j0, j1 = max(0, k_lo - (b - 1)), min(n, k_hi - a)
@@ -512,7 +519,7 @@ def _contract_sheared(v: np.ndarray, row_stencil, col_stencil, A: np.ndarray,
             # one column after row m - 1's
             window = np.ndarray((b - a, j1 - j0), complex, R,
                                 strides=(R.strides[0] + R.itemsize, R.itemsize))
-            total += ((A[a:b] * r[a:b, None]) * (window @ B[j0:j1])).sum()
+            total += ((A[a:b] * r[a:b, None]) * (window @ B[j0:j1])).sum(axis=0)
     return total
 
 

@@ -31,15 +31,21 @@ distinct argument) and the correlator's A and B once, on the concatenation
 of every point's nodes. The nodes are ragged, one offset per point and no
 padding, so each elementwise value equals the one a batch of one computes,
 bit for bit. Only the sums over one point's nodes (the contractions and
-weight folds) and the shared direct integrals run point by point. A scan
-is one batch per s; a single point is a batch of one.
+weight folds) run point by point, and each distinct integral runs once per
+batch: a constant first interval is factored out of the correlator, so
+the pathway-5 integrals of a tau scan do not move with tau. A scan is one
+batch per s, or several when its boxes hold too many nodes; a single
+point is a batch of one.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import functools
 import hashlib
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -149,9 +155,11 @@ def default_quadrature(ops: LiouvilleOperatorSet, amp=None, *,
 # quadrature core
 # ---------------------------------------------------------------------------
 
-#: Nodes times correlator terms that one batch of points may hold on each
-#: integration axis, counting cutoff / step + 2 nodes per point; bounds a
-#: batch's temporaries and its stencil memo (see `_signed_rows`).
+#: Nodes times correlator terms that one sub-term may hold on each
+#: integration axis in one batch of points, counting the tightened box of
+#: each distinct integral once (see `_batches`); bounds a batch's
+#: temporaries and its stencil memo, whose entries on nodes live until the
+#: last sub-term that can ask for them (see `_Memo.release`).
 _BATCH_NODES = 1 << 12
 
 
@@ -239,15 +247,22 @@ def _tighten(I3: List[np.ndarray], I4: List[np.ndarray], constraints
     return ok & (I3[0] <= I3[1]) & (I4[0] <= I4[1])
 
 
+def _inner_nodes(lo: np.ndarray, hi: np.ndarray, q: QuadratureSpec
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """The first step multiple j_lo * step strictly inside each [lo[k],
+    hi[k]], and how many there are."""
+    eps = 1e-9 * q.step
+    j_lo = np.ceil((lo + eps) / q.step).astype(int)
+    j_hi = np.floor((hi - eps) / q.step).astype(int)
+    return j_lo, np.maximum(j_hi - j_lo + 1, 0)
+
+
 def _segment_nodes(lo: np.ndarray, hi: np.ndarray, q: QuadratureSpec
                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Step-multiple nodes inside each [lo[k], hi[k]] with the exact
     endpoints included: one concatenation of runs, their offsets and their
     lengths."""
-    eps = 1e-9 * q.step
-    j_lo = np.ceil((lo + eps) / q.step).astype(int)
-    j_hi = np.floor((hi - eps) / q.step).astype(int)
-    inner = np.maximum(j_hi - j_lo + 1, 0)
+    j_lo, inner = _inner_nodes(lo, hi, q)
     off = _offsets(inner + 2)
     nodes = np.empty(off[-1])
     nodes[off[:-1]] = lo
@@ -279,6 +294,11 @@ class _Boxes:
     def __len__(self) -> int:
         return self.index.size
 
+    @functools.cached_property
+    def node_arrays(self) -> Tuple[int, int]:
+        """Hashes of the tau3 and tau4 nodes."""
+        return hash(self.tau3.tobytes()), hash(self.tau4.tobytes())
+
     def runs(self, k: int) -> Tuple[slice, slice]:
         """Point k's slices of the tau3 and tau4 nodes."""
         return (slice(self.o3[k], self.o3[k + 1]),
@@ -301,10 +321,11 @@ class _Boxes:
                       _offsets(n4), n4)
 
 
-def _boxes(subs: Sequence[SubTerm], tau: np.ndarray, T: np.ndarray, amp,
-           q: QuadratureSpec) -> List[Optional[_Boxes]]:
-    """The (tau3, tau4) nodes of each sub-term at points (tau[k], T[k]), or
-    None for a sub-term whose every box is empty.
+def _intervals(subs: Sequence[SubTerm], tau: np.ndarray, T: np.ndarray, amp,
+               q: QuadratureSpec):
+    """The box of each sub-term at points (tau[k], T[k]) as (sub-term,
+    point) arrays: [lo, hi] of tau3, [lo, hi] of tau4 and the mask of
+    non-empty boxes.
 
     A box is [0, cutoff]^2 tightened to the amplitude support and to the
     one causal constraint first_interval >= 0 (tau3, tau4 >= 0 hold on the
@@ -313,8 +334,6 @@ def _boxes(subs: Sequence[SubTerm], tau: np.ndarray, T: np.ndarray, amp,
     arguments are non-negative on every node. Every sub-term and point is
     tightened at once, as one (sub-term, point) array.
     """
-    if not subs:
-        return []
     support = amp.time_support()
     sym = np.array([[sub.symmetrize] for sub in subs])
     # one (sub-term expressions, t, lo, hi) per constraint, in order
@@ -339,6 +358,17 @@ def _boxes(subs: Sequence[SubTerm], tau: np.ndarray, T: np.ndarray, amp,
     I4 = [np.zeros(shape), np.full(shape, q.cutoff)]
     live = (_tighten(I3, I4, constraints) & (I3[1] - I3[0] >= 1e-12)
             & (I4[1] - I4[0] >= 1e-12))
+    return I3, I4, live
+
+
+def _boxes(subs: Sequence[SubTerm], tau: np.ndarray, T: np.ndarray, amp,
+           q: QuadratureSpec) -> List[Optional[_Boxes]]:
+    """The (tau3, tau4) nodes of each sub-term's box (see `_intervals`) at
+    points (tau[k], T[k]), or None for a sub-term whose every box is
+    empty."""
+    if not subs:
+        return []
+    I3, I4, live = _intervals(subs, tau, T, amp, q)
     which, index = np.nonzero(live)
     nodes, off, n = _segment_nodes(np.concatenate((I3[0][live], I4[0][live])),
                                    np.concatenate((I3[1][live], I4[1][live])),
@@ -379,14 +409,18 @@ class _Bordered:
 
     def contract(self, A: np.ndarray, B: np.ndarray) -> complex:
         """sum_p A[:, p]^T H B[:, p] for this factor H."""
-        total = self.edge @ (A[self.i] * B[self.j]).sum(axis=1)
+        return complex(self.contract_terms(A, B).sum())
+
+    def contract_terms(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """A[:, p]^T H B[:, p] for each term p, as a (P,) array."""
+        total = self.edge @ (A[self.i] * B[self.j])
         if isinstance(self.inner, np.ndarray):
             # sum_ij a_i inner[i + j] b_j = inner . (a convolved with b)
-            total += sum(self.inner @ np.convolve(a, b)
-                         for a, b in zip(A[1:-1].T, B[1:-1].T))
+            total += np.array([self.inner @ np.convolve(a, b)
+                               for a, b in zip(A[1:-1].T, B[1:-1].T)])
         elif self.inner is not None:
-            total += self.inner.contract(A[1:-1], B[1:-1])
-        return complex(total)
+            total += self.inner.contract_terms(A[1:-1], B[1:-1])
+        return total
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         out = np.empty(self.shape, complex)
@@ -570,9 +604,26 @@ def _amplitude_factor(amp, args: Tuple[Affine, Affine], bracket: bool,
     return mesh
 
 
+def _integral_keys(sub: SubTerm, interaction: int, tau: np.ndarray,
+                   T: np.ndarray) -> Tuple[tuple, List[tuple]]:
+    """The memo keys of a sub-term's integral (see `_sub_term_values`) at
+    points (tau[k], T[k]): one part for every point, and per point its tau
+    and T where an expression that moves with tau3 or tau4 depends on them
+    (the direct arguments, the conjugate ones when they move, the first
+    interval when it moves). Points with equal keys have equal shifts of
+    those expressions, and so equal boxes and integrals."""
+    first = sub.first_interval
+    conj = sub.conj_args if any(a.t3 or a.t4 for a in sub.conj_args) else ()
+    moving = sub.args + conj + ((first,) if first.t3 or first.t4 else ())
+    return ((interaction, sub.args, sub.symmetrize, first.t3, first.t4, conj),
+            list(zip(*(x.tolist() if any(getattr(e, name) for e in moving)
+                       else [None] * x.size
+                       for name, x in (("tau", tau), ("T", T))))))
+
+
 def _sub_term_values(sub: SubTerm, interaction: int, box: _Boxes, amp,
                      ops: LiouvilleOperatorSet, q: QuadratureSpec,
-                     shared: Optional[dict] = None) -> np.ndarray:
+                     memo: Optional[_Memo] = None) -> np.ndarray:
     """Double integral of one sub-term over its box (see `_boxes`) at each
     point of a batch where the box is not empty, in the order of
     `box.index`.
@@ -584,26 +635,36 @@ def _sub_term_values(sub: SubTerm, interaction: int, box: _Boxes, amp,
     none at all makes it a product of sums). Weights, amplitude factors
     and the correlator's A and B are computed once for the batch, on every
     point's nodes at once; only the sums over one point's nodes run point
-    by point. A `_Bordered` or `LatticeFactor` H contracts itself; only a
-    full-mesh H is multiplied.
+    by point, one sum J_p per correlator term. A `_Bordered` or
+    `LatticeFactor` H contracts itself; only a full-mesh H is multiplied.
 
-    A conjugate factor that depends on neither variable multiplies the
-    integral of the direct factor, which sub-terms differing only in that
-    constant share: `shared` memoizes it per (interaction, args, symmetrize,
-    first_interval) and point of the batch, for one amplitude. A constant
-    constraint in `_tighten` only passes or fails, so sharing sub-terms
-    with non-empty boxes have equal boxes. Under the key "stencils",
-    `shared` also holds the batch's lattice stencils (see
-    `_amplitude_factor`).
+    A first interval without tau3 and tau4 is a constant c >= 0 on the box
+    (pathways 1, 3 and 5, the same-arm rows), and A_p holds it as the
+    factor exp(-z1_p c): the integral is taken at c = 0, and each point
+    gets sum_p exp(-z1_p c) J_p, no factor of which grows (Re z1 is at
+    least the dephasing floor). A conjugate factor that depends on neither
+    variable multiplies the integral of the direct factor. What is left
+    depends on the point only through the keys of `_integral_keys`, so
+    `memo` keeps J per key for one amplitude and batch: points with equal
+    keys, and sub-terms differing only in a constant conjugate factor or a
+    constant first interval, integrate once (on a tau scan, pathway 5
+    integrates I-5/II-5/IV-5 once and III-5 once per T). A constant
+    constraint in `_tighten` only passes or fails, and the rest works
+    elementwise, so points with equal keys have equal boxes and equal
+    integrals bit for bit. `memo` also holds the batch's lattice stencils
+    (see `_amplitude_factor`).
     """
     expansion = ops.expansion(interaction)
-    shared = {} if shared is None else shared
-    stencils = shared.setdefault("stencils", {})
+    memo = _Memo() if memo is None else memo
+    stencils = memo.stencils
+    first = sub.first_interval
+    first_moves = bool(first.t3 or first.t4)
+    conj_moves = any(a.t3 or a.t4 for a in sub.conj_args)
 
     def factor(args, bracket, on, conj=False):
         return _amplitude_factor(amp, args, bracket, on, q, stencils, conj)
 
-    def integral(on: _Boxes, *factors) -> List[complex]:
+    def integral(on: _Boxes, *factors) -> np.ndarray:
         w3 = _weights(on.tau3, q.step, q.rule, on.o3)
         w4 = _weights(on.tau4, q.step, q.rule, on.o4)
         H = None
@@ -615,47 +676,103 @@ def _sub_term_values(sub: SubTerm, interaction: int, box: _Boxes, amp,
             else:
                 w3 = w3 * (f.values if f.axis == 3
                            else np.repeat(f.values, on.n3))
-        first = on.evaluate(sub.first_interval, 0.0, on.n3, on.tau3, 0.0)
-        A, B = expansion.factors(first, on.tau3, on.tau4)
+        tau1 = (on.evaluate(first, 0.0, on.n3, on.tau3, 0.0) if first_moves
+                else np.zeros(on.tau3.size))
+        A, B = expansion.factors(tau1, on.tau3, on.tau4)
         A *= w3[:, None]
         B *= w4[:, None]
-        values = []
+        values = np.empty((len(on), A.shape[1]), complex)
         for k in range(len(on)):
             s3, s4 = on.runs(k)
             a, b = A[s3], B[s4]
             if H is None:
-                values.append(complex(a.sum(axis=0) @ b.sum(axis=0)))
+                values[k] = a.sum(axis=0) * b.sum(axis=0)
                 continue
             h = H(k)
-            values.append(complex((a * (h @ b)).sum())
-                          if isinstance(h, np.ndarray) else h.contract(a, b))
+            values[k] = ((a * (h @ b)).sum(axis=0) if isinstance(h, np.ndarray)
+                         else h.contract_terms(a, b))
         return values
 
-    conj = factor(sub.conj_args, False, box, conj=True)
-    if any(a.t3 or a.t4 for a in sub.conj_args):
-        return np.array(integral(box, conj,
-                                 factor(sub.args, sub.symmetrize, box)))
-    known = shared.setdefault(
-        (interaction, sub.args, sub.symmetrize, sub.first_interval), {})
-    todo = [k for k, i in enumerate(box.index) if i not in known]
+    part, keys = _integral_keys(sub, interaction, box.tau, box.T)
+    known = memo.integrals.setdefault(part, {})
+    todo: Dict[tuple, int] = {}
+    for k, key in enumerate(keys):
+        if key not in known:
+            todo.setdefault(key, k)
     if todo:
-        part = box if len(todo) == len(box) else box.select(todo)
-        known.update(zip(part.index, integral(
-            part, factor(sub.args, sub.symmetrize, part))))
-    return conj.values * np.array([known[i] for i in box.index])
+        on = box if len(todo) == len(box) else box.select(list(todo.values()))
+        factors = ((factor(sub.conj_args, False, on, conj=True),)
+                   if conj_moves else ())
+        factors += (factor(sub.args, sub.symmetrize, on),)
+        known.update(zip(todo, integral(on, *factors)))
+    J = np.array([known[key] for key in keys])
+    if not first_moves:
+        # not in place: NumPy rounds an in-place complex product of one
+        # element differently, and a batch of one must match the batch
+        J = J * np.exp(-np.multiply.outer(first.shift(0.0, box.tau, box.T),
+                                          expansion.z1))
+    values = J.sum(axis=1)
+    if not conj_moves:
+        values = factor(sub.conj_args, False, box, conj=True).values * values
+    memo.release(box)
+    return values
+
+
+@dataclass
+class _Memo:
+    """What the sub-terms of one batch of points share: their boxes (by
+    sub-term object), their integrals by key (see `_integral_keys`) and
+    the lattice stencils (see `_amplitude_factor`).
+
+    With `pending`, the hashes of the node arrays of every sub-term box
+    still to be integrated (see `_Boxes.node_arrays`), stencils on nodes are
+    dropped after their last use (see `release`); without it (a single
+    point or row, whose stencils are few) they live as long as the memo.
+    """
+
+    boxes: dict = field(default_factory=dict)
+    integrals: dict = field(default_factory=dict)
+    stencils: dict = field(default_factory=dict)
+    pending: Optional[collections.Counter] = None
+    points: int = 1
+    tags: dict = field(default_factory=dict)
+
+    def release(self, box: _Boxes) -> None:
+        """End one sub-term's use of the stencils; `box` is its box.
+
+        The entries it made are tagged with its box's node arrays. An entry
+        on nodes (more coordinates than the batch has points) is then
+        dropped once no sub-term still to come has a box with one of its
+        tags' node arrays: a coordinate on nodes is an affine function of
+        one box's node arrays, so only such a sub-term asks for it again.
+        An entry of one value per point lives as long as the memo.
+        """
+        if self.pending is None:
+            return
+        mine = box.node_arrays
+        for a in mine:
+            self.pending[a] -= 1
+        for key in self.stencils:
+            if key not in self.tags:
+                self.tags[key] = mine if math.prod(key[1]) > self.points else ()
+        if all(self.pending[a] for a in mine):
+            return  # no entry lost its last sub-term to come
+        for key in [key for key, arrays in self.tags.items()
+                    if arrays and not any(self.pending[a] for a in arrays)]:
+            del self.stencils[key], self.tags[key]
 
 
 def _row_values(term: PathwayTerm, tau: np.ndarray, T: np.ndarray, amp,
                 ops: LiouvilleOperatorSet, q: QuadratureSpec,
-                shared: dict) -> np.ndarray:
+                memo: _Memo) -> np.ndarray:
     """Sum of a row's sub-term integrals at each point (tau[k], T[k]). A
     correlator without terms gives 0 before any box is built, and so does
-    an empty box. The batch's boxes are kept in `shared` under "boxes", by
-    sub-term object."""
+    an empty box. The batch's boxes are kept in `memo`, by sub-term
+    object."""
     total = np.zeros(tau.size, complex)
     if ops.expansion(term.interaction).coeffs.size == 0:
         return total
-    boxes = shared.setdefault("boxes", {})
+    boxes = memo.boxes
     missing = [sub for sub in term.sub_terms if id(sub) not in boxes]
     if missing:
         boxes.update(zip(map(id, missing), _boxes(missing, tau, T, amp, q)))
@@ -663,7 +780,7 @@ def _row_values(term: PathwayTerm, tau: np.ndarray, T: np.ndarray, amp,
         box = boxes[id(sub)]
         if box is not None:
             total[box.index] += _sub_term_values(sub, term.interaction, box,
-                                                 amp, ops, q, shared)
+                                                 amp, ops, q, memo)
     return total
 
 
@@ -677,11 +794,13 @@ def term_value(term: PathwayTerm, tau: float, T: float, s: float,
     """Unsigned value of one ledger row (sum of its sub-term integrals).
 
     Detection sign and beam-splitter channel weights are applied by
-    :func:`coincidence`, not here. Like it, refuses tau < 0 or T < 0.
+    :func:`coincidence`, not here. Like it, refuses non-finite delays and
+    tau < 0 or T < 0.
     """
-    _check_domain(tau, T)
+    _check_domain(tau, T, s)
     return complex(_row_values(term, *_point(tau, T),
-                               _resolve_amplitude(amp, s), ops, q, {})[0])
+                               _resolve_amplitude(amp, s), ops, q,
+                               _Memo())[0])
 
 
 def _resolve_amplitude(amp, s: float):
@@ -694,12 +813,58 @@ def _resolve_amplitude(amp, s: float):
     return amp
 
 
-def _check_domain(tau: float, T: float) -> None:
-    """Refuse tau < 0 or T < 0: the ledger holds the causal blocks of tau,
-    T >= 0 only, and the mirrored ones it lacks are not zero there."""
-    if tau < 0 or T < 0:
+def _check_finite(**delays) -> None:
+    """Refuse a delay (numbers or arrays, by name) that is NaN or infinite,
+    naming the first one."""
+    for name, values in delays.items():
+        values = np.ravel(values)
+        bad = values[~np.isfinite(values)]
+        if bad.size:
+            raise ValueError(f"delays must be finite; got {name}={bad[0]}")
+
+
+def _check_domain(tau, T, s) -> None:
+    """Refuse non-finite delays, and tau < 0 or T < 0 (numbers or arrays):
+    the ledger holds the causal blocks of tau, T >= 0 only, and the
+    mirrored ones it lacks are not zero there."""
+    _check_finite(tau=tau, T=T, s=s)
+    if np.size(tau) and np.size(T) and min(np.min(tau), np.min(T)) < 0:
         raise ValueError(f"the pathway ledger covers tau >= 0 and T >= 0 "
-                         f"only; got tau={tau:g}, T={T:g}")
+                         f"only; got tau={np.min(tau):g}, T={np.min(T):g}")
+
+
+def _batches(subs: Sequence[Tuple[SubTerm, int]], tau: np.ndarray,
+             T: np.ndarray, amp, ops: LiouvilleOperatorSet,
+             q: QuadratureSpec) -> List[slice]:
+    """Consecutive runs of the points (tau[k], T[k]) in which no sub-term
+    (with its interaction) holds more than `_BATCH_NODES` nodes times
+    correlator terms on either axis. Each distinct integral of a run (see
+    `_integral_keys`) counts its tightened box once; a point over the bound
+    alone is a batch of one."""
+    if tau.size < 2 or not subs:
+        return [slice(0, tau.size)] if tau.size else []
+    I3, I4, live = _intervals([sub for sub, _ in subs], tau, T, amp, q)
+    terms = np.array([[ops.expansion(i).coeffs.size] for _, i in subs])
+    cost = np.where(live, [(_inner_nodes(*I, q)[1] + 2) * terms
+                           for I in (I3, I4)], 0)
+    keys = [_integral_keys(sub, i, tau, T)[1] for sub, i in subs]
+    out, start = [], 0
+    held: List[set] = [set() for _ in subs]
+    load = np.zeros((2, len(subs)), int)
+    for k in range(tau.size):
+        new = [n for n, sub_keys in enumerate(keys)
+               if live[n, k] and sub_keys[k] not in held[n]]
+        if k > start and (load[:, new] + cost[:, new, k]
+                          > _BATCH_NODES).any():
+            out.append(slice(start, k))
+            start, held = k, [set() for _ in subs]
+            load[:] = 0
+            new = np.flatnonzero(live[:, k]).tolist()
+        load[:, new] += cost[:, new, k]
+        for n in new:
+            held[n].add(keys[n][k])
+    out.append(slice(start, tau.size))
+    return out
 
 
 def _signed_rows(table: Sequence[PathwayTerm], tau: np.ndarray,
@@ -710,32 +875,32 @@ def _signed_rows(table: Sequence[PathwayTerm], tau: np.ndarray,
     (tau[k], T[k]), skipping rows the splitter (default 50:50) weights to
     zero.
 
-    The points go in batches of at most `_BATCH_NODES` nodes times
-    correlator terms per axis, counting the cutoff's nodes for every box.
-    Within a batch, rows share the direct integrals of their
-    constant-conjugate sub-terms and the lattice stencils (see
-    `_sub_term_values`) through one dict."""
-    if tau.size:
-        _check_domain(tau.min(), T.min())
+    The points go in the batches of `_batches`, sized by their tightened
+    boxes. Within a batch, rows and points share the integrals of equal
+    keys and the lattice stencils (see `_sub_term_values`) through one
+    `_Memo`."""
+    _check_domain(tau, T, s)
     hom = hom or HomSpec()
     amp = _resolve_amplitude(amp, s)
     rows = [(term, term.pattern.sign * term.pattern.weight(hom))
             for term in table]
     rows = [(term, weight) for term, weight in rows if weight]
-    terms = max((ops.expansion(term.interaction).coeffs.size
-                 for term, _ in rows), default=1)
-    size = max(1, _BATCH_NODES // ((q.n_nodes + 2) * max(terms, 1)))
     values = [np.empty(tau.size, complex) for _ in rows]
-    subs = list({id(sub): sub for term, _ in rows
+    subs = list({id(sub): (sub, term.interaction) for term, _ in rows
                  if ops.expansion(term.interaction).coeffs.size
                  for sub in term.sub_terms}.values())
-    for start in range(0, tau.size, size):
-        batch = slice(start, start + size)
-        shared = {"boxes": dict(zip(map(id, subs), _boxes(
-            subs, tau[batch], T[batch], amp, q)))}
+    for batch in _batches(subs, tau, T, amp, ops, q):
+        boxes = dict(zip((id(sub) for sub, _ in subs), _boxes(
+            [sub for sub, _ in subs], tau[batch], T[batch], amp, q)))
+        memo = _Memo(boxes, points=tau[batch].size)
+        if memo.points > 1:  # a batch of one keeps its few stencils
+            memo.pending = collections.Counter(
+                a for term, _ in rows for sub in term.sub_terms
+                if boxes.get(id(sub)) is not None
+                for a in boxes[id(sub)].node_arrays)
         for (term, weight), out in zip(rows, values):
             out[batch] = weight * _row_values(term, tau[batch], T[batch], amp,
-                                              ops, q, shared)
+                                              ops, q, memo)
     return [(term, out) for (term, _), out in zip(rows, values)]
 
 
@@ -765,7 +930,7 @@ def coincidence(tau, T, s: float, amp, ops: LiouvilleOperatorSet,
     from the argument.
 
     ``tau`` and ``T`` may be arrays, broadcast against each other: their
-    points are evaluated in one batch (see `_sub_term_values`), and the
+    points are evaluated in batches (see `_batches`), and the
     values come back in the broadcast shape, each equal bit for bit to the
     float that its point alone gives.
     """
@@ -1027,16 +1192,18 @@ def _check_axes(*axes: np.ndarray) -> None:
 def check_lattice(tau_axis: Sequence[float], T_axis: Sequence[float],
                   s_axis: Sequence[float], mode: str) -> None:
     """Refuse a lattice of non-empty axes with a point outside the mode's
-    domain: in short_Te mode s > 0 and tau >= -T, naming the first offending
-    point in lattice order (tau slowest, s fastest); else tau, T >= 0."""
-    if mode == "short_Te":
-        for tv, Tv, sv in itertools.product(tau_axis, T_axis, s_axis):
-            rule = "s > 0" if sv <= 0 else "tau >= -T" if tv < -Tv else None
-            if rule is not None:
-                raise ValueError(f"short_Te mode requires {rule}; offending "
-                                 f"point (tau={tv}, T={Tv}, s={sv})")
-    else:
-        _check_domain(min(tau_axis), min(T_axis))
+    domain: finite tau, T and s in every mode; in short_Te mode s > 0 and
+    tau >= -T, naming the first offending point in lattice order (tau
+    slowest, s fastest); else tau, T >= 0."""
+    if mode != "short_Te":
+        _check_domain(tau_axis, T_axis, s_axis)
+        return
+    _check_finite(tau=tau_axis, T=T_axis, s=s_axis)
+    for tv, Tv, sv in itertools.product(tau_axis, T_axis, s_axis):
+        rule = "s > 0" if sv <= 0 else "tau >= -T" if tv < -Tv else None
+        if rule is not None:
+            raise ValueError(f"short_Te mode requires {rule}; offending "
+                             f"point (tau={tv}, T={Tv}, s={sv})")
 
 
 def scan(tau_axis: Sequence[float], T_axis: Sequence[float],
@@ -1045,13 +1212,13 @@ def scan(tau_axis: Sequence[float], T_axis: Sequence[float],
          workers: Optional[int] = None) -> SignalGrid:
     """Evaluate the chosen signal over the lattice.
 
-    Every (tau, T) point of one s is evaluated in one batch, one
-    :func:`coincidence` call on the calling thread, with the amplitude
-    transformed to that s alone, so one s value's two-time envelope is held
-    at a time. A point's value equals its own :func:`coincidence` bit for
-    bit. ``workers``
-    is accepted for compatibility and ignored, so the output is the same
-    for any worker count. A lattice outside the mode's domain (see
+    Every (tau, T) point of one s is evaluated in one :func:`coincidence`
+    call on the calling thread (in batches, see `_batches`), with the
+    amplitude transformed to that s alone, so one s value's two-time
+    envelope is held at a time. A point's value equals its own
+    :func:`coincidence` bit for bit. ``workers`` is accepted for
+    compatibility and ignored, so the output is the same for any worker
+    count. A lattice outside the mode's domain (see
     `check_lattice`), or an undamped system in short_Te mode (see
     `short_te_terms`), aborts before any point is evaluated. The short_Te
     and bs_removed modes fix the splitter themselves, so they refuse a

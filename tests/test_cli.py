@@ -287,6 +287,19 @@ class TestMain:
                 capsys.readouterr().err)
         assert not (tmp_path / "o.dat").exists()
 
+    @pytest.mark.parametrize("key, value, name", [
+        ("scan.tau_fs", [float("nan")], "tau=nan"),
+        ("scan.T_fs", [float("inf")], "T=inf")])
+    def test_delay_that_is_not_finite_refused_at_load(self, tmp_path, capsys,
+                                                      key, value, name):
+        cfg = write_config(tmp_path, {key: value,
+                                      "output": str(tmp_path / "o.dat")})
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(cfg)]) == 2
+            assert f"scan: delays must be finite; got {name}" in (
+                capsys.readouterr().err)
+        assert not (tmp_path / "o.dat").exists()
+
     def test_mode_full_on_short_te_config_names_pump(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"mode": "short_Te",
                                       "output": str(tmp_path / "o.dat")},

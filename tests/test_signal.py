@@ -11,7 +11,7 @@ from homspec.biphoton import (BiphotonAmplitude, CrystalSpec, DeltaAmplitude,
                               LatticeFactor, PumpSpec, build_jsa,
                               default_grid)
 from homspec.model import ExcitonSystem, Level, LiouvilleOperatorSet
-from homspec import signal
+from homspec import biphoton, signal
 from homspec.pathways import HomSpec, complete_term_table, term_table
 from homspec.signal import (BLOCK_FACTOR, QuadratureSpec, SignalGrid,
                             _amplitude_factor, _boxes, _segment_nodes,
@@ -549,6 +549,119 @@ class TestSharedIntegrals:
         assert len(sheared) == 2 and len(set(sheared)) == 2
 
 
+@pytest.fixture(scope="module")
+def readme_quadrature(golden_point):
+    """The golden amplitude and system under the README config's quadrature:
+    step 0.2 fs, the default cutoff (240 fs)."""
+    _, amp, ops, q = golden_point
+    return amp, ops, dataclasses.replace(q, step=0.2)
+
+
+def count_sheared(monkeypatch) -> list:
+    """Record each pathway-5 contraction (`biphoton._contract_sheared`)."""
+    calls = []
+    inner = biphoton._contract_sheared
+
+    def counting(*args):
+        calls.append(args[3].shape)
+        return inner(*args)
+
+    monkeypatch.setattr(biphoton, "_contract_sheared", counting)
+    return calls
+
+
+class TestFactoredIntegrals:
+    """A constant first interval is factored out of the correlator, and a
+    batch memoizes integrals by value, so each distinct box is integrated
+    once per batch: on a tau scan the pathway-5 integrals do not move with
+    tau, and III-5's moves with T alone."""
+
+    def test_readme_tau_scan_contracts_pathway_5_twice(self, readme_quadrature,
+                                                       monkeypatch):
+        amp, ops, q = readme_quadrature
+        calls = count_sheared(monkeypatch)
+        tau_axis = np.linspace(0.0, 28.0, 8)
+        grid = scan(tau_axis, [10.0], [15.0], "full", amp, ops, q)
+        # one batch: I-5, II-5 and IV-5 once, III-5 once
+        assert len(calls) == 2
+        # one-term correlators: each point's factor exp(-z1 c) is one element
+        for i, tv in enumerate(tau_axis):
+            assert grid.values[i, 0, 0] == coincidence(tv, 10.0, 15.0, amp,
+                                                       ops, q), tv
+
+    def test_lattice_contracts_pathway_5_once_and_once_per_T(
+            self, readme_quadrature, monkeypatch):
+        amp, ops, q = readme_quadrature
+        # a bound that holds the whole 4 x 4 lattice in one batch
+        monkeypatch.setattr(signal, "_BATCH_NODES", 1 << 16)
+        calls = count_sheared(monkeypatch)
+        scan([4.0, 12.0, 20.0, 28.0], [2.0, 6.0, 10.0, 14.0], [15.0], "full",
+             amp, ops, q)
+        assert len(calls) == 1 + 4
+
+    def test_batch_makes_each_stencil_once(self, readme_quadrature,
+                                           monkeypatch):
+        # a stencil on nodes is dropped after the last sub-term that can ask
+        # for it, so none is made twice in the batch
+        amp, ops, q = readme_quadrature
+        made = []
+        stencil = BiphotonAmplitude._stencil
+
+        def making(self, axis, coord):
+            coord = np.asarray(coord, dtype=float)
+            made.append((axis if not self._square else 0, coord.shape,
+                         coord.tobytes()))
+            return stencil(self, axis, coord)
+
+        monkeypatch.setattr(BiphotonAmplitude, "_stencil", making)
+        coincidence(np.linspace(0.0, 28.0, 8), 10.0, 15.0, amp, ops, q)
+        assert len(made) == len(set(made)) > 0
+
+    def test_scan_equals_coincidence_with_many_term_correlators(
+            self, monkeypatch):
+        ops = random_ladder(np.random.default_rng(3), 2, 2, 0.25)
+        assert min(ops.expansion(i).coeffs.size for i in (1, 3, 5)) > 1
+        amp = gaussian_amplitude(center=0.4, sigma_sum=0.3, sigma_diff=0.5,
+                                 n=128, half_span=1.6, s=3.0)
+        q = QuadratureSpec(cutoff=48.0, step=0.4, rule="trapezoid",
+                           t_ref=reference_time(amp))
+        tau_axis, T_axis = [0.0, 1.3, 2.0, 7.5], [0.5, 6.0]
+        calls = count_sheared(monkeypatch)
+        grid = scan(tau_axis, T_axis, [3.0], "full", amp, ops, q)
+        # one batch: pathway 5 integrates once, and III-5 once per T
+        assert len(calls) == 1 + len(T_axis)
+        for i, tv in enumerate(tau_axis):
+            for j, Tv in enumerate(T_axis):
+                assert grid.values[i, j, 0] == coincidence(
+                    tv, Tv, 3.0, amp, ops, q), (tv, Tv)
+
+    def test_factored_sub_terms_match_the_full_mesh_in_a_batch(self):
+        # each point of a batch that shares one integral gets its own
+        # exp(-z1 c) factor per correlator term
+        ops = random_ladder(np.random.default_rng(3), 2, 2, 0.25)
+        amp = gaussian_amplitude(center=0.4, sigma_sum=0.3, sigma_diff=0.5,
+                                 n=128, half_span=1.6, s=3.05)
+        q = QuadratureSpec(cutoff=48.0, step=0.4, rule="trapezoid",
+                           t_ref=reference_time(amp))
+        tau, T = np.array([0.25, 1.3, 2.0, 0.25]), np.array([2.1, 2.1, 0.7, 0.7])
+        checked = 0
+        for term in term_table() + complete_term_table():
+            for sub in term.sub_terms:
+                first = sub.first_interval
+                box = _boxes([sub], tau, T, amp, q)[0]
+                if first.t3 or first.t4 or box is None:
+                    continue
+                got = _sub_term_values(sub, term.interaction, box, amp, ops,
+                                       q)
+                for k, i in enumerate(box.index):
+                    want, scale = full_mesh_value(sub, term.interaction,
+                                                  tau[i], T[i], amp, ops, q)
+                    assert abs(got[k] - want) <= 1e-12 * scale, (term.label,
+                                                                 i)
+                    checked += scale > 0
+        assert checked >= 40
+
+
 class TestCoincidence:
     def test_zero_dipoles(self, quad):
         system = ExcitonSystem(
@@ -581,6 +694,28 @@ class TestCoincidence:
         with pytest.raises(ValueError, match="tau >= 0 and T >= 0"):
             signal_fn(tau, T, 4.0, GaussLine(s=4.0, sigma=0.2), slow_ladder,
                       quad)
+
+    @pytest.mark.parametrize("signal_fn", [coincidence, complete_coincidence])
+    @pytest.mark.parametrize("tau, T, name", [(np.nan, 1.0, "tau=nan"),
+                                              (1.0, np.inf, "T=inf"),
+                                              (-np.inf, 1.0, "tau=-inf")])
+    def test_refuses_delays_that_are_not_finite(self, slow_ladder, quad,
+                                                signal_fn, tau, T, name):
+        # NaN compares False with 0, so a sign test alone lets it through
+        # to a silent zero
+        with pytest.raises(ValueError, match=f"delays must be finite; got "
+                                             f"{name}"):
+            signal_fn(tau, T, 4.0, GaussLine(s=4.0, sigma=0.2), slow_ladder,
+                      quad)
+        with pytest.raises(ValueError, match=f"got {name}"):
+            term_value(TABLE[("I", 1)], tau, T, 4.0,
+                       GaussLine(s=4.0, sigma=0.2), slow_ladder, quad)
+
+    def test_refuses_an_array_with_one_delay_that_is_not_finite(
+            self, slow_ladder, quad):
+        with pytest.raises(ValueError, match="got tau=inf"):
+            coincidence(np.array([1.0, np.inf]), 2.0, 4.0,
+                        GaussLine(s=4.0, sigma=0.2), slow_ladder, quad)
 
     def test_output_is_real_float(self, slow_ladder, quad):
         val = coincidence(1.0, 5.0, 4.0, GaussLine(s=4.0, sigma=0.2),
@@ -739,6 +874,17 @@ class TestScan:
         for tau_axis, T_axis in (([-1.0, 1.0], [2.0]), ([1.0], [2.0, -2.0])):
             with pytest.raises(ValueError, match="tau >= 0 and T >= 0"):
                 scan(tau_axis, T_axis, [3.0], mode, amp, ops, q, workers=1)
+
+    @pytest.mark.parametrize("mode", ["full", "bs_removed", "short_Te"])
+    @pytest.mark.parametrize("tau_axis, T_axis, name", [
+        ([np.nan], [2.0], "tau=nan"), ([np.inf], [2.0], "tau=inf"),
+        ([0.0, np.inf], [2.0], "tau=inf"), ([1.0], [np.nan], "T=nan")])
+    def test_refuses_delays_that_are_not_finite(self, small_setup, mode,
+                                                tau_axis, T_axis, name):
+        ops, amp, q = small_setup
+        with pytest.raises(ValueError, match=f"delays must be finite; got "
+                                             f"{name}"):
+            scan(tau_axis, T_axis, [3.0], mode, amp, ops, q)
 
     def test_bs_removed_mode_drops_exchange_terms(self, small_setup):
         ops, amp, q = small_setup
@@ -922,7 +1068,7 @@ class TestBatch:
         ops, amp, q = small_setup
         lattice = ([0.0, 1.0, 2.5, 4.0], [0.5, 3.0], [3.0])
         whole = scan(*lattice, "full", amp, ops, q).serialize()
-        # two points per batch
+        # several batches of two or three points
         monkeypatch.setattr(signal, "_BATCH_NODES", 2 * (q.n_nodes + 2))
         assert scan(*lattice, "full", amp, ops, q).serialize() == whole
 
