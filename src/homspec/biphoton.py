@@ -362,12 +362,18 @@ class BiphotonAmplitude:
 
     def time_support(self) -> Tuple[float, float, float, float]:
         """Bounding box (t1_lo, t1_hi, t2_lo, t2_hi) where the amplitude
-        exceeds 1e-6 of its peak magnitude; scanned once, on first use."""
+        exceeds 1e-6 of its peak magnitude; scanned once, on first use, in
+        blocks of `_ROW_BLOCK` rows (no |E| of the whole lattice)."""
         if self._support is None:
-            mag = np.abs(self.envelope)
-            thresh = 1e-6 * mag.max()
-            rows = np.where(mag.max(axis=1) > thresh)[0]
-            cols = np.where(mag.max(axis=0) > thresh)[0]
+            row_max = np.empty(self.envelope.shape[0])
+            col_max = np.zeros(self.envelope.shape[1])
+            for i in range(0, row_max.size, _ROW_BLOCK):
+                mag = np.abs(self.envelope[i:i + _ROW_BLOCK])
+                row_max[i:i + _ROW_BLOCK] = mag.max(axis=1)
+                np.maximum(col_max, mag.max(axis=0), out=col_max)
+            thresh = 1e-6 * row_max.max()
+            rows = np.where(row_max > thresh)[0]
+            cols = np.where(col_max > thresh)[0]
             self._support = (float(self.t1[rows[0]]), float(self.t1[rows[-1]]),
                              float(self.t2[cols[0]]), float(self.t2[cols[-1]]))
         return self._support
@@ -382,7 +388,8 @@ class BiphotonAmplitude:
         return h.hexdigest()[:16]
 
 
-#: Mesh rows contracted per block by `LatticeFactor`; bounds its temporaries.
+#: Rows per block of `LatticeFactor`'s contraction and of the
+#: `time_support` scan; bounds their temporaries.
 _ROW_BLOCK = 64
 
 

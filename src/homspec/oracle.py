@@ -247,6 +247,28 @@ def _build_couplings(system: ExcitonSystem, field: DiscretizedField,
     return cs
 
 
+def _reachable(couplings: Sequence[_Coupling], order_max: int
+               ) -> List[List[_Coupling]]:
+    """The couplings to apply at each order 1..order_max, in their given
+    order: those whose input block can be nonzero at the order below. Only
+    `g_ab` is at order 0; a block is reachable at order k when some
+    coupling applied at order k writes it. Every other (coupling, order)
+    application would add an exact zero."""
+    reach, out = {"g_ab"}, []
+    for _ in range(order_max):
+        out.append([c for c in couplings if c.in_key in reach])
+        reach = {c.out_key for c in out[-1]}
+    return out
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """Refuse, by name, a count that is not an integer of at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 def evolve_perturbative(system: ExcitonSystem, field: DiscretizedField,
                         t: float, order_max: int = 4, *,
                         t_start: Optional[float] = None,
@@ -273,37 +295,53 @@ def evolve_perturbative(system: ExcitonSystem, field: DiscretizedField,
     A smooth roll-off towards the lattice edges replaces the sinc-shaped
     detection kernel of a hard band edge, whose slowly decaying sidelobes
     smear the ordering of emissions a few fs apart, by a compact one.
+
+    Each step applies, at each order, only the couplings whose input block
+    is reachable at the order below (see `_reachable`), and copies only
+    those input blocks as the step's start values.
     """
     if system.dephasing_default != 0.0 or any(system.dephasing_pairs.values()):
         raise ValueError("the brute-force route is bath-free: dephasing must be zero")
+    _check_count("n_steps", n_steps, 1)
+    _check_count("order_max", order_max, 0)
+    if not np.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     if t_start is None:
         t_start = -t
+    if not np.isfinite(t_start):
+        raise ValueError(f"t_start must be finite, got {t_start}")
     if t <= t_start:
         raise ValueError("need t > t_start")
+    if not 0.0 <= switch_off <= t - t_start:
+        raise ValueError("switch_off must lie in [0, t - t_start]")
     n_g, n_e, n_f = system.n_g, system.n_e, system.n_f
     M = field.frequencies.size
+    if mode_coupling is not None and np.shape(mode_coupling) != (M,):
+        raise ValueError(f"mode_coupling must have one entry per mode ({M})")
     h = (t - t_start) / n_steps
 
     orders = [_zero_blocks(n_g, n_e, n_f, M) for _ in range(order_max + 1)]
     g_index = system.indices("g").index(system.initial_index())
     orders[0]["g_ab"][g_index] = field.coefficients
 
-    if mode_coupling is not None and np.shape(mode_coupling) != (M,):
-        raise ValueError(f"mode_coupling must have one entry per mode ({M})")
     couplings = _build_couplings(system, field, t_start, h, mode_coupling)
     if keep is not None:
         couplings = [c for c in couplings if keep(c.out_key, c.in_key)]
-    if not 0.0 <= switch_off <= t - t_start:
-        raise ValueError("switch_off must lie in [0, t - t_start]")
+    plan = _reachable(couplings, order_max)
+    # order k's couplings read order k - 1 at the step's start ("old"); no
+    # coupling writes order 0, so its blocks serve as their own old values
+    read = [{c.in_key for c in used} for used in plan]
+    live = [c for c in couplings if any(c in used for used in plan)]
     mid = t_start + h * (np.arange(n_steps) + 0.5)
     ramp = np.clip((mid - (t - switch_off)) / max(switch_off, h), 0.0, 1.0)
     scales = np.cos(0.5 * np.pi * ramp) ** 2
     for n in range(n_steps):
-        olds = [{k: v.copy() for k, v in blocks.items()} for blocks in orders]
-        for k in range(1, order_max + 1):
-            for c in couplings:
+        olds = [{key: orders[k][key].copy() for key in keys} if k else orders[0]
+                for k, keys in enumerate(read)]
+        for k, used in enumerate(plan, start=1):
+            for c in used:
                 c.apply(orders[k], olds[k - 1], orders[k - 1], scales[n])
-        for c in couplings:
+        for c in live:
             c.advance()
     return PerturbativeKet(orders, field.frequencies.copy(),
                            _band_energies(system, "g"))
@@ -325,21 +363,25 @@ _DETECTED = {
 
 
 def detection_amplitudes(ket: PerturbativeKet, hom: HomSpec, t_a: float,
-                         t_b: float) -> Dict[str, Dict[int, np.ndarray]]:
+                         t_b: float, orders: Optional[Sequence[int]] = None
+                         ) -> Dict[str, Dict[int, np.ndarray]]:
     """Order-resolved two-photon detection amplitudes for the BS patterns.
 
     Returns vectors over ground levels for the transmitted pattern
     (a at t_a, b at t_b), the reflected pattern (a at t_b, b at t_a) and the
-    cross pattern carrying the delay (a at t_b + T, b at t_a - T). Only
-    sectors with one photon per arm couple.
+    cross pattern carrying the delay (a at t_b + T, b at t_a - T), at the
+    ket's `orders` (default all). Only sectors with one photon per arm
+    couple.
     """
     w = ket.frequencies
+    orders = range(len(ket.orders)) if orders is None else sorted(set(orders))
 
     def chi(x: float, y: float) -> Dict[int, np.ndarray]:
         pa = np.exp(-1j * w * x)
         pb = np.exp(-1j * w * y)
         out = {}
-        for k, blocks in enumerate(ket.orders):
+        for k in orders:
+            blocks = ket.orders[k]
             total = None
             for key, (a_ax, b_ax) in _DETECTED.items():
                 arr = blocks[key]
@@ -392,10 +434,11 @@ def coincidence_probability(ket: PerturbativeKet, hom: HomSpec, t_a: float,
     if not t_a > t_b:
         raise ValueError(f"ordered detection requires t_a > t_b, got "
                          f"t_a={t_a}, t_b={t_b}")
-    amps = detection_amplitudes(ket, hom, t_a, t_b)
     n = len(ket.orders)
     if order_pairs is None:
         order_pairs = [(k, l) for k in range(n) for l in range(n)]
+    amps = detection_amplitudes(ket, hom, t_a, t_b,
+                                [k for pair in order_pairs for k in pair])
     return _pair_products(amps, hom, order_pairs)
 
 
@@ -407,5 +450,5 @@ def fourth_order_coincidence(ket: PerturbativeKet, hom: HomSpec, t_a: float,
     and t_b = t_ref + tau, and so does not apply
     :func:`coincidence_probability`'s t_a > t_b check.
     """
-    amps = detection_amplitudes(ket, hom, t_a, t_b)
+    amps = detection_amplitudes(ket, hom, t_a, t_b, (0, 2, 4))
     return _pair_products(amps, hom, [(0, 4), (2, 2), (4, 0)])

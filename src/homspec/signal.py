@@ -361,14 +361,25 @@ def _intervals(subs: Sequence[SubTerm], tau: np.ndarray, T: np.ndarray, amp,
     return I3, I4, live
 
 
+def _columns(intervals, batch: slice):
+    """The `_intervals` (or None) of the points `batch` of their call."""
+    if intervals is None:
+        return None
+    I3, I4, live = intervals
+    return [I[:, batch] for I in I3], [I[:, batch] for I in I4], live[:, batch]
+
+
 def _boxes(subs: Sequence[SubTerm], tau: np.ndarray, T: np.ndarray, amp,
-           q: QuadratureSpec) -> List[Optional[_Boxes]]:
+           q: QuadratureSpec, intervals=None) -> List[Optional[_Boxes]]:
     """The (tau3, tau4) nodes of each sub-term's box (see `_intervals`) at
     points (tau[k], T[k]), or None for a sub-term whose every box is
-    empty."""
+    empty. `intervals`, if given, are those boxes' `_intervals` (every
+    entry is computed point by point, so a batch's columns of the whole
+    call's intervals serve)."""
     if not subs:
         return []
-    I3, I4, live = _intervals(subs, tau, T, amp, q)
+    I3, I4, live = (_intervals(subs, tau, T, amp, q) if intervals is None
+                    else intervals)
     which, index = np.nonzero(live)
     nodes, off, n = _segment_nodes(np.concatenate((I3[0][live], I4[0][live])),
                                    np.concatenate((I3[1][live], I4[1][live])),
@@ -834,16 +845,17 @@ def _check_domain(tau, T, s) -> None:
 
 
 def _batches(subs: Sequence[Tuple[SubTerm, int]], tau: np.ndarray,
-             T: np.ndarray, amp, ops: LiouvilleOperatorSet,
+             T: np.ndarray, intervals, ops: LiouvilleOperatorSet,
              q: QuadratureSpec) -> List[slice]:
     """Consecutive runs of the points (tau[k], T[k]) in which no sub-term
     (with its interaction) holds more than `_BATCH_NODES` nodes times
     correlator terms on either axis. Each distinct integral of a run (see
     `_integral_keys`) counts its tightened box once; a point over the bound
-    alone is a batch of one."""
+    alone is a batch of one. `intervals` are the sub-terms' `_intervals`
+    at the points."""
     if tau.size < 2 or not subs:
         return [slice(0, tau.size)] if tau.size else []
-    I3, I4, live = _intervals([sub for sub, _ in subs], tau, T, amp, q)
+    I3, I4, live = intervals
     terms = np.array([[ops.expansion(i).coeffs.size] for _, i in subs])
     cost = np.where(live, [(_inner_nodes(*I, q)[1] + 2) * terms
                            for I in (I3, I4)], 0)
@@ -876,9 +888,9 @@ def _signed_rows(table: Sequence[PathwayTerm], tau: np.ndarray,
     zero.
 
     The points go in the batches of `_batches`, sized by their tightened
-    boxes. Within a batch, rows and points share the integrals of equal
-    keys and the lattice stencils (see `_sub_term_values`) through one
-    `_Memo`."""
+    boxes (tightened once for all points). Within a batch, rows and points
+    share the integrals of equal keys and the lattice stencils (see
+    `_sub_term_values`) through one `_Memo`."""
     _check_domain(tau, T, s)
     hom = hom or HomSpec()
     amp = _resolve_amplitude(amp, s)
@@ -889,9 +901,12 @@ def _signed_rows(table: Sequence[PathwayTerm], tau: np.ndarray,
     subs = list({id(sub): (sub, term.interaction) for term, _ in rows
                  if ops.expansion(term.interaction).coeffs.size
                  for sub in term.sub_terms}.values())
-    for batch in _batches(subs, tau, T, amp, ops, q):
-        boxes = dict(zip((id(sub) for sub, _ in subs), _boxes(
-            [sub for sub, _ in subs], tau[batch], T[batch], amp, q)))
+    sub_terms = [sub for sub, _ in subs]
+    intervals = _intervals(sub_terms, tau, T, amp, q) if subs else None
+    for batch in _batches(subs, tau, T, intervals, ops, q):
+        boxes = dict(zip(map(id, sub_terms), _boxes(
+            sub_terms, tau[batch], T[batch], amp, q,
+            _columns(intervals, batch))))
         memo = _Memo(boxes, points=tau[batch].size)
         if memo.points > 1:  # a batch of one keeps its few stencils
             memo.pending = collections.Counter(
@@ -934,10 +949,19 @@ def coincidence(tau, T, s: float, amp, ops: LiouvilleOperatorSet,
     values come back in the broadcast shape, each equal bit for bit to the
     float that its point alone gives.
     """
+    return _twice_real_sum(term_table(), tau, T, s, amp, ops, q, hom)
+
+
+def _twice_real_sum(table: Sequence[PathwayTerm], tau, T, s: float, amp,
+                    ops: LiouvilleOperatorSet, q: QuadratureSpec,
+                    hom: Optional[HomSpec], factor: Optional[complex] = None):
+    """2 Re of the sum of the signed rows of `table` (each times `factor`,
+    if given) at the broadcast points of tau and T: a float for scalar
+    delays, else an array of their broadcast shape."""
     tau, T = np.broadcast_arrays(np.asarray(tau, float), np.asarray(T, float))
-    rows = _signed_rows(term_table(), tau.ravel(), T.ravel(), s, amp, ops, q,
-                        hom)
-    values = 2.0 * np.real(sum((out for _, out in rows),
+    rows = _signed_rows(table, tau.ravel(), T.ravel(), s, amp, ops, q, hom)
+    values = 2.0 * np.real(sum((out if factor is None else factor * out
+                                for _, out in rows),
                                np.zeros(tau.size, complex)))
     return float(values[0]) if tau.ndim == 0 else values.reshape(tau.shape)
 
@@ -965,18 +989,19 @@ def complete_coincidence_terms(tau: float, T: float, s: float, amp,
                             ops, q, hom)}
 
 
-def complete_coincidence(tau: float, T: float, s: float, amp,
-                         ops: LiouvilleOperatorSet, q: QuadratureSpec,
-                         hom: Optional[HomSpec] = None) -> float:
-    """Complete fourth-order two-detector counting probability.
+def complete_coincidence(tau, T, s: float, amp, ops: LiouvilleOperatorSet,
+                         q: QuadratureSpec, hom: Optional[HomSpec] = None):
+    """Complete fourth-order two-detector counting probability: twice the
+    real part of the sum of :func:`complete_coincidence_terms`.
 
     Unlike :func:`coincidence` (the published ledger, 2 Re of the row sum),
     this holds every (2,2) and (0,4) block of the wavefunction series, so it
     equals the brute force's fourth-order counting probability up to the
-    mode-sum constant.
+    mode-sum constant. ``tau`` and ``T`` may be arrays, as in
+    :func:`coincidence`, each value equal bit for bit to its point's alone.
     """
-    vals = complete_coincidence_terms(tau, T, s, amp, ops, q, hom=hom)
-    return float(2.0 * np.real(sum(vals.values())))
+    return _twice_real_sum(complete_term_table(), tau, T, s, amp, ops, q, hom,
+                           BLOCK_FACTOR)
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,19 @@ class TestTimeDomain:
         assert amp.time_support() == (amp.t1[rows[0]], amp.t1[rows[-1]],
                                       amp.t2[cols[0]], amp.t2[cols[-1]])
 
+    def test_support_scan_forms_no_full_lattice(self):
+        # the scan of a 1024^2 envelope (16 MB) runs in row blocks; |E| of
+        # the whole lattice would take 8 MB
+        amp = crosscheck.three_level_benchmark().amplitude
+        assert amp.envelope.shape == (1024, 1024)
+        tracemalloc.start()
+        try:
+            amp.time_support()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6, peak
+
     def test_interpolation_accurate_between_nodes(self):
         amp = gaussian_amplitude()
         mid = amp.t1.size // 2

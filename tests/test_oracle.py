@@ -1,20 +1,25 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import homspec.crosscheck
+import homspec.oracle
 from homspec.crosscheck import (CONVERGED_STEPS, CONVERGED_WINDOW, RESTRICTIONS,
-                                _gaussian_pair_values, brute_force_curve,
-                                converged_benchmark, evolve_benchmark_kets,
-                                evolve_block_kets, normalized_deviation,
-                                row_group_blocks, three_level_benchmark)
+                                _gaussian_pair_values, band_taper,
+                                brute_force_curve, converged_benchmark,
+                                evolve_benchmark_kets, evolve_block_kets,
+                                normalized_deviation, row_group_blocks,
+                                run_benchmark, three_level_benchmark)
 from homspec.model import ExcitonSystem, Level, LiouvilleOperatorSet
-from homspec.oracle import (DiscretizedField, coincidence_probability,
-                            detection_amplitudes, evolve_perturbative,
-                            exchange_pair_product, fourth_order_coincidence)
+from homspec.oracle import (DiscretizedField, _build_couplings, _zero_blocks,
+                            coincidence_probability, detection_amplitudes,
+                            evolve_perturbative, exchange_pair_product,
+                            fourth_order_coincidence)
 from homspec.pathways import HomSpec, term_table
-from homspec.signal import term_value
+from homspec.signal import (coincidence, complete_coincidence,
+                            complete_coincidence_terms, term_value)
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +164,143 @@ class TestEvolution:
         assert norms[0] == pytest.approx(1.0)
         assert norms[1:].sum() < 0.05  # perturbative regime
         assert np.all(np.diff(norms[1:]) < 0)
+
+
+def every_coupling_every_step(system, field, t, order_max=4, *, t_start=None,
+                              n_steps=64, keep=None, switch_off=0.0,
+                              mode_coupling=None):
+    """Reference step loop: every coupling at every order and step, each
+    step starting from a copy of every block. `evolve_perturbative` skips
+    the applications whose input block is unreachable, which add exact
+    zeros, so it must agree bit for bit."""
+    t_start = -t if t_start is None else t_start
+    h = (t - t_start) / n_steps
+    orders = [_zero_blocks(system.n_g, system.n_e, system.n_f,
+                           field.frequencies.size)
+              for _ in range(order_max + 1)]
+    orders[0]["g_ab"][system.indices("g").index(system.initial_index())] = (
+        field.coefficients)
+    couplings = _build_couplings(system, field, t_start, h, mode_coupling)
+    if keep is not None:
+        couplings = [c for c in couplings if keep(c.out_key, c.in_key)]
+    mid = t_start + h * (np.arange(n_steps) + 0.5)
+    ramp = np.clip((mid - (t - switch_off)) / max(switch_off, h), 0.0, 1.0)
+    scales = np.cos(0.5 * np.pi * ramp) ** 2
+    for n in range(n_steps):
+        olds = [{k: v.copy() for k, v in blocks.items()} for blocks in orders]
+        for k in range(1, order_max + 1):
+            for c in couplings:
+                c.apply(orders[k], olds[k - 1], orders[k - 1], scales[n])
+        for c in couplings:
+            c.advance()
+    return orders
+
+
+def two_e_levels():
+    """Ladder with two e and two f levels, and a 12-mode field."""
+    system = ExcitonSystem(
+        levels=[Level("g0", "g", 0.0), Level("e0", "e", 0.82),
+                Level("e1", "e", 0.9), Level("f0", "f", 1.7),
+                Level("f1", "f", 1.78)],
+        dipoles_ge=[[1.0], [0.6]], dipoles_ef=[[0.8, 0.3], [-0.4, 0.7]],
+        dephasing_default=0.0)
+    freqs = np.linspace(0.5, 1.3, 12)
+    field = DiscretizedField.from_values(
+        freqs, _gaussian_pair_values(freqs, freqs, 1.75, 0.16, 0.0, 0.22))
+    return system, field
+
+
+class TestReachableCouplings:
+    """`evolve_perturbative` applies, at each order, only the couplings whose
+    input block can be nonzero there; every block of every order equals the
+    reference loop's bit for bit."""
+
+    @staticmethod
+    def assert_same(ket, orders):
+        assert len(ket.orders) == len(orders)
+        for got, want in zip(ket.orders, orders):
+            assert got.keys() == want.keys()
+            for key in want:
+                assert np.array_equal(got[key], want[key]), key
+
+    @pytest.mark.parametrize("name", ["full"] + sorted(RESTRICTIONS))
+    def test_benchmark_kets(self, bench, name):
+        keep = RESTRICTIONS.get(name)
+        order_max = 2 if name in ("a", "b") else 4
+        self.assert_same(bench.evolve(order_max, keep), every_coupling_every_step(
+            bench.system, bench.field, bench.t_end, order_max,
+            t_start=bench.t_start, n_steps=bench.n_steps, keep=keep))
+
+    def test_switch_off_and_mode_coupling(self, bench):
+        kw = dict(t_start=bench.t_start, n_steps=32, switch_off=20.0,
+                  mode_coupling=band_taper(bench.field.frequencies, 0.4))
+        args = (bench.system, bench.field, bench.t_end)
+        self.assert_same(evolve_perturbative(*args, **kw),
+                         every_coupling_every_step(*args, **kw))
+
+    @pytest.mark.parametrize("order_max", [0, 3, 5])
+    def test_two_e_levels(self, order_max):
+        system, field = two_e_levels()
+        kw = dict(order_max=order_max, t_start=-30.0, n_steps=24)
+        self.assert_same(evolve_perturbative(system, field, 30.0, **kw),
+                         every_coupling_every_step(system, field, 30.0, **kw))
+
+    def test_memory_of_one_evolution(self, bench):
+        # one three-level full evolution peaks at 0.86 MB (2.07 MB when every
+        # block was copied at every step); a step history or operator
+        # matrices would not fit
+        tracemalloc.start()
+        try:
+            bench.evolve()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2e6, peak
+
+
+class TestNamedErrors:
+    """Bad evolution arguments end in a named ValueError before any block
+    is allocated."""
+
+    CASES = {
+        "no steps": (dict(n_steps=0), "n_steps must be at least 1"),
+        "negative steps": (dict(n_steps=-4), "n_steps must be at least 1"),
+        "fractional steps": (dict(n_steps=16.5), "n_steps must be an integer"),
+        "negative order": (dict(order_max=-1), "order_max must be at least 0"),
+        "infinite t": (dict(t=np.inf), "t must be finite"),
+        "NaN t": (dict(t=np.nan), "t must be finite"),
+        "infinite t_start": (dict(t_start=-np.inf), "t_start must be finite"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_refused_by_name(self, bench, case, monkeypatch):
+        def no_blocks(*args):
+            raise AssertionError("blocks allocated before the check")
+
+        monkeypatch.setattr(homspec.oracle, "_zero_blocks", no_blocks)
+        change, message = self.CASES[case]
+        kw = dict(t=bench.t_end, t_start=bench.t_start, n_steps=16)
+        kw.update(change)
+        with pytest.raises(ValueError, match=message):
+            evolve_perturbative(bench.system, bench.field, **kw)
+
+
+@pytest.mark.parametrize("make", [three_level_benchmark, converged_benchmark])
+def test_run_benchmark_evaluates_each_point_as_alone(make, monkeypatch):
+    # the pipeline side batches its points; a coarse brute force suffices
+    bench = dataclasses.replace(make(), n_steps=8)
+    monkeypatch.setattr(homspec.crosscheck, "BENCHMARKS", {"x": lambda: bench})
+    result = run_benchmark("x")
+    ops = LiouvilleOperatorSet(bench.system)
+    args = (bench.s, bench.amplitude, ops, bench.quadrature)
+    for k, (tau, T) in enumerate(bench.points):
+        value = bench.signal(tau, T, *args, hom=HomSpec(T=T))
+        assert result["pipeline"][k] == value, (tau, T)
+        if bench.signal is complete_coincidence:
+            halves = complete_coincidence_terms(tau, T, *args)
+            assert value == float(2.0 * np.real(sum(halves.values())))
+        else:
+            assert bench.signal is coincidence
 
 
 class TestConvergedBenchmark:

@@ -1072,6 +1072,26 @@ class TestBatch:
         monkeypatch.setattr(signal, "_BATCH_NODES", 2 * (q.n_nodes + 2))
         assert scan(*lattice, "full", amp, ops, q).serialize() == whole
 
+    def test_boxes_are_tightened_once_per_call(self, small_setup,
+                                               monkeypatch):
+        # the batch plan's intervals serve the boxes of every batch
+        ops, amp, q = small_setup
+        tau, T = np.meshgrid([0.0, 1.0, 2.5, 4.0], [0.5, 3.0])
+        whole = coincidence(tau, T, 3.0, amp, ops, q)
+        calls = dict.fromkeys(("_intervals", "_boxes"), 0)
+        for name in calls:
+            def counting(*args, inner=getattr(signal, name), name=name):
+                calls[name] += 1
+                return inner(*args)
+
+            monkeypatch.setattr(signal, name, counting)
+        monkeypatch.setattr(signal, "_BATCH_NODES", 2 * (q.n_nodes + 2))
+        assert np.array_equal(coincidence(tau, T, 3.0, amp, ops, q), whole)
+        assert calls["_intervals"] == 1 and calls["_boxes"] > 1, calls
+        calls.update(_intervals=0, _boxes=0)
+        assert coincidence(1.0, 0.5, 3.0, amp, ops, q) == whole[0, 1]
+        assert calls == {"_intervals": 1, "_boxes": 1}
+
     def test_scan_makes_no_more_time_value_calls_than_one_point(
             self, monkeypatch):
         # the criterion-10 amplitude and lattice, 4 x 4 of its points
