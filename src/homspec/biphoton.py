@@ -27,6 +27,7 @@ __all__ = [
     "GridAxis",
     "FrequencyGrid",
     "BiphotonAmplitude",
+    "LineAmplitude",
     "DeltaAmplitude",
     "GridCoverageError",
     "LatticeFactor",
@@ -426,7 +427,7 @@ class LatticeFactor:
     envelope orientation v with its row stencil (ir, r0, r1) and column
     stencil (ic, c0, c1). When `folded`, each part reads v + v^T instead of
     v, a bracket contracted once; that sum is formed only on the blocks of
-    nodes a contraction touches. `contract` never forms the mesh;
+    nodes a contraction touches. `contract_terms` never forms the mesh;
     `np.asarray` does, for comparison.
     """
 
@@ -434,11 +435,6 @@ class LatticeFactor:
     sheared: bool
     parts: tuple
     folded: bool = False
-    ndim = 2
-
-    def contract(self, A: np.ndarray, B: np.ndarray) -> complex:
-        """sum_p A[:, p]^T H B[:, p] for this factor H, A (n3, P), B (n4, P)."""
-        return complex(self.contract_terms(A, B).sum())
 
     def contract_terms(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """A[:, p]^T H B[:, p] for each p, as a (P,) array."""
@@ -673,30 +669,45 @@ def delta_limit_amplitude(t1, t2, s: float, grid_spacing: float,
 
 
 @dataclass(frozen=True)
-class DeltaAmplitude:
-    """Duck-typed narrow-limit amplitude usable wherever a two-time
-    amplitude is read."""
+class LineAmplitude:
+    """A two-time amplitude of t1 - t2 alone, Phi(t1, t2) = profile(t1 - t2),
+    of a pair delayed by s; a line, without a support box."""
 
     s: float
-    spacing: float
-    convention: str = "area_one"
 
-    def time_value(self, x, y) -> np.ndarray:
-        return delta_limit_amplitude(x, y, self.s, self.spacing, self.convention)
+    def profile(self, u) -> np.ndarray:
+        raise NotImplementedError
+
+    def time_value(self, x, y, memo: Optional[dict] = None) -> np.ndarray:
+        """Phi(x, y); `memo` is ignored (a line keeps no stencils)."""
+        return self.profile(np.asarray(x, float) - np.asarray(y, float))
 
     def time_support(self):
-        return None  # a line, not a box: callers fall back to their cutoffs
+        return None
+
+
+@dataclass(frozen=True)
+class DeltaAmplitude(LineAmplitude):
+    """The area-one discrete delta of `delta_limit_amplitude`."""
+
+    spacing: float
+
+    def profile(self, u) -> np.ndarray:
+        return delta_limit_amplitude(u, 0.0, self.s, self.spacing)
 
 
 def entanglement_time(amp: BiphotonAmplitude) -> float:
-    """RMS width of |Phi(t1, t2)|^2 along the t1 - t2 axis (fs)."""
-    w = np.abs(amp.time_values) ** 2
-    total = w.sum()
+    """RMS width of |Phi(t1, t2)|^2 along the t1 - t2 axis (fs), from the
+    marginals of w = |Phi|^2 and a.w.b for centred t1 (a) and t2 (b)."""
+    w = np.abs(amp.envelope)  # |E| = |Phi|
+    w *= w
+    rows, cols = w.sum(axis=1), w.sum(axis=0)
+    total = rows.sum()
     if total == 0.0:
         raise ValueError("amplitude is identically zero")
-    u = amp.t1[:, None] - amp.t2[None, :]
-    mean = (w * u).sum() / total
-    var = (w * (u - mean) ** 2).sum() / total
+    a = amp.t1 - amp.t1 @ rows / total
+    b = amp.t2 - amp.t2 @ cols / total
+    var = (a * a @ rows + b * b @ cols - 2.0 * a @ (w @ b)) / total
     return float(np.sqrt(var))
 
 

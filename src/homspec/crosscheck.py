@@ -26,6 +26,7 @@ group of the complete signal beside the brute-force block it stands for.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -58,7 +59,7 @@ __all__ = [
 class Benchmark:
     name: str
     system: ExcitonSystem
-    amplitude: BiphotonAmplitude
+    pad_factor: Optional[int]           # of the pipeline amplitude's transform
     field: DiscretizedField
     quadrature: QuadratureSpec
     points: List[Tuple[float, float]]   # (tau, T); s fixed below
@@ -70,6 +71,16 @@ class Benchmark:
     signal: Callable[..., np.ndarray]   # pipeline side, called like coincidence
     switch_off: float = 0.0
     mode_coupling: Optional[np.ndarray] = None
+
+    @functools.cached_property
+    def amplitude(self) -> BiphotonAmplitude:
+        """The pipeline's pair amplitude, built on first use; its wide grid
+        puts the truncation edge far below the quadrature's support cut."""
+        fine = np.linspace(CENTER - 0.66, CENTER + 0.66, 256)
+        amp = from_frequency_values(fine, fine, _gaussian_pair_values(
+            fine, fine, 2 * CENTER, 0.16, 0.0, 0.22), s=self.s, delay_arm="a")
+        return (amp if self.pad_factor is None
+                else to_time_domain(amp, pad_factor=self.pad_factor))
 
     def evolve(self, order_max: int = 4,
                keep: Optional[Callable[[str, str], bool]] = None
@@ -105,16 +116,6 @@ def _ladder() -> ExcitonSystem:
     )
 
 
-def _pair_amplitude(s: float, pad_factor: Optional[int] = None) -> BiphotonAmplitude:
-    # wider span for the pipeline grid so the truncation edge sits far below
-    # the support threshold of the quadrature clipping
-    fine = np.linspace(CENTER - 0.66, CENTER + 0.66, 256)
-    amp = from_frequency_values(
-        fine, fine, _gaussian_pair_values(fine, fine, 2 * CENTER, 0.16, 0.0, 0.22),
-        s=s, delay_arm="a")
-    return amp if pad_factor is None else to_time_domain(amp, pad_factor=pad_factor)
-
-
 def _pair_field(s: float, n_modes: int, half_band: float) -> DiscretizedField:
     freqs = np.linspace(CENTER - half_band, CENTER + half_band, n_modes)
     vals = _gaussian_pair_values(freqs, freqs, 2 * CENTER, 0.16, 0.0, 0.22)
@@ -146,7 +147,7 @@ def three_level_benchmark(n_modes: int = 32, n_steps: int = 64) -> Benchmark:
     field = _pair_field(s, n_modes, 0.7)
     points = [(1.0, 2.0), (2.5, 2.0), (4.0, 2.0), (1.5, 3.5), (3.0, 1.0)]
     return Benchmark(name="three-level", system=system,
-                     amplitude=_pair_amplitude(s), field=field,
+                     pad_factor=None, field=field,
                      quadrature=_quadrature(system), points=points, s=s,
                      n_modes=n_modes, n_steps=n_steps, t_end=40.0,
                      t_start=-40.0, signal=coincidence)
@@ -210,7 +211,7 @@ def converged_benchmark(band_scale: float = 1.0, mode_density: float = 1.0
     points = [(10.0, 8.0), (12.0, 8.0), (14.0, 8.0), (10.0, 12.0), (12.0, 5.0)]
     t_start, t_end = CONVERGED_WINDOW
     return Benchmark(name="three-level-converged", system=system,
-                     amplitude=_pair_amplitude(s, pad_factor=8), field=field,
+                     pad_factor=8, field=field,
                      quadrature=_quadrature(system), points=points, s=s,
                      n_modes=n_modes, n_steps=CONVERGED_STEPS, t_end=t_end,
                      t_start=t_start, signal=complete_coincidence,

@@ -112,6 +112,10 @@ class Affine:
         """The scalar part once tau3 = tau4 = 0."""
         return self.t * t + self.tau * tau + self.T * T
 
+    def __sub__(self, other: "Affine") -> "Affine":
+        return Affine(self.t - other.t, self.tau - other.tau, self.T - other.T,
+                      self.t3 - other.t3, self.t4 - other.t4)
+
     def __str__(self) -> str:
         text = "".join(
             f"{'-' if c < 0 else '+'}{'' if abs(c) == 1 else abs(c)}{name}"

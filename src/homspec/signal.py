@@ -52,7 +52,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .biphoton import BiphotonAmplitude, DeltaAmplitude, to_time_domain
+from .biphoton import BiphotonAmplitude, LineAmplitude, to_time_domain
 from .model import LiouvilleOperatorSet
 from .pathways import (Affine, HomSpec, PathwayTerm, SubTerm,
                        complete_term_table, detection_pathways, term_table)
@@ -416,11 +416,6 @@ class _Bordered:
     j: np.ndarray
     edge: np.ndarray
     inner: object
-    ndim = 2
-
-    def contract(self, A: np.ndarray, B: np.ndarray) -> complex:
-        """sum_p A[:, p]^T H B[:, p] for this factor H."""
-        return complex(self.contract_terms(A, B).sum())
 
     def contract_terms(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """A[:, p]^T H B[:, p] for each term p, as a (P,) array."""
@@ -519,10 +514,9 @@ def _amplitude_factor(amp, args: Tuple[Affine, Affine], bracket: bool,
     lattice amplitude, one argument in tau3 and the other in tau4 give a
     rectilinear `LatticeFactor` (pathway 4), and one in tau3 and the other
     in tau3 + tau4 a `_Bordered` factor with a sheared one inside
-    (pathway 5), both from one stencil per distinct coordinate. These
-    two-variable factors are contracted, never formed. Anything else, and
-    every two-variable factor of an amplitude without a lattice, is
-    evaluated on one point's full mesh when that point asks for it.
+    (pathway 5), both from one stencil per distinct coordinate. A
+    `LineAmplitude`'s arguments become (x - y, 0), in every ledger a line
+    or a Hankel factor. These are contracted, never formed; others raise.
 
     A lattice amplitude keeps its stencils in `stencils`, a memo for one
     batch (see `BiphotonAmplitude._cached_stencil`). An argument without
@@ -533,17 +527,16 @@ def _amplitude_factor(amp, args: Tuple[Affine, Affine], bracket: bool,
     batch, so that NumPy's scalar arithmetic never serves a batch of one.
     """
     x, y = args
+    if isinstance(amp, LineAmplitude):
+        x, y = x - y, Affine(t=0)
     t = q.t_ref
     lattice = isinstance(amp, BiphotonAmplitude)
     nodes = bool(x.t3 or x.t4 or y.t3 or y.t4)
 
-    def at(u, v):
-        return amp.time_value(u, v, stencils) if lattice else amp.time_value(u, v)
-
     def value(u, v):
-        out = at(u, v)
+        out = amp.time_value(u, v, stencils)
         if bracket:
-            out = out + at(v, u)
+            out = out + amp.time_value(v, u, stencils)
         return np.conj(out) if conj else out
 
     def coordinate(expr, axis, counts, tau3, tau4, repeated):
@@ -605,14 +598,8 @@ def _amplitude_factor(amp, args: Tuple[Affine, Affine], bracket: bool,
                         stencils)
 
                 return _hankel(box, q.step, on, sheared)
-
-    def mesh(k: int) -> np.ndarray:
-        s3, s4 = box.runs(k)
-        T3, T4 = box.tau3[s3][:, None], box.tau4[s4][None, :]
-        return value(x(t, box.tau[k], box.T[k], T3, T4),
-                     y(t, box.tau[k], box.T[k], T3, T4))
-
-    return mesh
+    raise NotImplementedError(f"no contraction for the {type(amp).__name__} "
+                              f"factor at ({x}, {y})")
 
 
 def _integral_keys(sub: SubTerm, interaction: int, tau: np.ndarray,
@@ -646,8 +633,8 @@ def _sub_term_values(sub: SubTerm, interaction: int, box: _Boxes, amp,
     none at all makes it a product of sums). Weights, amplitude factors
     and the correlator's A and B are computed once for the batch, on every
     point's nodes at once; only the sums over one point's nodes run point
-    by point, one sum J_p per correlator term. A `_Bordered` or
-    `LatticeFactor` H contracts itself; only a full-mesh H is multiplied.
+    by point, one sum J_p per correlator term. H, a `_Bordered` or
+    `LatticeFactor`, contracts itself.
 
     A first interval without tau3 and tau4 is a constant c >= 0 on the box
     (pathways 1, 3 and 5, the same-arm rows), and A_p holds it as the
@@ -696,12 +683,8 @@ def _sub_term_values(sub: SubTerm, interaction: int, box: _Boxes, amp,
         for k in range(len(on)):
             s3, s4 = on.runs(k)
             a, b = A[s3], B[s4]
-            if H is None:
-                values[k] = a.sum(axis=0) * b.sum(axis=0)
-                continue
-            h = H(k)
-            values[k] = ((a * (h @ b)).sum(axis=0) if isinstance(h, np.ndarray)
-                         else h.contract_terms(a, b))
+            values[k] = (a.sum(axis=0) * b.sum(axis=0) if H is None
+                         else H(k).contract_terms(a, b))
         return values
 
     part, keys = _integral_keys(sub, interaction, box.tau, box.T)
@@ -817,11 +800,10 @@ def term_value(term: PathwayTerm, tau: float, T: float, s: float,
 def _resolve_amplitude(amp, s: float):
     if isinstance(amp, BiphotonAmplitude):
         return amp if amp.s == s else to_time_domain(amp, s)
-    if isinstance(amp, DeltaAmplitude):
+    if isinstance(amp, LineAmplitude):
         return amp if amp.s == s else dataclasses.replace(amp, s=s)
-    if getattr(amp, "s", s) != s:
-        raise ValueError(f"amplitude carries s={amp.s}, requested s={s}")
-    return amp
+    raise TypeError(f"amplitude must be a BiphotonAmplitude or a "
+                    f"LineAmplitude, got {type(amp).__name__}")
 
 
 def _check_finite(**delays) -> None:

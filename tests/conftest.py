@@ -1,7 +1,9 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from homspec.biphoton import from_frequency_values
+from homspec.biphoton import LineAmplitude, from_frequency_values
 from homspec.model import ExcitonSystem, Level, LiouvilleOperatorSet
 
 
@@ -49,6 +51,18 @@ def non_square_gaussian(s=0.0):
     vals = np.exp(-((wa[:, None] + wb[None, :] - 1.9) / 0.3) ** 2
                   - ((wa[:, None] - wb[None, :] - 0.1) / 0.5) ** 2)
     return from_frequency_values(wa, wb, vals, s=s)
+
+
+@dataclass(frozen=True)
+class GaussLine(LineAmplitude):
+    """Normalized narrow ridge along t1 - t2 = s: a smooth stand-in for the
+    discrete delta."""
+
+    sigma: float
+
+    def profile(self, u):
+        u = np.asarray(u) - self.s
+        return np.exp(-u ** 2 / (2 * self.sigma ** 2)) / (self.sigma * np.sqrt(2 * np.pi))
 
 
 @pytest.fixture

@@ -12,12 +12,11 @@ group is checked against its brute-force block in test_oracle.
 """
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from conftest import gaussian_amplitude
+from conftest import GaussLine, gaussian_amplitude
 from homspec.biphoton import (CrystalSpec, PumpSpec, build_jsa, default_grid,
                               to_time_domain)
 from homspec.crosscheck import run_benchmark
@@ -35,19 +34,6 @@ from homspec.signal import (QuadratureSpec, coincidence, coincidence_short_Te,
 def report(n, ok, detail):
     print(f"criterion {n:2d}: {'PASS' if ok else 'FAIL'} — {detail}")
     return ok
-
-
-@dataclass(frozen=True)
-class GaussLine:
-    s: float
-    sigma: float
-
-    def time_value(self, x, y):
-        u = np.asarray(x) - np.asarray(y) - self.s
-        return np.exp(-u ** 2 / (2 * self.sigma ** 2)) / (self.sigma * np.sqrt(2 * np.pi))
-
-    def time_support(self):
-        return None
 
 
 def test_criterion_1_pathway_counting():

@@ -362,13 +362,33 @@ class TestEntanglementTime:
 
         t = np.arange(-20.0, 20.0, 0.5)
         vals = delta_limit_amplitude(t[:, None], t[None, :], 0.0, 0.5)
-        amp = SimpleNamespace(t1=t, t2=t, time_values=vals)
+        amp = SimpleNamespace(t1=t, t2=t, envelope=vals)
         assert entanglement_time(amp) <= 0.5
 
     def test_gaussian_moment(self):
         amp = gaussian_amplitude(sigma_diff=0.5)
         # anti-diagonal RMS width of the correlated Gaussian is 2/sigma_diff
         assert entanglement_time(amp) == pytest.approx(2.0 / 0.5, rel=1e-6)
+
+    def test_equals_the_mesh_formula(self):
+        # unequal t1 and t2 lattices and carriers, and a delay
+        amp = non_square_gaussian(s=3.0)
+        w = np.abs(amp.time_values) ** 2
+        u = amp.t1[:, None] - amp.t2[None, :]
+        mean = (w * u).sum() / w.sum()
+        want = np.sqrt((w * (u - mean) ** 2).sum() / w.sum())
+        assert entanglement_time(amp) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_forms_no_lattice_beyond_the_weights(self):
+        amp = gaussian_amplitude()
+        lattice = amp.envelope.real.nbytes  # |Phi|^2 on the whole lattice
+        tracemalloc.start()
+        try:
+            entanglement_time(amp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * lattice, (peak, lattice)
 
     def test_width_scales_with_group_delays(self):
         pump = PumpSpec(omega_p=2.9, sigma_p=0.5)
@@ -419,4 +439,5 @@ class TestShearedContraction:
         # the first row's window starts, and the last one's ends, off it
         assert not dense[0, :5].any() and not dense[-1, -5:].any()
         scale = (np.abs(A) * (np.abs(dense) @ np.abs(B))).sum()
-        assert abs(lf.contract(A, B) - (A * (dense @ B)).sum()) <= 1e-13 * scale
+        assert abs(lf.contract_terms(A, B).sum()
+                   - (A * (dense @ B)).sum()) <= 1e-13 * scale

@@ -1,18 +1,19 @@
 import dataclasses
 import threading
 import tracemalloc
-from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import gaussian_amplitude, non_square_gaussian
+from conftest import GaussLine, gaussian_amplitude, non_square_gaussian
 from homspec.biphoton import (BiphotonAmplitude, CrystalSpec, DeltaAmplitude,
                               LatticeFactor, PumpSpec, build_jsa,
                               default_grid)
 from homspec.model import ExcitonSystem, Level, LiouvilleOperatorSet
 from homspec import biphoton, signal
-from homspec.pathways import HomSpec, complete_term_table, term_table
+from homspec.pathways import (Affine, HomSpec, complete_term_table,
+                              term_table)
 from homspec.signal import (BLOCK_FACTOR, QuadratureSpec, SignalGrid,
                             _amplitude_factor, _boxes, _segment_nodes,
                             _sub_term_values, _weights, coincidence,
@@ -21,21 +22,6 @@ from homspec.signal import (BLOCK_FACTOR, QuadratureSpec, SignalGrid,
                             default_quadrature, pathway_probabilities,
                             reference_time, scan, short_te_terms, system_hash,
                             term_value)
-
-
-@dataclass(frozen=True)
-class GaussLine:
-    """Normalized narrow ridge: a smooth stand-in for the discrete delta."""
-
-    s: float
-    sigma: float
-
-    def time_value(self, x, y):
-        u = np.asarray(x) - np.asarray(y) - self.s
-        return np.exp(-u ** 2 / (2 * self.sigma ** 2)) / (self.sigma * np.sqrt(2 * np.pi))
-
-    def time_support(self):
-        return None
 
 
 @pytest.fixture(scope="module")
@@ -387,8 +373,9 @@ class TestLatticeFactors:
                 B = rng.normal(size=(tau4.size, 2))
                 dense = np.asarray(got)
                 scale = (np.abs(A) * (np.abs(dense) @ np.abs(B))).sum()
-                assert abs(got.contract(A, B) - (A * (dense @ B)).sum()) \
-                    <= 1e-13 * scale, term.label
+                assert abs(got.contract_terms(A, B).sum()
+                           - (A * (dense @ B)).sum()) <= 1e-13 * scale, \
+                    term.label
                 lattice = got if isinstance(got, LatticeFactor) else got.inner
                 assert lattice.folded == (sub.symmetrize and square)
                 first = sub.args[0]
@@ -464,8 +451,17 @@ class TestContractions:
         assert len(kinds) >= 8
 
         def dense(*args):
+            # the factor formed as a matrix, contracted by multiplying it
             f = _amplitude_factor(*args)
-            return (lambda k: np.asarray(f(k))) if callable(f) else f
+            if not callable(f):
+                return f
+
+            def formed(k):
+                h = np.asarray(f(k))
+                return SimpleNamespace(
+                    contract_terms=lambda A, B: (A * (h @ B)).sum(axis=0))
+
+            return formed
 
         for sub, interaction in kinds.values():
             got = sub_term_value(sub, interaction, tau, T, amp, ops, q)
@@ -743,6 +739,48 @@ class TestCoincidence:
         total = complete_coincidence(6.0, 5.0, 4.0, amp, slow_ladder, quad)
         assert total == pytest.approx(2 * sum(complete.values()).real,
                                       rel=1e-12)
+
+
+class TestAmplitudeTypes:
+    """The quadrature reads a lattice amplitude or a line amplitude (a
+    function of t1 - t2); any other type is refused by name before it is
+    read, and a factor that no contraction covers is named."""
+
+    @pytest.mark.parametrize("call", ["coincidence", "complete_coincidence",
+                                      "term_value", "scan"])
+    def test_refuses_an_amplitude_of_another_type(self, slow_ladder, quad,
+                                                  call):
+        reads = []
+        amp = SimpleNamespace(
+            time_value=lambda x, y: reads.append("time_value")
+            or np.zeros(np.broadcast(x, y).shape),
+            time_support=lambda: reads.append("time_support"))
+        args = (4.0, amp, slow_ladder, quad)
+        calls = {
+            "coincidence": lambda: coincidence(1.0, 5.0, *args),
+            "complete_coincidence": lambda: complete_coincidence(1.0, 5.0,
+                                                                 *args),
+            "term_value": lambda: term_value(TABLE[("III", 1)], 1.0, 5.0,
+                                             *args),
+            "scan": lambda: scan([1.0], [5.0], [4.0], "full", amp,
+                                 slow_ladder, quad),
+        }
+        with pytest.raises(TypeError, match="got SimpleNamespace"):
+            calls[call]()
+        assert not reads
+
+    @pytest.mark.parametrize("kind", ["biphoton", "line"])
+    def test_a_factor_without_a_contraction_is_named(self, golden_point,
+                                                     kind):
+        # x = tau3 - tau4 against a constant: neither a line, a Hankel
+        # factor nor a lattice stencil pair, and in no ledger
+        (tau, T, s), amp, _, q = golden_point
+        if kind == "line":
+            amp = GaussLine(s=s, sigma=0.5)
+        box = point_box(TABLE[("I", 4)].sub_terms[0], tau, T, amp, q)
+        with pytest.raises(NotImplementedError, match="no contraction"):
+            _amplitude_factor(amp, (Affine(t3=1, t4=-1), Affine()), False,
+                              box, q)
 
 
 class TestShortTe:
