@@ -17,7 +17,7 @@ import functools
 import itertools
 import logging
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -64,8 +64,12 @@ class PumpSpec:
 
     def envelope(self, omega) -> np.ndarray:
         # decaying Gaussian; the positive-exponent variant diverges
-        x = (np.asarray(omega, dtype=float) - self.omega_p) / self.sigma_p
-        return np.exp(-x * x)
+        # in place after the first difference: (-x) x = -(x x) bit for bit
+        x = np.asarray(omega, dtype=float) - self.omega_p
+        x /= self.sigma_p
+        x *= x
+        x *= -1.0
+        return np.exp(x)
 
 
 @dataclass(frozen=True)
@@ -88,7 +92,8 @@ class CrystalSpec:
     def matching(self, omega_a, omega_b) -> np.ndarray:
         arg = (np.asarray(omega_a, dtype=float) - self.omega_a) * self.T_a \
             + (np.asarray(omega_b, dtype=float) - self.omega_b) * self.T_b
-        return np.sinc(arg / np.pi)  # sin(x)/x with value 1 at x = 0
+        arg /= np.pi
+        return np.sinc(arg)  # sin(x)/x with value 1 at x = 0
 
 
 def exchange_phase_factor(theta: float) -> complex:
@@ -104,20 +109,29 @@ def pair_amplitude_point(pump: PumpSpec, crystal: CrystalSpec, theta: float,
                          omega_a, omega_b) -> np.ndarray:
     """Unnormalized exchange-phased amplitude at arbitrary frequency points.
 
-    When the points are a mesh whose omega_b is omega_a transposed (a column
-    and a row of the same frequencies, as on a square grid), the exchanged
-    term is the direct one transposed, bit for bit, and is not evaluated
-    again."""
+    When the points are a square mesh (a column and a row of the same
+    frequencies), the exchanged term is the direct one transposed, bit for
+    bit, and is not evaluated again. A real exchange factor (theta = 0 or
+    +-pi) gives a float64 result: the sum or difference of the two terms
+    times 1 / sqrt(2), which is the complex formula's real part bit for bit
+    (NumPy divides a complex array by a real number as a product with its
+    reciprocal), its imaginary part being zero."""
     omega_a, omega_b = np.asarray(omega_a), np.asarray(omega_b)
-    direct = pump.envelope(omega_a + omega_b)
-    phi_ab = direct * crystal.matching(omega_a, omega_b)
-    shape = phi_ab.shape
-    if len(shape) == 2 and shape[0] == shape[1] and np.all(
-            np.broadcast_to(omega_a, shape).T == omega_b):
-        phi_ba = phi_ab.T
+    factor = exchange_phase_factor(theta)
+    phi = pump.envelope(omega_a + omega_b)
+    if (omega_a.ndim == omega_b.ndim == 2
+            and omega_a.shape[1] == omega_b.shape[0] == 1
+            and np.array_equal(omega_a[:, 0], omega_b[0])):
+        phi *= crystal.matching(omega_a, omega_b)
+        phi_ba = phi.T
     else:
-        phi_ba = direct * crystal.matching(omega_b, omega_a)
-    return (phi_ab + exchange_phase_factor(theta) * phi_ba) / np.sqrt(2.0)
+        phi_ba = phi * crystal.matching(omega_b, omega_a)
+        phi *= crystal.matching(omega_a, omega_b)
+    if factor.imag != 0.0:
+        return (phi + factor * phi_ba) / np.sqrt(2.0)
+    out = phi + phi_ba if factor.real > 0.0 else phi - phi_ba
+    out *= 1.0 / np.sqrt(2.0)
+    return out
 
 
 @dataclass(frozen=True)
@@ -210,14 +224,16 @@ class BiphotonAmplitude:
     """Two-photon amplitude on a frequency lattice plus its two-time
     envelope.
 
-    Immutable after construction, apart from the support box that
-    `time_support` computes and stores on first use. `values` is
-    L2-normalized on the grid. The two-time amplitude Phi is the unitary
-    transform of `values` with the pair delay `s` applied as a spectral
-    phase on `delay_arm` before transforming; only its carrier-demodulated
-    `envelope` E = Phi e^{i ca t1 + i cb t2} is stored. |E| = |Phi|, so
-    norms, the support box and the arrival-time centroid read E;
-    `time_values` restores Phi on the whole lattice when a caller needs it.
+    Immutable after construction. `values` is L2-normalized on the grid.
+    The two-time amplitude Phi is the unitary transform of `values` with
+    the pair delay `s` applied as a spectral phase on `delay_arm` before
+    transforming; only its carrier-demodulated `envelope` E = Phi e^{i ca t1
+    + i cb t2} is stored. |E| = |Phi|, so the time norm, the support box
+    and the arrival-time centroid read E, through one blocked scan of it
+    (`_scan`: the row and column maxima of |E| and sums of |E|^2), which
+    `to_time_domain` makes when it builds the envelope and keeps on the
+    amplitude; an amplitude built by hand scans on first use. `time_values`
+    restores Phi on the whole lattice when a caller needs it.
     """
 
     theta: Optional[float]
@@ -232,8 +248,6 @@ class BiphotonAmplitude:
     # carrier, so interpolation must happen on the envelope
     envelope: np.ndarray = field(default=None, repr=False)
     _carrier: Tuple[float, float] = field(default=(0.0, 0.0), repr=False)
-    _support: Optional[Tuple[float, float, float, float]] = field(
-        default=None, init=False, repr=False, compare=False)
 
     @property
     def d_omega_a(self) -> float:
@@ -270,9 +284,34 @@ class BiphotonAmplitude:
         return (self._carrier[0] == self._carrier[1]
                 and np.array_equal(self.t1, self.t2))
 
+    @functools.cached_property
+    def _scan(self) -> "_EnvelopeScan":
+        """One pass over the envelope in blocks of `_ROW_BLOCK` rows, so no
+        lattice-sized |E| or |E|^2 is formed.
+
+        The sums equal `w.sum(axis=1)` and `w.sum(axis=0)` of w = |E|^2 on
+        the whole lattice bit for bit: a row sums within its block, and a
+        column adds row after row, as NumPy reduces axis 0, because the
+        column sums so far stand as the first row of the next block's
+        reduction."""
+        n, m = self.envelope.shape
+        row_max, rows = np.empty(n), np.empty(n)
+        col_max = np.zeros(m)
+        # row 0: the column sums of the blocks before; then one block's |E|
+        work = np.zeros((_ROW_BLOCK + 1, m))
+        for i in range(0, n, _ROW_BLOCK):
+            block = slice(i, i + _ROW_BLOCK)
+            mag = np.abs(self.envelope[block],
+                         out=work[1:1 + min(_ROW_BLOCK, n - i)])
+            row_max[block] = mag.max(axis=1)
+            np.maximum(col_max, mag.max(axis=0), out=col_max)
+            mag *= mag
+            rows[block] = mag.sum(axis=1)
+            work[0] = work[:1 + mag.shape[0]].sum(axis=0)
+        return _EnvelopeScan(row_max, col_max, rows, work[0].copy())
+
     def time_norm(self) -> float:
-        return float(np.vdot(self.envelope, self.envelope).real
-                     * self.dt1 * self.dt2)
+        return float(self._scan.rows.sum() * self.dt1 * self.dt2)
 
     def _stencil(self, axis: int, coord) -> Tuple[np.ndarray, np.ndarray,
                                                   np.ndarray]:
@@ -363,21 +402,14 @@ class BiphotonAmplitude:
 
     def time_support(self) -> Tuple[float, float, float, float]:
         """Bounding box (t1_lo, t1_hi, t2_lo, t2_hi) where the amplitude
-        exceeds 1e-6 of its peak magnitude; scanned once, on first use, in
-        blocks of `_ROW_BLOCK` rows (no |E| of the whole lattice)."""
-        if self._support is None:
-            row_max = np.empty(self.envelope.shape[0])
-            col_max = np.zeros(self.envelope.shape[1])
-            for i in range(0, row_max.size, _ROW_BLOCK):
-                mag = np.abs(self.envelope[i:i + _ROW_BLOCK])
-                row_max[i:i + _ROW_BLOCK] = mag.max(axis=1)
-                np.maximum(col_max, mag.max(axis=0), out=col_max)
-            thresh = 1e-6 * row_max.max()
-            rows = np.where(row_max > thresh)[0]
-            cols = np.where(col_max > thresh)[0]
-            self._support = (float(self.t1[rows[0]]), float(self.t1[rows[-1]]),
-                             float(self.t2[cols[0]]), float(self.t2[cols[-1]]))
-        return self._support
+        exceeds 1e-6 of its peak magnitude, from the row and column maxima
+        of |E| in `_scan`."""
+        scan = self._scan
+        thresh = 1e-6 * scan.row_max.max()
+        rows = np.flatnonzero(scan.row_max > thresh)
+        cols = np.flatnonzero(scan.col_max > thresh)
+        return (float(self.t1[rows[0]]), float(self.t1[rows[-1]]),
+                float(self.t2[cols[0]]), float(self.t2[cols[-1]]))
 
     def content_hash(self) -> str:
         import hashlib
@@ -389,9 +421,19 @@ class BiphotonAmplitude:
         return h.hexdigest()[:16]
 
 
-#: Rows per block of `LatticeFactor`'s contraction and of the
-#: `time_support` scan; bounds their temporaries.
+#: Rows per block of `LatticeFactor`'s contraction and of the envelope
+#: scan; bounds their temporaries.
 _ROW_BLOCK = 64
+
+
+class _EnvelopeScan(NamedTuple):
+    """Per-row and per-column maxima of |E| and sums of |E|^2 (of |Phi|, as
+    |E| = |Phi|) on the two-time lattice: `BiphotonAmplitude._scan`."""
+
+    row_max: np.ndarray
+    col_max: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
 
 
 def _scatter(stencil, X: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -557,9 +599,12 @@ def to_time_domain(amp: BiphotonAmplitude, s: Optional[float] = None,
     zero columns is formed (this agrees with `np.fft.fft2` of the padded
     array to rounding, not bit for bit). The envelope is the one lattice
     stored: the unitary scale and the axis-a phase go onto the narrower
-    first transform, the axis-b phase onto the second in place, and the
-    time norm and the boundary mass are summed from |E| = |Phi| without
-    forming |Phi|^2 on the whole lattice.
+    first transform, the axis-b phase onto the second in place. One blocked
+    scan of |E| = |Phi| (kept as the copy's `_scan`) then gives the time
+    norm, the boundary mass, the support box and the arrival-time marginals,
+    without forming |Phi|^2 on the whole lattice; at `SIM_LOG=debug` one
+    record reports the lattice, the pad factor, the support box, the time
+    norm and the boundary mass.
     """
     if s is None:
         s = amp.s
@@ -580,6 +625,7 @@ def to_time_domain(amp: BiphotonAmplitude, s: Optional[float] = None,
     half = np.fft.fft(vals * pre_a[:, None] * pre_b[None, :], n=npa, axis=0)
     half *= (amp.d_omega_a * amp.d_omega_b / (2.0 * np.pi)) * post_a[:, None]
     envelope = np.fft.fft(half, n=npb, axis=1)
+    del half
     envelope *= post_b[None, :]
     out = BiphotonAmplitude(
         theta=amp.theta, s=s, delay_arm=amp.delay_arm,
@@ -593,23 +639,30 @@ def to_time_domain(amp: BiphotonAmplitude, s: Optional[float] = None,
             f"normalization broken: |Phi|^2 integrates to {fnorm:.9f} "
             f"(frequency) / {tnorm:.9f} (time)"
         )
-    edge = sum(float(np.sum(np.abs(strip) ** 2)) for strip in (
-        envelope[:2, :], envelope[-2:, :], envelope[:, :2], envelope[:, -2:])
-    ) * out.dt1 * out.dt2
+    # the two outer rows and columns, corners counted twice
+    rows, cols = out._scan.rows, out._scan.cols
+    edge = float(rows[:2].sum() + rows[-2:].sum() + cols[:2].sum()
+                 + cols[-2:].sum()) * out.dt1 * out.dt2
     if edge > 1e-4:
         raise GridCoverageError(
             f"time-domain amplitude wraps the lattice (boundary mass "
             f"{edge:.2e}); refine the frequency spacing (more samples or a "
             f"tighter span)"
         )
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("two-time lattice: %dx%d, pad factor %d, support t1 "
+                  "[%.6g, %.6g] t2 [%.6g, %.6g] fs, time norm %.12f, "
+                  "boundary mass %.3e", npa, npb, pad_factor,
+                  *out.time_support(), tnorm, edge)
     return out
 
 
 def from_frequency_values(omega_a: np.ndarray, omega_b: np.ndarray,
                           values: np.ndarray, *, theta: Optional[float] = None,
-                          s: float = 0.0, delay_arm: str = "a") -> BiphotonAmplitude:
+                          s: float = 0.0, delay_arm: str = "a",
+                          pad_factor: Optional[int] = None) -> BiphotonAmplitude:
     """Normalize explicit frequency-domain values and transform them to the
-    two-time envelope."""
+    two-time envelope (`pad_factor` as in `to_time_domain`)."""
     omega_a = np.asarray(omega_a, dtype=float)
     omega_b = np.asarray(omega_b, dtype=float)
     values = np.asarray(values, dtype=complex)
@@ -621,7 +674,7 @@ def from_frequency_values(omega_a: np.ndarray, omega_b: np.ndarray,
     amp = BiphotonAmplitude(theta=theta, s=s, delay_arm=delay_arm,
                             omega_a=omega_a, omega_b=omega_b,
                             values=values / norm)
-    return to_time_domain(amp)
+    return to_time_domain(amp, pad_factor=pad_factor)
 
 
 def build_jsa(pump: PumpSpec, crystal: CrystalSpec, theta: float,

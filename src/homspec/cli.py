@@ -42,6 +42,13 @@ _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
 
 _REQUIRED = object()  # Field.default of a key that must be given
 
+# libyaml's safe loader and dumper where PyYAML was built with it (the same
+# documents, parsed and emitted in C), else the pure-Python ones
+if yaml.__with_libyaml__:
+    _Loader, _Dumper = yaml.CSafeLoader, yaml.CSafeDumper
+else:
+    _Loader, _Dumper = yaml.SafeLoader, yaml.SafeDumper
+
 
 class ConfigError(ValueError):
     """Validation failure carrying the offending field's path."""
@@ -263,7 +270,7 @@ def load_config(path: str, overrides: Optional[Mapping[str, Any]] = None) -> Run
     (YAML path -> value, ``None`` skipped) are written in before validation."""
     with open(path) as fh:
         try:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ConfigError("config", f"not parseable YAML: {exc}") from exc
     if not isinstance(data, dict):
@@ -304,8 +311,8 @@ def load_config(path: str, overrides: Optional[Mapping[str, Any]] = None) -> Run
     return RunConfig(**values)
 
 
-def serialize_config(config: RunConfig) -> str:
-    """YAML echo of the resolved configuration (defaults included)."""
+def _echo(config: RunConfig) -> Dict[str, Any]:
+    """The resolved configuration (defaults included) as a YAML document."""
     doc: Dict[str, Any] = {}
     for f in FIELDS:
         owner, _, name = f.target.rpartition(".")
@@ -313,7 +320,12 @@ def serialize_config(config: RunConfig) -> str:
         if f.echo is not None and holder is not None:
             value = getattr(holder, name)
             _put(doc, f.path, None if value is None else f.echo(value))
-    return yaml.safe_dump(doc, sort_keys=False)
+    return doc
+
+
+def serialize_config(config: RunConfig) -> str:
+    """YAML echo of the resolved configuration (defaults included)."""
+    return yaml.dump(_echo(config), Dumper=_Dumper, sort_keys=False)
 
 
 def _build_amplitude(config: RunConfig) -> Optional[BiphotonAmplitude]:
@@ -346,13 +358,13 @@ def run(config: RunConfig) -> int:
                 ops, q, hom=config.hom)
     grid.save(config.output)
     sidecar = {
-        "config": yaml.safe_load(serialize_config(config)),
+        "config": _echo(config),
         "system_hash": grid.meta["system_hash"],
         "amplitude_hash": grid.meta.get("amplitude_hash"),
         "wall_time_s": time.time() - started,
     }
     with open(config.output + ".meta", "w") as fh:
-        yaml.safe_dump(sidecar, fh, sort_keys=False)
+        yaml.dump(sidecar, fh, Dumper=_Dumper, sort_keys=False)
     log.info("wrote %s (+.meta) in %.1f s", config.output, sidecar["wall_time_s"])
     return 0
 

@@ -32,7 +32,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .biphoton import BiphotonAmplitude, from_frequency_values, to_time_domain
+from .biphoton import BiphotonAmplitude, from_frequency_values
 from .model import ExcitonSystem, Level, LiouvilleOperatorSet
 from .oracle import (DiscretizedField, PerturbativeKet, detection_amplitudes,
                      evolve_perturbative, fourth_order_coincidence)
@@ -74,13 +74,13 @@ class Benchmark:
 
     @functools.cached_property
     def amplitude(self) -> BiphotonAmplitude:
-        """The pipeline's pair amplitude, built on first use; its wide grid
-        puts the truncation edge far below the quadrature's support cut."""
+        """The pipeline's pair amplitude, built on first use and transformed
+        once, at `pad_factor`; its wide grid puts the truncation edge far
+        below the quadrature's support cut."""
         fine = np.linspace(CENTER - 0.66, CENTER + 0.66, 256)
-        amp = from_frequency_values(fine, fine, _gaussian_pair_values(
-            fine, fine, 2 * CENTER, 0.16, 0.0, 0.22), s=self.s, delay_arm="a")
-        return (amp if self.pad_factor is None
-                else to_time_domain(amp, pad_factor=self.pad_factor))
+        return from_frequency_values(fine, fine, _gaussian_pair_values(
+            fine, fine, 2 * CENTER, 0.16, 0.0, 0.22), s=self.s, delay_arm="a",
+            pad_factor=self.pad_factor)
 
     def evolve(self, order_max: int = 4,
                keep: Optional[Callable[[str, str], bool]] = None

@@ -122,11 +122,9 @@ def reference_time(amp: BiphotonAmplitude, offset: float = 0.0) -> float:
 
     The mean of (t1 + t2) / 2 under w = |Phi|^2, taken from the two
     marginals of w: (sum_i t1_i sum_j w_ij + sum_j t2_j sum_i w_ij) / 2 sum w,
-    so no lattice-sized array of midpoints is formed; w = |E|^2 for the
-    stored envelope E."""
-    w = np.abs(amp.envelope)
-    w *= w
-    rows, cols = w.sum(axis=1), w.sum(axis=0)
+    which the amplitude's envelope scan already holds, so no lattice-sized
+    array is formed."""
+    rows, cols = amp._scan.rows, amp._scan.cols
     return float(0.5 * (amp.t1 @ rows + amp.t2 @ cols) / rows.sum()) + offset
 
 

@@ -77,6 +77,25 @@ class TestSpecs:
         got = pair_amplitude_point(PUMP, CRYSTAL, 0.3, wa, wb)
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("theta", [0.0, np.pi, -np.pi])
+    @pytest.mark.parametrize("shift", [0.0, 0.01])
+    def test_real_exchange_factor_is_the_formula_real_part(self, theta,
+                                                           shift):
+        # a real exchange factor evaluates in float64: its values are the
+        # complex formula's real parts bit for bit, its imaginary parts zero,
+        # so the normalized JSA is the same bytes either way
+        w = GridAxis(1.45, 0.02, 64).values()
+        wa, wb = w[:, None], (w + shift)[None, :]
+        direct = PUMP.envelope(wa + wb)
+        phi_ab = direct * CRYSTAL.matching(wa, wb)
+        phi_ba = direct * CRYSTAL.matching(wb, wa)
+        want = (phi_ab + exchange_phase_factor(theta) * phi_ba) / np.sqrt(2.0)
+        got = pair_amplitude_point(PUMP, CRYSTAL, theta, wa, wb)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want.real) and not want.imag.any()
+        assert (from_frequency_values(w, w + shift, got).values.tobytes()
+                == from_frequency_values(w, w + shift, want).values.tobytes())
+
 
 class TestBuildJsa:
     def test_normalized_both_domains(self, jsa):
@@ -178,17 +197,30 @@ class TestTimeDomain:
                                       amp.t2[cols[0]], amp.t2[cols[-1]])
 
     def test_support_scan_forms_no_full_lattice(self):
-        # the scan of a 1024^2 envelope (16 MB) runs in row blocks; |E| of
-        # the whole lattice would take 8 MB
+        # the scan of a 1024^2 envelope (16 MB) runs in row blocks inside the
+        # transform; |E| of the whole lattice would take 8 MB more than the
+        # envelope and the first pass's (1024, 256) array
         amp = crosscheck.three_level_benchmark().amplitude
-        assert amp.envelope.shape == (1024, 1024)
         tracemalloc.start()
         try:
-            amp.time_support()
+            out = to_time_domain(amp)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2e6, peak
+        assert out.envelope.shape == (1024, 1024)
+        first_pass = out.envelope.shape[0] * amp.values.shape[1] * 16
+        assert peak < out.envelope.nbytes + first_pass + 2e6, peak
+
+    def test_logs_the_lattice_it_built(self, jsa, caplog):
+        with caplog.at_level(logging.DEBUG, logger="homspec.biphoton"):
+            amp = to_time_domain(jsa)
+        (record,) = [r for r in caplog.records if r.name == "homspec.biphoton"]
+        msg = record.getMessage()
+        t1_lo, t1_hi, t2_lo, t2_hi = amp.time_support()
+        assert "two-time lattice: 1024x1024, pad factor 4" in msg
+        assert f"t1 [{t1_lo:.6g}, {t1_hi:.6g}] t2 [{t2_lo:.6g}, {t2_hi:.6g}]" in msg
+        assert f"time norm {amp.time_norm():.12f}" in msg
+        assert 0.0 <= float(msg.split("boundary mass ")[1]) <= 1e-4
 
     def test_interpolation_accurate_between_nodes(self):
         amp = gaussian_amplitude()
@@ -318,6 +350,20 @@ class TestSetUp:
         want = mesh_centroid(amp)
         assert abs(reference_time(amp) - want) <= 1e-13 * abs(want)
         assert reference_time(amp, 2.5) == reference_time(amp) + 2.5
+
+    @pytest.mark.parametrize("case", ["golden", "gauss_delayed"])
+    def test_reference_time_is_the_full_lattice_marginal_formula(self, case):
+        # the blocked scan's marginals add in the order of w.sum(axis=0) and
+        # w.sum(axis=1) on the whole lattice, so the value is the same bits
+        amp = (golden_setup()[0] if case == "golden"
+               else gaussian_amplitude(n=128, s=3.0))
+        w = np.abs(amp.envelope)
+        w *= w
+        rows, cols = w.sum(axis=1), w.sum(axis=0)
+        want = float(0.5 * (amp.t1 @ rows + amp.t2 @ cols) / rows.sum())
+        assert reference_time(amp) == want
+        assert np.array_equal(amp._scan.rows, rows)
+        assert np.array_equal(amp._scan.cols, cols)
 
     def test_default_grid_logs_its_choice(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="homspec.biphoton"):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
+import homspec.cli
 import homspec.crosscheck
 import homspec.signal
 from homspec.cli import ConfigError, load_config, main, run, serialize_config
@@ -199,6 +200,25 @@ class TestRun:
         first = out.read_bytes()
         run(load_config(cfg))
         assert out.read_bytes() == first
+
+    def test_pure_python_yaml_writes_the_same_bytes(self, tmp_path,
+                                                    monkeypatch):
+        # libyaml, where present, loads and dumps; the pure-Python classes
+        # must give the same grid and sidecar (apart from the wall time)
+        out = tmp_path / "out.dat"
+        cfg = tmp_path / "readme.yaml"
+        cfg.write_text(yaml.safe_dump(dict(README_CONFIG, output=str(out))))
+
+        def written():
+            assert main(["run", "--config", str(cfg)]) == 0
+            meta = (tmp_path / "out.dat.meta").read_text().splitlines()
+            return out.read_bytes(), [line for line in meta
+                                      if not line.startswith("wall_time_s:")]
+
+        first = written()
+        monkeypatch.setattr(homspec.cli, "_Loader", yaml.SafeLoader)
+        monkeypatch.setattr(homspec.cli, "_Dumper", yaml.SafeDumper)
+        assert written() == first
 
     def test_default_grid_sets_the_amplitude(self, tmp_path):
         from homspec.biphoton import build_jsa, default_grid

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import homspec.biphoton
 import homspec.crosscheck
 import homspec.oracle
 from homspec.crosscheck import (CONVERGED_STEPS, CONVERGED_WINDOW, RESTRICTIONS,
@@ -328,6 +329,23 @@ class TestConvergedBenchmark:
         assert (refined.n_modes, refined.n_steps) > (converged.n_modes,
                                                     converged.n_steps)
         assert normalized_deviation(brute_force_curve(refined), base) < 3e-3
+
+
+def test_converged_amplitude_is_one_transform(monkeypatch):
+    # built at its pad factor directly, it equals a second transform of the
+    # default-padded amplitude at that pad factor
+    calls = []
+    real = homspec.biphoton.to_time_domain
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("pad_factor"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(homspec.biphoton, "to_time_domain", counted)
+    amp = converged_benchmark().amplitude
+    assert calls == [8]
+    assert amp.envelope.shape == (2048, 2048)
+    assert np.array_equal(amp.envelope, real(amp, pad_factor=8).envelope)
 
 
 def test_run_benchmark_defaults_to_the_converged_benchmark(monkeypatch):
