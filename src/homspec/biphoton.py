@@ -14,7 +14,6 @@ so the L2 norm equals 1 in both domains.
 from __future__ import annotations
 
 import functools
-import itertools
 import logging
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Tuple
@@ -30,7 +29,6 @@ __all__ = [
     "LineAmplitude",
     "DeltaAmplitude",
     "GridCoverageError",
-    "LatticeFactor",
     "build_jsa",
     "to_time_domain",
     "delta_limit_amplitude",
@@ -349,21 +347,6 @@ class BiphotonAmplitude:
         0 for both on a square lattice."""
         return (0 if self._square else axis, coord.shape, coord.tobytes())
 
-    def _repeated_coordinate(self, axes, coord, counts, memo: dict,
-                             into: dict) -> np.ndarray:
-        """np.repeat(coord, counts), with its stencil on each of `axes` put
-        in `into` as the stencil of `coord` repeated, and that of `coord`
-        kept in `memo` (see `_cached_stencil`): a coordinate that many
-        nodes share is interpolated once, and its repeated stencil lives
-        only as long as `into`."""
-        coord = np.asarray(coord, dtype=float)
-        out = np.repeat(coord, counts)
-        for axis in axes:
-            into[self._stencil_key(axis, out)] = tuple(
-                np.repeat(a, counts)
-                for a in self._cached_stencil(axis, coord, memo))
-        return out
-
     def time_value(self, x, y, memo: Optional[dict] = None) -> np.ndarray:
         """Two-time amplitude at arbitrary points (zero off-lattice).
 
@@ -376,29 +359,6 @@ class BiphotonAmplitude:
         v = self.envelope
         return ((v[ix, iy] * x0 + v[ix + 1, iy] * x1) * y0
                 + (v[ix, iy + 1] * x0 + v[ix + 1, iy + 1] * x1) * y1)
-
-    def lattice_factor(self, rows, cols, sheared: bool, swap: bool,
-                       bracket: bool,
-                       memo: Optional[dict] = None) -> "LatticeFactor":
-        """Phi(rows[i], cols[k]) on the (i, j) mesh, with k = j, or k = i + j
-        when `sheared` (`cols` then holds rows.size + n - 1 coordinates for
-        n mesh columns, as when one argument moves with tau3 and the other
-        with tau3 + tau4); Phi(cols[k], rows[i]) with `swap`, and the sum of
-        both with `bracket`. One stencil per coordinate, no per-node
-        exponential; the mesh is contracted, not formed (see
-        `LatticeFactor`). On a square lattice a bracket is one contraction
-        of E + E^T (both orientations share their stencils); elsewhere it
-        takes one per orientation. `memo` keeps the stencils (see
-        `_cached_stencil`)."""
-        n = cols.size - rows.size + 1 if sheared else cols.size
-        folded = bracket and self._square
-        parts = []
-        for flip in ((swap, not swap) if bracket and not folded else (swap,)):
-            # the envelope axis of the row coordinates comes first
-            parts.append((self.envelope.T if flip else self.envelope,
-                          self._cached_stencil(int(flip), rows, memo),
-                          self._cached_stencil(1 - int(flip), cols, memo)))
-        return LatticeFactor((rows.size, n), sheared, tuple(parts), folded)
 
     def time_support(self) -> Tuple[float, float, float, float]:
         """Bounding box (t1_lo, t1_hi, t2_lo, t2_hi) where the amplitude
@@ -421,8 +381,7 @@ class BiphotonAmplitude:
         return h.hexdigest()[:16]
 
 
-#: Rows per block of `LatticeFactor`'s contraction and of the envelope
-#: scan; bounds their temporaries.
+#: Rows per block of the envelope scan; bounds its temporaries.
 _ROW_BLOCK = 64
 
 
@@ -434,138 +393,6 @@ class _EnvelopeScan(NamedTuple):
     col_max: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
-
-
-def _scatter(stencil, X: np.ndarray) -> Tuple[np.ndarray, int]:
-    """S X for the (lattice x nodes) interpolation matrix S of a stencil,
-    restricted to the lattice nodes its live coordinates touch: returns
-    those rows and the index of the first one."""
-    cell, w0, w1 = stencil
-    live = np.flatnonzero(w0)
-    if not live.size:
-        return np.zeros((0, X.shape[1]), complex), 0
-    cell, X = cell[live], X[live]
-    lo = cell.min()
-    out = np.zeros((cell.max() - lo + 2, X.shape[1]), complex)
-    np.add.at(out, cell - lo, w0[live, None] * X)
-    np.add.at(out, cell + 1 - lo, w1[live, None] * X)
-    return out, lo
-
-
-def _band(v: np.ndarray, rows: slice, cols: slice,
-          folded: bool) -> np.ndarray:
-    """The block v[rows, cols], or (v + v^T)[rows, cols] when `folded`."""
-    band = v[rows, cols]
-    return band + v[cols, rows].T if folded else band
-
-
-@dataclass(frozen=True)
-class LatticeFactor:
-    """A two-time amplitude factor on an (n3, n4) node mesh, held as 1-D
-    interpolation stencils of the envelope lattice.
-
-    Entry (i, j) is sum over `parts` of sum_ab r_a[i] c_b[k] v[ir[i] + a,
-    ic[k] + b], with k = j, or k = i + j when `sheared`; each part is an
-    envelope orientation v with its row stencil (ir, r0, r1) and column
-    stencil (ic, c0, c1). When `folded`, each part reads v + v^T instead of
-    v, a bracket contracted once; that sum is formed only on the blocks of
-    nodes a contraction touches. `contract_terms` never forms the mesh;
-    `np.asarray` does, for comparison.
-    """
-
-    shape: Tuple[int, int]
-    sheared: bool
-    parts: tuple
-    folded: bool = False
-
-    def contract_terms(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """A[:, p]^T H B[:, p] for each p, as a (P,) array."""
-        total = np.zeros(A.shape[1], complex)
-        for v, rows, cols in self.parts:
-            if self.sheared:
-                total += _contract_sheared(v, rows, cols, A, B, self.folded)
-            else:
-                # S_r^T V S_c: scatter both sides onto the envelope, then one
-                # product with the band of envelope nodes they touch
-                U, lo = _scatter(rows, A)
-                W, k0 = _scatter(cols, B)
-                band = _band(v, slice(lo, lo + U.shape[0]),
-                             slice(k0, k0 + W.shape[0]), self.folded)
-                total += (U * (band @ W)).sum(axis=0)
-        return total
-
-    def block(self, rows: slice, cols: slice) -> "LatticeFactor":
-        """One point's factor out of a batch: this factor built on the
-        concatenated coordinates of several points, restricted to the
-        stencils of one point's `rows` and `cols` (slices of them)."""
-        n3, n = rows.stop - rows.start, cols.stop - cols.start
-        return LatticeFactor(
-            (n3, n - n3 + 1 if self.sheared else n), self.sheared,
-            tuple((v, tuple(a[rows] for a in r), tuple(a[cols] for a in c))
-                  for v, r, c in self.parts), self.folded)
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        n3, n4 = self.shape
-        k = np.arange(n4)[None, :] + (np.arange(n3)[:, None] if self.sheared
-                                      else 0)
-        out = np.zeros(self.shape, complex)
-        for v, (ir, *r), (ic, *c) in self.parts:
-            for a, b in itertools.product((0, 1), (0, 1)):
-                node = ir[:, None] + a, ic[k] + b
-                val = v[node] + v[node[::-1]] if self.folded else v[node]
-                out += r[a][:, None] * c[b][k] * val
-        return out if dtype is None else out.astype(dtype)
-
-
-def _contract_sheared(v: np.ndarray, row_stencil, col_stencil, A: np.ndarray,
-                      B: np.ndarray, folded: bool) -> np.ndarray:
-    """sum_ij A[i, p] H[i, j] B[j, p] for each term p, as a (P,) array, for
-    H[i, j] = sum_ab r_a[i] c_b[i + j] v[ir[i] + a, ic[i + j] + b], with
-    v + v^T for v when `folded`.
-
-    Rows go in blocks: each block interpolates the band of envelope nodes it
-    touches at the column stencil, picks its two rows per mesh row,
-    contracts them with B along the sheared window (a strided view) and
-    weights them by A r0 and A r1, so no temporary has the mesh's size.
-    The band is taken transposed, so that the interpolation gathers
-    contiguous rows. Rows and columns whose stencil lies off the lattice
-    (zero weights) are skipped: the band spans the live columns' nodes
-    only, and only the window's live columns are interpolated, its dead
-    ones left zero.
-    """
-    ir, r0, r1 = row_stencil
-    ic, c0, c1 = col_stencil
-    live_r = np.flatnonzero(r0)
-    live_c = np.flatnonzero(c0)
-    total = np.zeros(B.shape[1], complex)
-    if not live_r.size or not live_c.size:
-        return total
-    n = B.shape[0]
-    k_lo, k_hi = live_c[0], live_c[-1] + 1
-    for a in range(live_r[0], live_r[-1] + 1, _ROW_BLOCK):
-        b = min(a + _ROW_BLOCK, live_r[-1] + 1)
-        j0, j1 = max(0, k_lo - (b - 1)), min(n, k_hi - a)
-        if j1 <= j0:
-            continue
-        # the window's columns ks, of which [c_lo, c_hi) are live
-        ks = a + j0
-        c_lo, c_hi = max(ks, k_lo), min(b - 1 + j1, k_hi)
-        live = ic[c_lo:c_hi]
-        lo, k_min = ir[a:b].min(), live.min()
-        band = _band(v.T, slice(k_min, live.max() + 2),
-                     slice(lo, ir[a:b].max() + 2), folded)
-        k = np.clip(live - k_min, 0, band.shape[0] - 2)
-        C = np.zeros((band.shape[1], b - 1 + j1 - ks), complex)
-        C[:, c_lo - ks:c_hi - ks] = (band[k] * c0[c_lo:c_hi, None]
-                                     + band[k + 1] * c1[c_lo:c_hi, None]).T
-        for r, pick in ((r0, ir[a:b] - lo), (r1, ir[a:b] + 1 - lo)):
-            R = C[pick]
-            # R[m, m + j] as a view: row m of the window starts one row and
-            # one column after row m - 1's
-            window = np.ndarray((b - a, j1 - j0), complex, R,
-                                strides=(R.strides[0] + R.itemsize, R.itemsize))
-            total += ((A[a:b] * r[a:b, None]) * (window @ B[j0:j1])).sum(axis=0)
-    return total
 
 
 def _axis_transform_phases(omega: np.ndarray, n_pad: int):

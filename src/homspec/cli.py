@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 import time
@@ -72,10 +73,16 @@ def _record(item: Any, path: str, required: Tuple[str, ...],
     return [item[key] for key in required]
 
 
-def _number(value: Any, path: str) -> float:
+def _real(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
     return float(value)
+
+
+def _number(value: Any, path: str) -> float:
+    if not math.isfinite(number := _real(value, path)):
+        raise ConfigError(path, f"must be finite, got {number}")
+    return number
 
 
 def _rate(value: Any, path: str) -> float:
@@ -139,8 +146,9 @@ def _pairs(value: Any, path: str) -> Dict[Tuple[str, str], float]:
 
 
 def _axis(value: Any, path: str) -> np.ndarray:
+    # check_lattice refuses a delay that is not finite, naming it
     if isinstance(value, list):
-        axis = np.array([_number(v, path) for v in value])
+        axis = np.array([_real(v, path) for v in value])
     elif isinstance(value, dict):
         start, stop = _record(value, path, ("start", "stop"), ("num", "step"))
         start, stop = _number(start, f"{path}.start"), _number(stop, f"{path}.stop")
@@ -155,7 +163,7 @@ def _axis(value: Any, path: str) -> np.ndarray:
         else:
             raise ConfigError(path, "axis range needs 'num' or 'step'")
     else:
-        axis = np.array([_number(value, path)])
+        axis = np.array([_real(value, path)])
     if axis.size == 0:
         raise ConfigError(path, "axis must be non-empty")
     if not np.all(np.diff(axis) > 0):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import gaussian_amplitude, non_square_gaussian
-from homspec import biphoton, crosscheck
+from homspec import biphoton, crosscheck, quadrature
 from homspec.biphoton import (BiphotonAmplitude, CrystalSpec, DeltaAmplitude,
                               FrequencyGrid, GridAxis, GridCoverageError,
                               PumpSpec, build_jsa, default_grid,
@@ -476,7 +476,8 @@ class TestShearedContraction:
         # 20 mesh rows make one block; its window spans every column, and
         # the columns leave the lattice on both sides
         cols = np.arange(t[0] - 3.1, t[-1] + 3.0, 0.37)
-        lf = amp.lattice_factor(rows, cols, True, False, bracket)
+        lf = quadrature._lattice_factor(amp, rows, cols, True, False, bracket,
+                                        None)
         live = np.flatnonzero(lf.parts[0][2][1])
         assert live[0] > 5 and live[-1] < cols.size - 6
         A = rng.normal(size=(rows.size, 2)) + 1j * rng.normal(size=(rows.size, 2))

@@ -320,6 +320,20 @@ class TestMain:
                 capsys.readouterr().err)
         assert not (tmp_path / "o.dat").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("quadrature.cutoff_fs", float("nan")),
+        ("quadrature.t_ref_fs", float("inf")),
+        ("pump.sigma_p_rad_per_fs", float("nan"))])
+    def test_setting_that_is_not_finite_refused_by_name(self, tmp_path, capsys,
+                                                        key, value):
+        cfg = write_config(tmp_path, {key: value,
+                                      "output": str(tmp_path / "o.dat")})
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(cfg)]) == 2
+            assert f"{key}: must be finite, got {value}" in (
+                capsys.readouterr().err)
+        assert not (tmp_path / "o.dat").exists()
+
     def test_mode_full_on_short_te_config_names_pump(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"mode": "short_Te",
                                       "output": str(tmp_path / "o.dat")},

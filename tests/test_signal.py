@@ -8,16 +8,17 @@ import pytest
 
 from conftest import GaussLine, gaussian_amplitude, non_square_gaussian
 from homspec.biphoton import (BiphotonAmplitude, CrystalSpec, DeltaAmplitude,
-                              LatticeFactor, PumpSpec, build_jsa,
-                              default_grid)
+                              PumpSpec, build_jsa, default_grid)
 from homspec.model import ExcitonSystem, Level, LiouvilleOperatorSet
-from homspec import biphoton, signal
+from homspec import quadrature, signal
 from homspec.pathways import (Affine, HomSpec, complete_term_table,
                               term_table)
+from homspec.quadrature import (LatticeFactor, _amplitude_factor, _boxes,
+                                _intervals, _Memo, _segment_nodes,
+                                _sub_term_values, _weights)
 from homspec.signal import (BLOCK_FACTOR, QuadratureSpec, SignalGrid,
-                            _amplitude_factor, _boxes, _segment_nodes,
-                            _sub_term_values, _weights, coincidence,
-                            coincidence_short_Te, coincidence_terms,
+                            coincidence, coincidence_short_Te,
+                            coincidence_terms,
                             complete_coincidence, complete_coincidence_terms,
                             default_quadrature, pathway_probabilities,
                             reference_time, scan, short_te_terms, system_hash,
@@ -45,7 +46,13 @@ TABLE = {(t.detection, t.interaction): t for t in term_table()}
 
 def point_box(sub, tau, T, amp, q):
     """One point's box of a sub-term: a batch of one, or None if empty."""
-    return _boxes([sub], np.array([tau]), np.array([T]), amp, q)[0]
+    return sub_boxes(sub, np.array([tau]), np.array([T]), amp, q)
+
+
+def sub_boxes(sub, tau, T, amp, q):
+    """A sub-term's boxes at the points (tau[k], T[k]), or None if all are
+    empty."""
+    return _boxes([sub], tau, T, q, _intervals([sub], tau, T, amp, q))[0]
 
 
 def box_at(sub, tau, T, amp, q):
@@ -58,7 +65,7 @@ def sub_term_value(sub, interaction, tau, T, amp, ops, q):
     """One point's integral of a sub-term: the quadrature's batch of one."""
     box = point_box(sub, tau, T, amp, q)
     return 0j if box is None else complex(
-        _sub_term_values(sub, interaction, box, amp, ops, q)[0])
+        _sub_term_values(sub, interaction, box, amp, ops, q, _Memo())[0])
 
 
 class TestQuadratureSpec:
@@ -75,6 +82,14 @@ class TestQuadratureSpec:
         q = QuadratureSpec(cutoff=200.0, step=1.0)
         with pytest.raises(ValueError, match="step"):
             q.validate(slow_ladder)
+
+    @pytest.mark.parametrize("name, value", [
+        ("cutoff", np.nan), ("cutoff", np.inf), ("step", np.nan),
+        ("t_ref", np.nan), ("t_ref", np.inf)])
+    def test_refuses_non_finite_settings_by_name(self, name, value):
+        settings = {"cutoff": 200.0, "step": 0.1, "t_ref": 0.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            QuadratureSpec(**settings)
 
     def test_default_quadrature(self, slow_ladder):
         amp = gaussian_amplitude()
@@ -359,7 +374,7 @@ class TestLatticeFactors:
                 box = point_box(sub, tau, T, amp, q)
                 tau3, tau4 = box.tau3, box.tau4
                 got = _amplitude_factor(amp, sub.args, sub.symmetrize, box,
-                                        q)(0)
+                                        q, {})(0)
                 x, y = np.broadcast_arrays(
                     *(a(q.t_ref, tau, T, tau3[:, None], tau4[None, :])
                       for a in sub.args))
@@ -466,7 +481,7 @@ class TestContractions:
         for sub, interaction in kinds.values():
             got = sub_term_value(sub, interaction, tau, T, amp, ops, q)
             with monkeypatch.context() as m:
-                m.setattr(signal, "_amplitude_factor", dense)
+                m.setattr(quadrature, "_amplitude_factor", dense)
                 want = sub_term_value(sub, interaction, tau, T, amp, ops, q)
             _, scale = full_mesh_value(sub, interaction, tau, T, amp, ops, q)
             assert abs(got - want) <= 1e-12 * scale, (sub, got, want)
@@ -512,6 +527,21 @@ class TestSharedIntegrals:
                 assert abs(value - want) <= 1e-14 * abs(want), (term.label,
                                                                 value, want)
 
+    def test_term_value_equals_its_row_in_the_signal(self, shared_point):
+        # one row alone and every row together build their boxes, batches
+        # and integrals through the one entry point, bit for bit alike
+        (tau, T, s), amp, ops, q = shared_point
+        for table, signal_terms, factor, label in (
+                (term_table(), coincidence_terms, 1.0,
+                 lambda t: (t.detection, t.interaction)),
+                (complete_term_table(), complete_coincidence_terms,
+                 BLOCK_FACTOR, lambda t: t.label)):
+            got = signal_terms(tau, T, s, amp, ops, q)
+            for term in table:
+                want = term.pattern.sign * term.pattern.weight(
+                    HomSpec()) * term_value(term, tau, T, s, amp, ops, q)
+                assert got[label(term)] / factor == want, term.label
+
     def test_sharing_sub_terms_have_equal_boxes(self, shared_point):
         (tau, T, _), amp, _, q = shared_point
         for table in (term_table(), complete_term_table()):
@@ -539,7 +569,7 @@ class TestSharedIntegrals:
                 sheared.append(args)
             return _amplitude_factor(amp, args, *rest)
 
-        monkeypatch.setattr(signal, "_amplitude_factor", counting)
+        monkeypatch.setattr(quadrature, "_amplitude_factor", counting)
         coincidence(tau, T, s, amp, ops, q, hom=HomSpec(T=T))
         # I-5, II-5 and IV-5 share one direct factor; III-5 has its own
         assert len(sheared) == 2 and len(set(sheared)) == 2
@@ -554,15 +584,15 @@ def readme_quadrature(golden_point):
 
 
 def count_sheared(monkeypatch) -> list:
-    """Record each pathway-5 contraction (`biphoton._contract_sheared`)."""
+    """Record each pathway-5 contraction (`quadrature._contract_sheared`)."""
     calls = []
-    inner = biphoton._contract_sheared
+    inner = quadrature._contract_sheared
 
     def counting(*args):
         calls.append(args[3].shape)
         return inner(*args)
 
-    monkeypatch.setattr(biphoton, "_contract_sheared", counting)
+    monkeypatch.setattr(quadrature, "_contract_sheared", counting)
     return calls
 
 
@@ -589,7 +619,7 @@ class TestFactoredIntegrals:
             self, readme_quadrature, monkeypatch):
         amp, ops, q = readme_quadrature
         # a bound that holds the whole 4 x 4 lattice in one batch
-        monkeypatch.setattr(signal, "_BATCH_NODES", 1 << 16)
+        monkeypatch.setattr(quadrature, "_BATCH_NODES", 1 << 16)
         calls = count_sheared(monkeypatch)
         scan([4.0, 12.0, 20.0, 28.0], [2.0, 6.0, 10.0, 14.0], [15.0], "full",
              amp, ops, q)
@@ -612,6 +642,21 @@ class TestFactoredIntegrals:
         monkeypatch.setattr(BiphotonAmplitude, "_stencil", making)
         coincidence(np.linspace(0.0, 28.0, 8), 10.0, 15.0, amp, ops, q)
         assert len(made) == len(set(made)) > 0
+
+    def test_batch_memory(self, readme_quadrature):
+        # stencils on nodes are dropped after the last sub-term that can ask
+        # for them; when those of pathways 1 and 3 lived through pathway 5
+        # this batch peaked at 6.94 MB (6.14 MB without)
+        amp, ops, q = readme_quadrature
+        tracemalloc.start()
+        try:
+            values = coincidence(np.linspace(0.0, 28.0, 8), 10.0, 15.0, amp,
+                                 ops, q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(values)) and values.any()
+        assert peak < 6.5e6, f"peak {peak / 1e6:.2f} MB"
 
     def test_scan_equals_coincidence_with_many_term_correlators(
             self, monkeypatch):
@@ -644,11 +689,11 @@ class TestFactoredIntegrals:
         for term in term_table() + complete_term_table():
             for sub in term.sub_terms:
                 first = sub.first_interval
-                box = _boxes([sub], tau, T, amp, q)[0]
+                box = sub_boxes(sub, tau, T, amp, q)
                 if first.t3 or first.t4 or box is None:
                     continue
                 got = _sub_term_values(sub, term.interaction, box, amp, ops,
-                                       q)
+                                       q, _Memo())
                 for k, i in enumerate(box.index):
                     want, scale = full_mesh_value(sub, term.interaction,
                                                   tau[i], T[i], amp, ops, q)
@@ -780,7 +825,7 @@ class TestAmplitudeTypes:
         box = point_box(TABLE[("I", 4)].sub_terms[0], tau, T, amp, q)
         with pytest.raises(NotImplementedError, match="no contraction"):
             _amplitude_factor(amp, (Affine(t3=1, t4=-1), Affine()), False,
-                              box, q)
+                              box, q, {})
 
 
 class TestShortTe:
@@ -961,7 +1006,7 @@ class TestEmptyCorrelator:
             boxes.extend(subs)
             return _boxes(subs, *rest)
 
-        monkeypatch.setattr(signal, "_boxes", counting)
+        monkeypatch.setattr(quadrature, "_boxes", counting)
         value = coincidence(1.0, 2.0, 3.0, amp, ops, q, hom=HomSpec(T=2.0))
         f5 = {sub for term in term_table() if term.interaction == 5
               for sub in term.sub_terms}
@@ -1107,7 +1152,7 @@ class TestBatch:
         lattice = ([0.0, 1.0, 2.5, 4.0], [0.5, 3.0], [3.0])
         whole = scan(*lattice, "full", amp, ops, q).serialize()
         # several batches of two or three points
-        monkeypatch.setattr(signal, "_BATCH_NODES", 2 * (q.n_nodes + 2))
+        monkeypatch.setattr(quadrature, "_BATCH_NODES", 2 * (q.n_nodes + 2))
         assert scan(*lattice, "full", amp, ops, q).serialize() == whole
 
     def test_boxes_are_tightened_once_per_call(self, small_setup,
@@ -1118,12 +1163,12 @@ class TestBatch:
         whole = coincidence(tau, T, 3.0, amp, ops, q)
         calls = dict.fromkeys(("_intervals", "_boxes"), 0)
         for name in calls:
-            def counting(*args, inner=getattr(signal, name), name=name):
+            def counting(*args, inner=getattr(quadrature, name), name=name):
                 calls[name] += 1
                 return inner(*args)
 
-            monkeypatch.setattr(signal, name, counting)
-        monkeypatch.setattr(signal, "_BATCH_NODES", 2 * (q.n_nodes + 2))
+            monkeypatch.setattr(quadrature, name, counting)
+        monkeypatch.setattr(quadrature, "_BATCH_NODES", 2 * (q.n_nodes + 2))
         assert np.array_equal(coincidence(tau, T, 3.0, amp, ops, q), whole)
         assert calls["_intervals"] == 1 and calls["_boxes"] > 1, calls
         calls.update(_intervals=0, _boxes=0)
