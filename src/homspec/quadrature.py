@@ -32,15 +32,17 @@ weight folds) run point by point, and each distinct integral runs once per
 batch: a constant first interval is factored out of the correlator, so
 the pathway-5 integrals of a tau scan do not move with tau. A call's
 points go in one batch, or several when their boxes hold too many nodes;
-a single point is a batch of one.
+a single point is a batch of one. Each batch's `_plan` decides what each
+(row, sub-term) use integrates and when its stencils can go, before
+`_sub_term_values` integrates it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -53,7 +55,7 @@ __all__ = ["LatticeFactor", "QuadratureSpec", "row_values"]
 
 #: Nodes times correlator terms that one sub-term may hold on each
 #: integration axis in one batch of points (see `_batches`); bounds a
-#: batch's temporaries and its stencil memo (see `_Memo`).
+#: batch's temporaries and its stencil memo (see `row_values`).
 _BATCH_NODES = 1 << 12
 
 #: Rows per block of the sheared contraction; bounds its temporaries.
@@ -320,26 +322,23 @@ def _boxes(subs: Sequence[SubTerm], tau: np.ndarray, T: np.ndarray,
     return out
 
 
-def _batches(subs: Sequence[Tuple[SubTerm, int]], tau: np.ndarray,
-             T: np.ndarray, intervals, ops: LiouvilleOperatorSet,
+def _batches(subs: Sequence[Tuple[SubTerm, int]], keys: List[List[tuple]],
+             intervals, ops: LiouvilleOperatorSet,
              q: QuadratureSpec) -> List[slice]:
-    """Consecutive runs of the points (tau[k], T[k]) in which no sub-term
-    (with its interaction) holds more than `_BATCH_NODES` nodes times
-    correlator terms on either axis. Each distinct integral of a run (see
-    `_integral_keys`) counts its tightened box once; a point over the bound
-    alone is a batch of one. `intervals` are the sub-terms' `_intervals`
-    at the points."""
-    if tau.size < 2:
-        return [slice(0, tau.size)] if tau.size else []
+    """Consecutive runs of a call's points in which no sub-term (with its
+    interaction) holds more than `_BATCH_NODES` nodes times correlator
+    terms on either axis. Each distinct integral of a run (`keys`, each
+    sub-term's point keys from `_integral_keys`) counts its tightened box
+    once; a point over the bound alone is a batch of one. `intervals` are
+    the sub-terms' `_intervals` at the points."""
     I3, I4, live = intervals
     terms = np.array([[ops.expansion(i).coeffs.size] for _, i in subs])
     cost = np.where(live, [(_inner_nodes(*I, q)[1] + 2) * terms
                            for I in (I3, I4)], 0)
-    keys = [_integral_keys(sub, i, tau, T)[1] for sub, i in subs]
     out, start = [], 0
     held: List[set] = [set() for _ in subs]
     load = np.zeros((2, len(subs)), int)
-    for k in range(tau.size):
+    for k in range(live.shape[1]):
         new = [n for n, sub_keys in enumerate(keys)
                if live[n, k] and sub_keys[k] not in held[n]]
         if k > start and (load[:, new] + cost[:, new, k]
@@ -351,7 +350,7 @@ def _batches(subs: Sequence[Tuple[SubTerm, int]], tau: np.ndarray,
         load[:, new] += cost[:, new, k]
         for n in new:
             held[n].add(keys[n][k])
-    out.append(slice(start, tau.size))
+    out.append(slice(start, live.shape[1]))
     return out
 
 
@@ -726,38 +725,85 @@ def _amplitude_factor(amp, args: Tuple[Affine, Affine], bracket: bool,
 
 def _integral_keys(sub: SubTerm, interaction: int, tau: np.ndarray,
                    T: np.ndarray) -> Tuple[tuple, List[tuple]]:
-    """The memo keys of a sub-term's integral (see `_sub_term_values`) at
-    points (tau[k], T[k]): one part for every point, and per point its tau
-    and T where an expression that moves with tau3 or tau4 depends on them
-    (the direct arguments, the conjugate ones when they move, the first
-    interval when it moves). Points with equal keys have equal shifts of
-    those expressions, and so equal boxes and integrals."""
+    """The keys of a sub-term's integral (see `_sub_term_values`) at points
+    (tau[k], T[k]): one part for every point, and per point its tau and T
+    where an expression that moves with tau3 or tau4 depends on them (the
+    direct arguments, the conjugate ones and the first interval, each when
+    it moves). The part holds the moving expressions whole, so points with
+    equal keys have equal shifts of equal expressions, and so equal boxes
+    and integrals."""
     first = sub.first_interval
+    first = (first,) if first.t3 or first.t4 else ()
     conj = sub.conj_args if any(a.t3 or a.t4 for a in sub.conj_args) else ()
-    moving = sub.args + conj + ((first,) if first.t3 or first.t4 else ())
-    return ((interaction, sub.args, sub.symmetrize, first.t3, first.t4, conj),
+    moving = sub.args + conj + first
+    return ((interaction, sub.args, sub.symmetrize, first, conj),
             list(zip(*(x.tolist() if any(getattr(e, name) for e in moving)
                        else [None] * x.size
                        for name, x in (("tau", tau), ("T", T))))))
 
 
-def _new_keys(keys: List[tuple], known) -> Dict[tuple, int]:
-    """The first position of each of `keys` that is not in `known`."""
-    todo: Dict[tuple, int] = {}
-    for k, key in enumerate(keys):
-        if key not in known:
-            todo.setdefault(key, k)
-    return todo
+@dataclass(frozen=True)
+class _Use:
+    """One row's use of a sub-term in a batch (see `_plan`): its boxes, their
+    points' keys, the positions `at` of the points it integrates and the
+    last use of the batch that can ask for a stencil it makes."""
+
+    row: int
+    sub: SubTerm
+    interaction: int
+    box: _Boxes
+    part: tuple
+    keys: List[tuple]
+    at: List[int]
+    last: int
 
 
-def _sub_term_values(sub: SubTerm, interaction: int, box: _Boxes, amp,
-                     ops: LiouvilleOperatorSet, q: QuadratureSpec,
-                     memo: _Memo) -> np.ndarray:
-    """Double integral of one sub-term over its box (see `_boxes`) at each
-    point of a batch where the box is not empty, in the order of
-    `box.index`: sum_p (w3 A_p)^T H (w4 B_p), one sum J_p per correlator
-    term, with H the one factor in both variables (a `_Bordered` or
-    `LatticeFactor`, which contracts itself; none makes it a product of
+def _plan(uses: Sequence[Tuple[int, SubTerm, int]], boxes: dict, keys: dict,
+          batch: slice) -> List[_Use]:
+    """The uses of one batch, in order: each (row, sub-term, interaction) of
+    `uses` whose boxes (`boxes`, by sub-term id) are not all empty, with
+    its keys at their points out of the call's (`keys`, by sub-term id).
+
+    A use integrates the first point of each key that no earlier use knows.
+    If there is one, it asks for a stencil of one coordinate family per
+    argument that moves with tau3 or tau4: the node arrays it moves with,
+    the points integrated on them and its coefficients, the whole of what
+    its coordinates are computed from (see `_Boxes.evaluate`), whichever
+    axis they lie on. Its last use is the last that asks for one of its
+    families."""
+    planned, families, last, seen = [], [], {}, {}
+    for row, sub, interaction in uses:
+        box = boxes[id(sub)]
+        if box is None:
+            continue
+        part, call_keys = keys[id(sub)]
+        batch_keys = call_keys[batch]
+        box_keys = [batch_keys[k] for k in box.index.tolist()]
+        known, at = seen.setdefault(part, set()), []
+        for k, key in enumerate(box_keys):
+            if key not in known:
+                known.add(key)
+                at.append(k)
+        points = box.index[at].tobytes()
+        a3, a4 = ((hash(x.tobytes()), points) for x in (box.tau3, box.tau4))
+        families.append({
+            ((a3, e.t3) if e.t3 else ()) + ((a4, e.t4) if e.t4 else ())
+            + (e.t, e.tau, e.T)
+            for e in sub.conj_args + sub.args if at and (e.t3 or e.t4)})
+        last.update(dict.fromkeys(families[-1], len(planned)))
+        planned.append((row, sub, interaction, box, part, box_keys, at))
+    return [_Use(*use, max((last[f] for f in fs), default=u))
+            for u, (use, fs) in enumerate(zip(planned, families))]
+
+
+def _sub_term_values(use: _Use, amp, ops: LiouvilleOperatorSet,
+                     q: QuadratureSpec, integrals: dict,
+                     stencils: dict) -> np.ndarray:
+    """Double integral of a use's sub-term over its box (see `_boxes`) at
+    each point of a batch where the box is not empty, in the order of
+    `use.box.index`: sum_p (w3 A_p)^T H (w4 B_p), one sum J_p per
+    correlator term, with H the one factor in both variables (a `_Bordered`
+    or `LatticeFactor`, which contracts itself; none makes it a product of
     sums).
 
     A first interval without tau3 and tau4 is a constant c >= 0 on the box
@@ -766,14 +812,17 @@ def _sub_term_values(sub: SubTerm, interaction: int, box: _Boxes, amp,
     grows (Re z1 is at least the dephasing floor). A conjugate factor that
     depends on neither variable multiplies the integral. What is left
     depends on the point only through the keys of `_integral_keys`, so
-    `memo` keeps J per key: points with equal keys, and sub-terms
-    differing only in a constant conjugate factor or first interval,
-    integrate once (on a tau scan, I-5/II-5/IV-5 once and III-5 once per
-    T). A constant constraint in `_tighten` only passes or fails, and the
-    rest works elementwise, so equal keys give equal boxes and integrals
-    bit for bit.
+    `integrals` keeps J per key for the batch: the use integrates the
+    points `use.at` that its plan gives it (see `_plan`) and reads the
+    rest, so points with equal keys, and sub-terms differing only in a
+    constant conjugate factor or first interval, integrate once (on a tau
+    scan, I-5/II-5/IV-5 once and III-5 once per T). A constant constraint
+    in `_tighten` only passes or fails, and the rest works elementwise, so
+    equal keys give equal boxes and integrals bit for bit. `stencils` is
+    the batch's stencil memo (see `_amplitude_factor`).
     """
-    expansion = ops.expansion(interaction)
+    sub, box = use.sub, use.box
+    expansion = ops.expansion(use.interaction)
     first = sub.first_interval
     first_moves = bool(first.t3 or first.t4)
     conj_moves = any(a.t3 or a.t4 for a in sub.conj_args)
@@ -803,18 +852,16 @@ def _sub_term_values(sub: SubTerm, interaction: int, box: _Boxes, amp,
                          else H(k).contract_terms(a, b))
         return values
 
-    part, keys = _integral_keys(sub, interaction, box.tau, box.T)
-    known = memo.integrals.setdefault(part, {})
-    todo = _new_keys(keys, known)
-    if todo:
-        on = box if len(todo) == len(box) else box.select(list(todo.values()))
+    known = integrals.setdefault(use.part, {})
+    if use.at:
+        on = box if len(use.at) == len(box) else box.select(use.at)
         factors = ([_amplitude_factor(amp, sub.conj_args, False, on, q,
-                                      memo.stencils, True)] if conj_moves
-                   else [])
+                                      stencils, True)] if conj_moves else [])
         factors.append(_amplitude_factor(amp, sub.args, sub.symmetrize, on, q,
-                                         memo.stencils))
-        known.update(zip(todo, integral(on, *factors)))
-    J = np.array([known[key] for key in keys])
+                                         stencils))
+        known.update(zip([use.keys[k] for k in use.at],
+                         integral(on, *factors)))
+    J = np.array([known[key] for key in use.keys])
     if not first_moves:
         # not in place: NumPy rounds an in-place complex product of one
         # element differently, and a batch of one must match the batch
@@ -823,62 +870,8 @@ def _sub_term_values(sub: SubTerm, interaction: int, box: _Boxes, amp,
     values = J.sum(axis=1)
     if not conj_moves:
         values = _amplitude_factor(amp, sub.conj_args, False, box, q,
-                                   memo.stencils, True).values * values
+                                   stencils, True).values * values
     return values
-
-
-@dataclass
-class _Memo:
-    """What the sub-terms of one batch of points share: their integrals by
-    key (see `_integral_keys`) and the lattice stencils (see
-    `_amplitude_factor`). After a `plan`, a stencil on nodes is dropped
-    after the last sub-term that can ask for it (see `release`); without
-    one (a single point, whose stencils are few) it lives as long as the
-    memo."""
-
-    points: int = 1
-    integrals: dict = field(default_factory=dict)
-    stencils: dict = field(default_factory=dict)
-    last: Optional[List[int]] = None
-    done: int = 0
-    expires: dict = field(default_factory=dict)
-
-    def plan(self, uses: Sequence[Tuple[SubTerm, int, _Boxes]]) -> None:
-        """Find, for each (sub-term, interaction, box) to be integrated, in
-        this order, the last of them that can ask for a stencil it makes.
-        A use asks for nothing when every integral it needs is known by
-        then, else for one coordinate family per argument that moves with
-        tau3 or tau4: the node arrays it moves with, the points integrated
-        on them and its coefficients, the whole of what its coordinates are
-        computed from (see `_Boxes.evaluate`), whichever axis they lie on."""
-        families, last, seen = [], {}, {}
-        for u, (sub, interaction, box) in enumerate(uses):
-            part, keys = _integral_keys(sub, interaction, box.tau, box.T)
-            at = list(_new_keys(keys, seen.setdefault(part, set())).values())
-            seen[part].update(keys)
-            points = box.index[at].tobytes()
-            a3, a4 = ((hash(x.tobytes()), points) for x in (box.tau3, box.tau4))
-            families.append({
-                ((a3, e.t3) if e.t3 else ()) + ((a4, e.t4) if e.t4 else ())
-                + (e.t, e.tau, e.T)
-                for e in sub.conj_args + sub.args if at and (e.t3 or e.t4)})
-            last.update(dict.fromkeys(families[-1], u))
-        self.last = [max((last[f] for f in fs), default=u)
-                     for u, fs in enumerate(families)]
-
-    def release(self) -> None:
-        """End the next planned use (see `plan`): a stencil it made on nodes
-        (more coordinates than the batch has points) expires with the last
-        use that can ask for it, one of a value per point with the memo."""
-        if self.last is None:
-            return
-        u, self.done = self.done, self.done + 1
-        for key, stencil in self.stencils.items():
-            if key not in self.expires:
-                self.expires[key] = (self.last[u] if stencil[0].size
-                                     > self.points else len(self.last))
-        for key in [key for key, end in self.expires.items() if end <= u]:
-            del self.stencils[key], self.expires[key]
 
 
 def row_values(rows: Sequence[PathwayTerm], tau: np.ndarray, T: np.ndarray,
@@ -887,36 +880,39 @@ def row_values(rows: Sequence[PathwayTerm], tau: np.ndarray, T: np.ndarray,
     """Each row's unsigned value, the sum of its sub-term integrals, at
     every point (tau[k], T[k]) of one s (the amplitude's).
 
-    A row whose correlator has no terms is 0 and builds no box. Every box
-    is tightened once for all points (`_intervals`), and the points go in
-    the `_batches` those boxes size, whose rows and points share integrals
-    and stencils through one `_Memo`: each value equals, bit for bit, its
+    A row whose correlator has no terms is 0 and builds no box. Every
+    distinct sub-term is keyed (`_integral_keys`) and its boxes tightened
+    (`_intervals`) once for all points, and the points go in the `_batches`
+    those boxes size. Each batch's `_plan` decides what each (row,
+    sub-term) use integrates; the uses share the batch's integrals and
+    stencils, and a stencil on nodes (more coordinates than the batch has
+    points) is dropped after the last use that can ask for it, one of a
+    value per point at the batch's end. Each value equals, bit for bit, its
     row's value at its point alone."""
     values = [np.zeros(tau.size, complex) for _ in rows]
-    live = [(term, out) for term, out in zip(rows, values)
-            if ops.expansion(term.interaction).coeffs.size]
-    subs = list({id(sub): (sub, term.interaction) for term, _ in live
-                 for sub in term.sub_terms}.values())
+    uses = [(r, sub, term.interaction) for r, term in enumerate(rows)
+            if ops.expansion(term.interaction).coeffs.size
+            for sub in term.sub_terms]
+    subs = list({id(sub): (sub, i) for _, sub, i in uses}.values())
     if not subs:
         return values
     sub_terms = [sub for sub, _ in subs]
+    keys = {id(sub): _integral_keys(sub, i, tau, T) for sub, i in subs}
     I3, I4, nonempty = intervals = _intervals(sub_terms, tau, T, amp, q)
-    for batch in _batches(subs, tau, T, intervals, ops, q):
+    for batch in _batches(subs, [keys[id(sub)][1] for sub in sub_terms],
+                          intervals, ops, q):
         columns = ([I[:, batch] for I in I3], [I[:, batch] for I in I4],
                    nonempty[:, batch])
         boxes = dict(zip(map(id, sub_terms), _boxes(
             sub_terms, tau[batch], T[batch], q, columns)))
-        memo = _Memo(points=tau[batch].size)
-        if memo.points > 1:  # a batch of one keeps its few stencils
-            memo.plan([(sub, term.interaction, boxes[id(sub)])
-                       for term, _ in live for sub in term.sub_terms
-                       if boxes[id(sub)] is not None])
-        for term, out in live:
-            total = out[batch]
-            for sub in term.sub_terms:
-                box = boxes[id(sub)]
-                if box is not None:
-                    total[box.index] += _sub_term_values(
-                        sub, term.interaction, box, amp, ops, q, memo)
-                    memo.release()
+        plan = _plan(uses, boxes, keys, batch)
+        integrals, stencils, ends = {}, {}, {}
+        for u, use in enumerate(plan):
+            values[use.row][batch][use.box.index] += _sub_term_values(
+                use, amp, ops, q, integrals, stencils)
+            for key, stencil in stencils.items():
+                ends.setdefault(key, use.last if stencil[0].size
+                                > tau[batch].size else len(plan))
+            for key in [key for key, end in ends.items() if end <= u]:
+                del stencils[key], ends[key]
     return values

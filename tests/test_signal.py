@@ -14,8 +14,9 @@ from homspec import quadrature, signal
 from homspec.pathways import (Affine, HomSpec, complete_term_table,
                               term_table)
 from homspec.quadrature import (LatticeFactor, _amplitude_factor, _boxes,
-                                _intervals, _Memo, _segment_nodes,
-                                _sub_term_values, _weights)
+                                _integral_keys, _intervals, _plan,
+                                _segment_nodes, _sub_term_values, _weights,
+                                row_values)
 from homspec.signal import (BLOCK_FACTOR, QuadratureSpec, SignalGrid,
                             coincidence, coincidence_short_Te,
                             coincidence_terms,
@@ -61,11 +62,20 @@ def box_at(sub, tau, T, amp, q):
     return None if box is None else (box.tau3, box.tau4)
 
 
+def planned_use(sub, interaction, tau, T, amp, q):
+    """A sub-term's use in one batch of the points (tau[k], T[k]), as the
+    quadrature's plan makes it, or None if all its boxes are empty."""
+    boxes = {id(sub): sub_boxes(sub, tau, T, amp, q)}
+    keys = {id(sub): _integral_keys(sub, interaction, tau, T)}
+    plan = _plan([(0, sub, interaction)], boxes, keys, slice(None))
+    return plan[0] if plan else None
+
+
 def sub_term_value(sub, interaction, tau, T, amp, ops, q):
     """One point's integral of a sub-term: the quadrature's batch of one."""
-    box = point_box(sub, tau, T, amp, q)
-    return 0j if box is None else complex(
-        _sub_term_values(sub, interaction, box, amp, ops, q, _Memo())[0])
+    use = planned_use(sub, interaction, np.array([tau]), np.array([T]), amp, q)
+    return 0j if use is None else complex(
+        _sub_term_values(use, amp, ops, q, {}, {})[0])
 
 
 class TestQuadratureSpec:
@@ -574,6 +584,25 @@ class TestSharedIntegrals:
         # I-5, II-5 and IV-5 share one direct factor; III-5 has its own
         assert len(sheared) == 2 and len(set(sheared)) == 2
 
+    def test_moving_first_intervals_are_keyed_whole(self, shared_point):
+        # sub-terms that differ only in a moving first interval's tau
+        # coefficient differ in their box, so they share no integral
+        (tau, T, _), amp, ops, q = shared_point
+        row = TABLE[("I", 2)]
+        a = row.sub_terms[0]
+        assert a.first_interval.t3 or a.first_interval.t4
+        b = dataclasses.replace(a, first_interval=dataclasses.replace(
+            a.first_interval, tau=a.first_interval.tau + 1))
+        tau, T = np.array([tau]), np.array([T])
+        assert (_integral_keys(a, row.interaction, tau, T)
+                != _integral_keys(b, row.interaction, tau, T))
+        alone = [row_values([dataclasses.replace(row, sub_terms=(sub,))],
+                            tau, T, amp, ops, q)[0] for sub in (a, b)]
+        both = row_values([dataclasses.replace(row, sub_terms=(a, b))], tau,
+                          T, amp, ops, q)[0]
+        assert alone[0] != alone[1]
+        assert both == alone[0] + alone[1]
+
 
 @pytest.fixture(scope="module")
 def readme_quadrature(golden_point):
@@ -628,7 +657,7 @@ class TestFactoredIntegrals:
     def test_batch_makes_each_stencil_once(self, readme_quadrature,
                                            monkeypatch):
         # a stencil on nodes is dropped after the last sub-term that can ask
-        # for it, so none is made twice in the batch
+        # for it, so none is made twice in the batch, of eight points or one
         amp, ops, q = readme_quadrature
         made = []
         stencil = BiphotonAmplitude._stencil
@@ -640,8 +669,10 @@ class TestFactoredIntegrals:
             return stencil(self, axis, coord)
 
         monkeypatch.setattr(BiphotonAmplitude, "_stencil", making)
-        coincidence(np.linspace(0.0, 28.0, 8), 10.0, 15.0, amp, ops, q)
-        assert len(made) == len(set(made)) > 0
+        for tau in (np.linspace(0.0, 28.0, 8), 20.0):
+            made.clear()
+            coincidence(tau, 10.0, 15.0, amp, ops, q)
+            assert len(made) == len(set(made)) > 0, tau
 
     def test_batch_memory(self, readme_quadrature):
         # stencils on nodes are dropped after the last sub-term that can ask
@@ -689,12 +720,11 @@ class TestFactoredIntegrals:
         for term in term_table() + complete_term_table():
             for sub in term.sub_terms:
                 first = sub.first_interval
-                box = sub_boxes(sub, tau, T, amp, q)
-                if first.t3 or first.t4 or box is None:
+                use = planned_use(sub, term.interaction, tau, T, amp, q)
+                if first.t3 or first.t4 or use is None:
                     continue
-                got = _sub_term_values(sub, term.interaction, box, amp, ops,
-                                       q, _Memo())
-                for k, i in enumerate(box.index):
+                got = _sub_term_values(use, amp, ops, q, {}, {})
+                for k, i in enumerate(use.box.index):
                     want, scale = full_mesh_value(sub, term.interaction,
                                                   tau[i], T[i], amp, ops, q)
                     assert abs(got[k] - want) <= 1e-12 * scale, (term.label,
@@ -1174,6 +1204,34 @@ class TestBatch:
         calls.update(_intervals=0, _boxes=0)
         assert coincidence(1.0, 0.5, 3.0, amp, ops, q) == whole[0, 1]
         assert calls == {"_intervals": 1, "_boxes": 1}
+
+    def test_sub_terms_are_keyed_once_per_call(self, small_setup,
+                                               monkeypatch):
+        # one key list per distinct sub-term serves the batches and every
+        # batch's plan and integrals
+        ops, amp, q = small_setup
+        tau, T = np.meshgrid([0.0, 1.0, 2.5, 4.0], [0.5, 3.0])
+        whole = coincidence(tau, T, 3.0, amp, ops, q)
+        keyed, batches = [], []
+        keys, plan = quadrature._integral_keys, quadrature._batches
+
+        def keying(sub, *args):
+            keyed.append(id(sub))
+            return keys(sub, *args)
+
+        def planning(*args):
+            batches.extend(plan(*args))
+            return batches
+
+        monkeypatch.setattr(quadrature, "_integral_keys", keying)
+        monkeypatch.setattr(quadrature, "_batches", planning)
+        monkeypatch.setattr(quadrature, "_BATCH_NODES", 2 * (q.n_nodes + 2))
+        assert np.array_equal(coincidence(tau, T, 3.0, amp, ops, q), whole)
+        distinct = {id(sub) for term in term_table()
+                    if ops.expansion(term.interaction).coeffs.size
+                    for sub in term.sub_terms}
+        assert len(batches) > 1
+        assert sorted(keyed) == sorted(distinct)
 
     def test_scan_makes_no_more_time_value_calls_than_one_point(
             self, monkeypatch):
