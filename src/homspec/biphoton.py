@@ -328,34 +328,17 @@ class BiphotonAmplitude:
         phase = np.where(inside, np.exp(-1j * self._carrier[axis] * coord), 0.0)
         return cell, (1.0 - w) * phase, w * phase
 
-    def _cached_stencil(self, axis: int, coord, memo: Optional[dict]):
-        """`_stencil`, kept in `memo` (when given) by the coordinates'
-        bytes: a caller that holds one memo per batch of (tau, T) points
-        interpolates each distinct coordinate array once per batch. On a
-        square lattice both axes share an entry."""
-        if memo is None:
-            return self._stencil(axis, coord)
-        coord = np.asarray(coord, dtype=float)
-        key = self._stencil_key(axis, coord)
-        stencil = memo.get(key)
-        if stencil is None:
-            stencil = memo[key] = self._stencil(axis, coord)
-        return stencil
-
-    def _stencil_key(self, axis: int, coord: np.ndarray):
-        """A memo key of `coord` on `axis`: (axis, shape, bytes), the axis
-        0 for both on a square lattice."""
-        return (0 if self._square else axis, coord.shape, coord.tobytes())
-
-    def time_value(self, x, y, memo: Optional[dict] = None) -> np.ndarray:
+    def time_value(self, x, y, *, stencils=None) -> np.ndarray:
         """Two-time amplitude at arbitrary points (zero off-lattice).
 
         Bilinear interpolation of the carrier-demodulated envelope, with the
         carrier phase restored at the query point; exact on lattice nodes.
-        `memo` keeps the stencils (see `_cached_stencil`).
+        `stencils`, when given, are the `_stencil`s of x on axis 0 and of y
+        on axis 1, made by the caller (the row quadrature keeps one per
+        distinct coordinate array of a batch).
         """
-        ix, x0, x1 = self._cached_stencil(0, x, memo)
-        iy, y0, y1 = self._cached_stencil(1, y, memo)
+        (ix, x0, x1), (iy, y0, y1) = stencils or (self._stencil(0, x),
+                                                  self._stencil(1, y))
         v = self.envelope
         return ((v[ix, iy] * x0 + v[ix + 1, iy] * x1) * y0
                 + (v[ix, iy + 1] * x0 + v[ix + 1, iy + 1] * x1) * y1)
@@ -558,8 +541,8 @@ class LineAmplitude:
     def profile(self, u) -> np.ndarray:
         raise NotImplementedError
 
-    def time_value(self, x, y, memo: Optional[dict] = None) -> np.ndarray:
-        """Phi(x, y); `memo` is ignored (a line keeps no stencils)."""
+    def time_value(self, x, y) -> np.ndarray:
+        """Phi(x, y)."""
         return self.profile(np.asarray(x, float) - np.asarray(y, float))
 
     def time_support(self):

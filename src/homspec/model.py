@@ -1,9 +1,13 @@
 """Multi-level exciton model and Liouville-space propagation.
 
 The matter side of the simulator: a g/e/f band ladder with complex dipole
-matrices between adjacent bands, pair-resolved pure-dephasing rates, and the
+matrices between adjacent bands, pair-resolved damping rates, and the
 superoperator machinery (left/right dipole action, damped free propagation)
 needed to evaluate four-point correlation functions.
+
+The rates are not pure dephasing: every |i><j| decays at eta_ij, the
+populations and the initial |g0><g0| included (`propagate` keeps e^{-0.5},
+about 0.61, of the trace over 10 fs at eta = 0.05).
 
 Units: hbar = 1, times in fs, angular frequencies in rad/fs, dephasing rates
 in 1/fs. Dipole magnitudes are in arbitrary units; field prefactors are
@@ -178,7 +182,8 @@ class ExcitonSystem:
         return V
 
     def dephasing_matrix(self) -> np.ndarray:
-        """Pair rates eta_ij as an (n, n) array (zero floor not yet applied)."""
+        """Pair rates eta_ij as an (n, n) array (zero floor not yet applied);
+        `dephasing_default` fills the diagonal too, so populations decay."""
         n = self.n_levels
         eta = np.full((n, n), float(self.dephasing_default))
         for (a, b), rate in self.dephasing_pairs.items():

@@ -141,8 +141,9 @@ class PerturbativeKet:
 
 
 def _filon_coeffs(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Exact integrals of e^{i z th}(1-th) and e^{i z th} th over th in [0,1]."""
-    z = np.asarray(z, dtype=float)
+    """Exact integrals of e^{i z th}(1-th) and e^{i z th} th over th in [0,1],
+    for real or complex z (a real z is taken as float)."""
+    z = np.asarray(z, dtype=np.result_type(z, float))
     iz = 1j * z
     small = np.abs(z) < 1e-2
     zs = np.where(small, 1.0, z)

@@ -55,7 +55,7 @@ __all__ = ["LatticeFactor", "QuadratureSpec", "row_values"]
 
 #: Nodes times correlator terms that one sub-term may hold on each
 #: integration axis in one batch of points (see `_batches`); bounds a
-#: batch's temporaries and its stencil memo (see `row_values`).
+#: batch's temporaries and its stencil memo (see `_batch_stencils`).
 _BATCH_NODES = 1 << 12
 
 #: Rows per block of the sheared contraction; bounds its temporaries.
@@ -460,23 +460,41 @@ class LatticeFactor:
         return out if dtype is None else out.astype(dtype)
 
 
+def _batch_stencils(amp: BiphotonAmplitude, memo: dict, last: int):
+    """The stencil maker of one use of a batch (see `_plan`):
+    `stencil(axis, coord, nodes=True)` makes `BiphotonAmplitude._stencil`
+    once per key (the axis, 0 for both on a square lattice; the shape; the
+    coordinate bytes) and keeps it in the batch's `memo` with the last use
+    that may ask for it, after which `row_values` drops it: the use's
+    `last` for coordinates on nodes, the batch's end for one value per
+    point or one value that the whole batch shares."""
+
+    def stencil(axis: int, coord, nodes: bool = True):
+        coord = np.asarray(coord, dtype=float)
+        key = (0 if amp._square else axis, coord.shape, coord.tobytes())
+        if key not in memo:
+            memo[key] = (amp._stencil(axis, coord),
+                         last if nodes else math.inf)
+        return memo[key][0]
+
+    return stencil
+
+
 def _lattice_factor(amp: BiphotonAmplitude, rows, cols, sheared: bool,
-                    swap: bool, bracket: bool,
-                    stencils: Optional[dict]) -> LatticeFactor:
+                    swap: bool, bracket: bool, stencil) -> LatticeFactor:
     """Phi(rows[i], cols[k]) on the (i, j) mesh, with k = j, or k = i + j
     when `sheared` (`cols` then holds rows.size + n - 1 coordinates for n
     mesh columns); Phi(cols[k], rows[i]) with `swap`, and the sum of both
-    with `bracket`: one stencil per coordinate (kept in `stencils`, see
-    `BiphotonAmplitude._cached_stencil`). On a square lattice a bracket is
-    one contraction of E + E^T, elsewhere one per orientation."""
+    with `bracket`: one `stencil(axis, coord)` per coordinate array (see
+    `_batch_stencils`). On a square lattice a bracket is one contraction of
+    E + E^T, elsewhere one per orientation."""
     n = cols.size - rows.size + 1 if sheared else cols.size
     folded = bracket and amp._square
     parts = []
     for flip in ((swap, not swap) if bracket and not folded else (swap,)):
         # the envelope axis of the row coordinates comes first
         parts.append((amp.envelope.T if flip else amp.envelope,
-                      amp._cached_stencil(int(flip), rows, stencils),
-                      amp._cached_stencil(1 - int(flip), cols, stencils)))
+                      stencil(int(flip), rows), stencil(1 - int(flip), cols)))
     return LatticeFactor((rows.size, n), sheared, tuple(parts), folded)
 
 
@@ -619,7 +637,7 @@ class _Line:
 
 
 def _amplitude_factor(amp, args: Tuple[Affine, Affine], bracket: bool,
-                      box: _Boxes, q: QuadratureSpec, stencils: dict,
+                      box: _Boxes, q: QuadratureSpec, stencil,
                       conj: bool = False):
     """The amplitude at `args` on a batch's boxes, plus its swapped-argument
     value when `bracket` is set, conjugated when `conj` is set, evaluated
@@ -637,13 +655,13 @@ def _amplitude_factor(amp, args: Tuple[Affine, Affine], bracket: bool,
     `LineAmplitude`'s arguments become (x - y, 0), in every ledger a line
     or a Hankel factor. These are contracted, never formed; others raise.
 
-    A lattice amplitude keeps its stencils in `stencils`, a memo for one
-    batch (see `BiphotonAmplitude._cached_stencil`). An argument without
+    A lattice amplitude takes its stencils from `stencil` (see
+    `_batch_stencils`) and hands them to `time_value`. An argument without
     tau3 and tau4 is one value per point: next to an argument on the nodes
     it is passed once when the whole batch shares it, and else
-    interpolated once per point and repeated over that point's nodes for
-    the one evaluation. Two such arguments are evaluated as one array per
-    batch, so that NumPy's scalar arithmetic never serves a batch of one.
+    interpolated once per point, its stencil repeated over that point's
+    nodes. Two such arguments are evaluated as one array per batch, so
+    that NumPy's scalar arithmetic never serves a batch of one.
     """
     x, y = args
     if isinstance(amp, LineAmplitude):
@@ -652,39 +670,30 @@ def _amplitude_factor(amp, args: Tuple[Affine, Affine], bracket: bool,
     lattice = isinstance(amp, BiphotonAmplitude)
     nodes = bool(x.t3 or x.t4 or y.t3 or y.t4)
 
-    def value(u, v):
-        out = amp.time_value(u, v, stencils)
-        if bracket:
-            out = out + amp.time_value(v, u, stencils)
-        return np.conj(out) if conj else out
-
-    def coordinate(expr, axis, counts, tau3, tau4, repeated):
+    def coordinate(expr, counts, tau3, tau4):
+        # the argument's coordinates, and their stencil on an axis
         if expr.t3 or expr.t4:
-            return box.evaluate(expr, t, counts, tau3, tau4)
+            out = box.evaluate(expr, t, counts, tau3, tau4)
+            return out, lambda a: stencil(a, out)
         values = box.evaluate(expr, t, 1, 0.0, 0.0)
         if (values == values[0]).all() and nodes:
             # one value broadcast against the other argument's nodes
-            return np.asarray(values[0])
-        out = np.repeat(values, counts)
-        for a in ((axis, 1 - axis) if bracket else (axis,)) if lattice else ():
-            repeated[amp._stencil_key(a, out)] = tuple(
-                np.repeat(w, counts)
-                for w in amp._cached_stencil(a, values, stencils))
-        return out
+            out = np.asarray(values[0])
+            return out, lambda a: stencil(a, out, False)
+        return np.repeat(values, counts), lambda a: tuple(
+            np.repeat(w, counts) for w in stencil(a, values, False))
+
+    def phi(u, v):
+        if not lattice:
+            return amp.time_value(u[0], v[0])
+        return amp.time_value(u[0], v[0], stencils=(u[1](0), v[1](1)))
 
     def on(counts, tau3, tau4):
-        repeated: dict = {}
-        u = coordinate(x, 0, counts, tau3, tau4, repeated)
-        v = coordinate(y, 1, counts, tau3, tau4, repeated)
-        # the repeated stencils join the memo for this evaluation only
-        added = [key for key in repeated if key not in stencils]
-        for key in added:
-            stencils[key] = repeated[key]
-        try:
-            out = value(u, v)
-        finally:
-            for key in added:
-                del stencils[key]
+        u = coordinate(x, counts, tau3, tau4)
+        v = coordinate(y, counts, tau3, tau4)
+        out = phi(u, v) + phi(v, u) if bracket else phi(u, v)
+        if conj:
+            out = np.conj(out)
         n = counts.sum()
         return out if out.size == n else np.broadcast_to(out, (n,))
 
@@ -707,7 +716,7 @@ def _amplitude_factor(amp, args: Tuple[Affine, Affine], bracket: bool,
                 factor = _lattice_factor(
                     amp, box.evaluate(row, t, box.n3, box.tau3, 0.0),
                     box.evaluate(col, t, box.n4, 0.0, box.tau4), False, swap,
-                    bracket, stencils)
+                    bracket, stencil)
                 return lambda k: factor.block(*box.runs(k))
             if col.t3 == col.t4:
                 def sheared(n, sums, row=row, col=col, swap=swap):
@@ -716,7 +725,7 @@ def _amplitude_factor(amp, args: Tuple[Affine, Affine], bracket: bool,
                     return _lattice_factor(
                         amp, box.evaluate(row, t, inner, rows, 0.0),
                         box.evaluate(col, t, n, sums, 0.0), True, swap, bracket,
-                        stencils)
+                        stencil)
 
                 return _hankel(box, q.step, on, sheared)
     raise NotImplementedError(f"no contraction for the {type(amp).__name__} "
@@ -819,9 +828,10 @@ def _sub_term_values(use: _Use, amp, ops: LiouvilleOperatorSet,
     scan, I-5/II-5/IV-5 once and III-5 once per T). A constant constraint
     in `_tighten` only passes or fails, and the rest works elementwise, so
     equal keys give equal boxes and integrals bit for bit. `stencils` is
-    the batch's stencil memo (see `_amplitude_factor`).
+    the batch's stencil memo (see `_batch_stencils`).
     """
     sub, box = use.sub, use.box
+    stencil = _batch_stencils(amp, stencils, use.last)
     expansion = ops.expansion(use.interaction)
     first = sub.first_interval
     first_moves = bool(first.t3 or first.t4)
@@ -856,9 +866,9 @@ def _sub_term_values(use: _Use, amp, ops: LiouvilleOperatorSet,
     if use.at:
         on = box if len(use.at) == len(box) else box.select(use.at)
         factors = ([_amplitude_factor(amp, sub.conj_args, False, on, q,
-                                      stencils, True)] if conj_moves else [])
+                                      stencil, True)] if conj_moves else [])
         factors.append(_amplitude_factor(amp, sub.args, sub.symmetrize, on, q,
-                                         stencils))
+                                         stencil))
         known.update(zip([use.keys[k] for k in use.at],
                          integral(on, *factors)))
     J = np.array([known[key] for key in use.keys])
@@ -870,7 +880,7 @@ def _sub_term_values(use: _Use, amp, ops: LiouvilleOperatorSet,
     values = J.sum(axis=1)
     if not conj_moves:
         values = _amplitude_factor(amp, sub.conj_args, False, box, q,
-                                   stencils, True).values * values
+                                   stencil, True).values * values
     return values
 
 
@@ -885,9 +895,8 @@ def row_values(rows: Sequence[PathwayTerm], tau: np.ndarray, T: np.ndarray,
     (`_intervals`) once for all points, and the points go in the `_batches`
     those boxes size. Each batch's `_plan` decides what each (row,
     sub-term) use integrates; the uses share the batch's integrals and
-    stencils, and a stencil on nodes (more coordinates than the batch has
-    points) is dropped after the last use that can ask for it, one of a
-    value per point at the batch's end. Each value equals, bit for bit, its
+    stencil memo, and each stencil is dropped after the last use that can
+    ask for it (see `_batch_stencils`). Each value equals, bit for bit, its
     row's value at its point alone."""
     values = [np.zeros(tau.size, complex) for _ in rows]
     uses = [(r, sub, term.interaction) for r, term in enumerate(rows)
@@ -906,13 +915,10 @@ def row_values(rows: Sequence[PathwayTerm], tau: np.ndarray, T: np.ndarray,
         boxes = dict(zip(map(id, sub_terms), _boxes(
             sub_terms, tau[batch], T[batch], q, columns)))
         plan = _plan(uses, boxes, keys, batch)
-        integrals, stencils, ends = {}, {}, {}
+        integrals, stencils = {}, {}
         for u, use in enumerate(plan):
             values[use.row][batch][use.box.index] += _sub_term_values(
                 use, amp, ops, q, integrals, stencils)
-            for key, stencil in stencils.items():
-                ends.setdefault(key, use.last if stencil[0].size
-                                > tau[batch].size else len(plan))
-            for key in [key for key, end in ends.items() if end <= u]:
-                del stencils[key], ends[key]
+            for key in [key for key, (_, end) in stencils.items() if end <= u]:
+                del stencils[key]
     return values

@@ -477,7 +477,7 @@ class TestShearedContraction:
         # the columns leave the lattice on both sides
         cols = np.arange(t[0] - 3.1, t[-1] + 3.0, 0.37)
         lf = quadrature._lattice_factor(amp, rows, cols, True, False, bracket,
-                                        None)
+                                        amp._stencil)
         live = np.flatnonzero(lf.parts[0][2][1])
         assert live[0] > 5 and live[-1] < cols.size - 6
         A = rng.normal(size=(rows.size, 2)) + 1j * rng.normal(size=(rows.size, 2))

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,34 @@ class TestDiscretizedField:
         amp = gaussian_amplitude(s=2.0, n=96)
         field = DiscretizedField.from_amplitude(amp, 16)
         assert abs(np.sum(np.abs(field.coefficients) ** 2) - 1.0) < 1e-9
+
+
+class TestFilonCoefficients:
+    """`_filon_coeffs(z)` are the integrals of e^{izth}(1 - th) and
+    e^{izth} th over [0, 1]; a complex z keeps its imaginary part."""
+
+    @staticmethod
+    def exact(z):
+        # 40-node Gauss-Legendre on [0, 1]: exact to rounding for |z| <= 8
+        x, w = np.polynomial.legendre.leggauss(40)
+        th, w = (x + 1.0) / 2.0, w / 2.0
+        e = np.exp(1j * np.multiply.outer(z, th))
+        return e @ (w * (1.0 - th)), e @ (w * th)
+
+    @pytest.mark.parametrize("z", [
+        # the series branch (|z| < 1e-2)
+        np.array([0.004 + 0.003j, -0.006 + 0.002j, 1e-4j]),
+        # the closed branch
+        np.array([0.5 + 0.2j, 3.0 - 1.0j, -7.5 + 0.4j])])
+    def test_complex_z_against_quadrature(self, z):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning
+            got = homspec.oracle._filon_coeffs(z)
+        # the series' first dropped term is z^4 / 144 at most
+        bound = np.where(np.abs(z) < 1e-2, np.abs(z) ** 4 / 100.0 + 1e-15,
+                         1e-14)
+        for c, want in zip(got, self.exact(z)):
+            assert (np.abs(c - want) <= bound).all()
 
 
 class TestEvolution:

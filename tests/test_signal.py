@@ -13,10 +13,10 @@ from homspec.model import ExcitonSystem, Level, LiouvilleOperatorSet
 from homspec import quadrature, signal
 from homspec.pathways import (Affine, HomSpec, complete_term_table,
                               term_table)
-from homspec.quadrature import (LatticeFactor, _amplitude_factor, _boxes,
-                                _integral_keys, _intervals, _plan,
-                                _segment_nodes, _sub_term_values, _weights,
-                                row_values)
+from homspec.quadrature import (LatticeFactor, _amplitude_factor,
+                                _batch_stencils, _boxes, _integral_keys,
+                                _intervals, _plan, _segment_nodes,
+                                _sub_term_values, _weights, row_values)
 from homspec.signal import (BLOCK_FACTOR, QuadratureSpec, SignalGrid,
                             coincidence, coincidence_short_Te,
                             coincidence_terms,
@@ -384,7 +384,7 @@ class TestLatticeFactors:
                 box = point_box(sub, tau, T, amp, q)
                 tau3, tau4 = box.tau3, box.tau4
                 got = _amplitude_factor(amp, sub.args, sub.symmetrize, box,
-                                        q, {})(0)
+                                        q, _batch_stencils(amp, {}, 0))(0)
                 x, y = np.broadcast_arrays(
                     *(a(q.t_ref, tau, T, tau3[:, None], tau4[None, :])
                       for a in sub.args))
@@ -417,20 +417,25 @@ class TestLatticeFactors:
         # golden lattice both axes share it
         (tau, T, s), amp, ops, q = golden_point
         made, asked = [], []
-        stencil, cached = (BiphotonAmplitude._stencil,
-                           BiphotonAmplitude._cached_stencil)
+        stencil, batch_stencils = (BiphotonAmplitude._stencil,
+                                   quadrature._batch_stencils)
 
         def making(self, axis, coord):
             coord = np.asarray(coord, dtype=float)
             made.append((coord.shape, coord.tobytes()))
             return stencil(self, axis, coord)
 
-        def asking(self, *args):
-            asked.append(args)
-            return cached(self, *args)
+        def counting(*memo):
+            cached = batch_stencils(*memo)
+
+            def asking(*args):
+                asked.append(args)
+                return cached(*args)
+
+            return asking
 
         monkeypatch.setattr(BiphotonAmplitude, "_stencil", making)
-        monkeypatch.setattr(BiphotonAmplitude, "_cached_stencil", asking)
+        monkeypatch.setattr(quadrature, "_batch_stencils", counting)
         coincidence(tau, T, s, amp, ops, q, hom=HomSpec(T=T))
         assert len(made) == len(set(made)) > 0
         assert len(asked) > 3 * len(made)
@@ -654,11 +659,10 @@ class TestFactoredIntegrals:
              amp, ops, q)
         assert len(calls) == 1 + 4
 
-    def test_batch_makes_each_stencil_once(self, readme_quadrature,
-                                           monkeypatch):
-        # a stencil on nodes is dropped after the last sub-term that can ask
-        # for it, so none is made twice in the batch, of eight points or one
-        amp, ops, q = readme_quadrature
+    @staticmethod
+    def count_stencils(monkeypatch) -> list:
+        """Record each stencil made, as its memo key: (axis, 0 for both on
+        a square lattice; shape; coordinate bytes)."""
         made = []
         stencil = BiphotonAmplitude._stencil
 
@@ -669,10 +673,36 @@ class TestFactoredIntegrals:
             return stencil(self, axis, coord)
 
         monkeypatch.setattr(BiphotonAmplitude, "_stencil", making)
+        return made
+
+    def test_batch_makes_each_stencil_once(self, readme_quadrature,
+                                           monkeypatch):
+        # a stencil on nodes is dropped after the last sub-term that can ask
+        # for it, so none is made twice in the batch, of eight points or one
+        amp, ops, q = readme_quadrature
+        made = self.count_stencils(monkeypatch)
         for tau in (np.linspace(0.0, 28.0, 8), 20.0):
             made.clear()
             coincidence(tau, 10.0, 15.0, amp, ops, q)
             assert len(made) == len(set(made)) > 0, tau
+
+    def test_non_square_batch_makes_each_stencil_once(self, ladder_ops,
+                                                      monkeypatch):
+        # t1 and t2 differ, so each axis keys its own stencils: a bracket's
+        # two orientations stencil one coordinate array on both axes
+        amp = non_square_gaussian(s=2.0)
+        assert not amp._square
+        q = QuadratureSpec(cutoff=48.0, step=0.4, rule="trapezoid",
+                           t_ref=reference_time(amp))
+        made = self.count_stencils(monkeypatch)
+        for signal_of in (coincidence, complete_coincidence):
+            made.clear()
+            signal_of(np.linspace(0.0, 11.0, 6), 3.0, 2.0, amp, ladder_ops, q)
+            assert len(made) == len(set(made)) > 0, signal_of
+            axes = {}
+            for axis, *coord in made:
+                axes.setdefault(tuple(coord), set()).add(axis)
+            assert {0, 1} in axes.values(), signal_of
 
     def test_batch_memory(self, readme_quadrature):
         # stencils on nodes are dropped after the last sub-term that can ask
