@@ -34,11 +34,16 @@ __all__ = [
     "delta_limit_amplitude",
     "entanglement_time",
     "default_grid",
+    "check_grid_size",
     "export_intensity",
 ]
 
 COVERAGE_TOLERANCE = 1e-3
 NORM_TOLERANCE = 1e-6
+
+#: Bytes that one lattice of an amplitude's set-up may take (see
+#: `check_grid_size`): 512 MiB, a 4096-sample grid with a real exchange factor.
+LATTICE_BUDGET = 1 << 29
 
 log = logging.getLogger(__name__)
 
@@ -191,6 +196,24 @@ def _mass(vals: np.ndarray, axis_a: GridAxis, axis_b: GridAxis) -> float:
     return float(np.sum(np.abs(vals) ** 2) * axis_a.spacing * axis_b.spacing)
 
 
+def _pad_factor(n: int) -> int:
+    """The default zero-padding of an n-sample axis: ~1024 time samples."""
+    return max(1, 1024 // n)
+
+
+def check_grid_size(n: int, theta: float) -> None:
+    """Refuse an n-sample grid whose set-up would allocate a lattice above
+    `LATTICE_BUDGET`: the doubled coverage lattice, (2n)^2 float64 values
+    for a real exchange factor (theta = 0 or +-pi), else complex128, or the
+    two-time envelope, (pad n)^2 complex128."""
+    item = 8 if exchange_phase_factor(theta).imag == 0.0 else 16
+    planned = max(4 * n * n * item, (_pad_factor(n) * n) ** 2 * 16)
+    if planned > LATTICE_BUDGET:
+        raise ValueError(f"a {n}-sample grid plans a {planned / 2**30:.3g} GiB "
+                         f"lattice, above the {LATTICE_BUDGET >> 20} MiB "
+                         f"budget; lower grid.n")
+
+
 @functools.lru_cache(maxsize=1)
 def _coverage(pump, crystal, theta,
               grid: FrequencyGrid) -> Tuple[float, np.ndarray]:
@@ -201,8 +224,10 @@ def _coverage(pump, crystal, theta,
     The last result is kept (all arguments are frozen specs or floats), so
     `build_jsa` on the grid `default_grid` just accepted reuses its doubled
     lattice instead of evaluating it again; the block is read-only because
-    every caller shares it."""
+    every caller shares it. A grid above `check_grid_size`'s budget is
+    refused before anything is allocated."""
     a, b = grid.axis_a, grid.axis_b
+    check_grid_size(max(a.n, b.n), theta)
     wa = GridAxis(a.center, a.spacing, 2 * a.n).values()
     wb = GridAxis(b.center, b.spacing, 2 * b.n).values()
     wide = pair_amplitude_point(pump, crystal, theta, wa[:, None], wb[None, :])
@@ -428,7 +453,7 @@ def to_time_domain(amp: BiphotonAmplitude, s: Optional[float] = None,
             raise ValueError(f"delay_arm must be 'a' or 'b', got {amp.delay_arm!r}")
     na, nb = vals.shape
     if pad_factor is None:
-        pad_factor = max(1, 1024 // max(na, nb))
+        pad_factor = _pad_factor(max(na, nb))
     npa, npb = pad_factor * na, pad_factor * nb
     t1, pre_a, ca, post_a = _axis_transform_phases(amp.omega_a, npa)
     t2, pre_b, cb, post_b = _axis_transform_phases(amp.omega_b, npb)

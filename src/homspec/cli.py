@@ -31,10 +31,11 @@ import yaml
 
 from . import crosscheck
 from .biphoton import (BiphotonAmplitude, CrystalSpec, FrequencyGrid, GridAxis,
-                       PumpSpec, build_jsa, default_grid)
-from .model import ETA_FLOOR, ExcitonSystem, Level, LiouvilleOperatorSet
+                       PumpSpec, build_jsa, check_grid_size, default_grid)
+from .model import ExcitonSystem, Level, LiouvilleOperatorSet
 from .pathways import HomSpec, format_term_table
-from .signal import MODES, check_lattice, default_quadrature, scan
+from .signal import (MODES, check_damped, check_lattice, check_splitter,
+                     default_quadrature, resolve_quadrature, scan)
 
 log = logging.getLogger("homspec")
 
@@ -300,23 +301,24 @@ def load_config(path: str, overrides: Optional[Mapping[str, Any]] = None) -> Run
     for name, spec in SPECS.items():
         args = {key.partition(".")[2]: values.pop(key)
                 for key in [k for k in values if k.startswith(name + ".")]}
-        try:
-            values[name] = None if name in unused else spec(**args)
-        except (ValueError, KeyError) as exc:
-            raise ConfigError(name, str(exc)) from exc
-    hom = values["hom"]
-    if values["mode"] != "full" and not hom.balanced:
-        raise ConfigError("hom", f"mode {values['mode']} ignores t_coeff and "
-                          "r_coeff; only a 50:50 splitter is allowed")
-    try:
-        check_lattice(*(values[k] for k in ("tau_axis", "T_axis", "s_axis", "mode")))
-    except ValueError as exc:
-        raise ConfigError("scan", str(exc)) from exc
-    if values["mode"] == "short_Te" and values["system"].closed(ETA_FLOOR):
-        raise ConfigError("system.dephasing", "short_Te mode needs damped "
-                          "pairs; give every pair a dephasing rate above the "
-                          f"{ETA_FLOOR:g} /fs floor")
+        values[name] = None if name in unused else _named(name, spec, **args)
+    _named("hom", check_splitter, values["mode"], values["hom"])
+    _named("scan", check_lattice, *(values[k] for k in ("tau_axis", "T_axis", "s_axis", "mode")))
+    q = _named("quadrature", resolve_quadrature, values["system"],
+               values["quad_step"], values["quad_cutoff"], values["quad_rule"])
+    if values["mode"] == "short_Te":
+        _named("system.dephasing", check_damped, values["system"], q)
+    else:  # the modes that build a joint spectral amplitude
+        _named("grid.n", check_grid_size, values["grid_n"], values["theta"])
     return RunConfig(**values)
+
+
+def _named(path: str, check: Callable[..., Any], *args, **kwargs) -> Any:
+    """check(*args, **kwargs), its ValueError or KeyError a ConfigError at `path`."""
+    try:
+        return check(*args, **kwargs)
+    except (ValueError, KeyError) as exc:
+        raise ConfigError(path, str(exc)) from exc
 
 
 def _echo(config: RunConfig) -> Dict[str, Any]:

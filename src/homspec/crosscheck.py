@@ -38,7 +38,7 @@ from .oracle import (DiscretizedField, PerturbativeKet, detection_amplitudes,
                      evolve_perturbative, fourth_order_coincidence)
 from .pathways import HomSpec, PathwayTerm, complete_term_table
 from .signal import (BLOCK_FACTOR, QuadratureSpec, coincidence,
-                     complete_coincidence, default_quadrature, term_value)
+                     complete_coincidence, resolve_quadrature, term_value)
 
 __all__ = [
     "Benchmark",
@@ -125,8 +125,8 @@ def _pair_field(s: float, n_modes: int, half_band: float) -> DiscretizedField:
 
 def _quadrature(system: ExcitonSystem) -> QuadratureSpec:
     """The default spec of the system with its step halved, detection at 0."""
-    q = default_quadrature(LiouvilleOperatorSet(system), t_ref=0.0)
-    return dataclasses.replace(q, step=0.5 * q.step)
+    step = resolve_quadrature(system).step
+    return resolve_quadrature(system, 0.5 * step, t_ref=0.0)
 
 
 def three_level_benchmark(n_modes: int = 32, n_steps: int = 64) -> Benchmark:

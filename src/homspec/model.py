@@ -192,10 +192,6 @@ class ExcitonSystem:
             eta[j, i] = rate
         return eta
 
-    def closed(self, eta_floor: float) -> bool:
-        """A closed system: its slowest pair rate is at the dephasing floor."""
-        return float(self.dephasing_matrix().min()) <= eta_floor
-
     def initial_index(self) -> int:
         if self.initial_label is not None:
             idx = self.index_of(self.initial_label)

@@ -63,11 +63,6 @@ class HomSpec:
         if abs(self.t_coeff ** 2 + self.r_coeff ** 2 - 1.0) > 1e-12:
             raise ValueError("t_coeff^2 + r_coeff^2 must equal 1 (within 1e-12)")
 
-    @property
-    def balanced(self) -> bool:
-        """A 50:50 splitter: t^2 = r^2 within 1e-12."""
-        return abs(self.t_coeff ** 2 - self.r_coeff ** 2) <= 1e-12
-
 
 def hom_matrix(omega: float, hom: HomSpec) -> np.ndarray:
     """Frequency-domain rotation [[t, i r e^{i w T}], [i r e^{-i w T}, t]]."""

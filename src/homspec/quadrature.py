@@ -40,6 +40,7 @@ a single point is a batch of one. Each batch's `_plan` decides what each
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -48,10 +49,13 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .biphoton import BiphotonAmplitude, LineAmplitude
-from .model import LiouvilleOperatorSet
+from .model import ETA_FLOOR, ExcitonSystem, LiouvilleOperatorSet
 from .pathways import Affine, PathwayTerm, SubTerm
 
-__all__ = ["LatticeFactor", "QuadratureSpec", "row_values"]
+__all__ = ["LatticeFactor", "QuadratureSpec", "check_nodes",
+           "resolve_quadrature", "row_values"]
+
+log = logging.getLogger(__name__)
 
 #: Nodes times correlator terms that one sub-term may hold on each
 #: integration axis in one batch of points (see `_batches`); bounds a
@@ -61,15 +65,15 @@ _BATCH_NODES = 1 << 12
 #: Rows per block of the sheared contraction; bounds its temporaries.
 _ROW_BLOCK = 64
 
+#: Most nodes that one allocation of quadrature nodes may hold (see
+#: `check_nodes`): 32 MiB of float64, before the complex values on them.
+NODE_BUDGET = 1 << 22
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Double-integral settings: cutoff and step (fs), rule, reference time.
-
-    The cutoff must let damped correlators decay below 1e-5 at the boundary
-    (cutoff >= 10 / eta_min) and the step must resolve the fastest coherence
-    (step <= 0.1 * 2pi / omega_max); both are enforced by `validate`.
-    """
+    """Double-integral settings: cutoff and step (fs), rule, reference time;
+    `resolve_quadrature` gives a system's defaults and bounds."""
 
     cutoff: float
     step: float
@@ -86,22 +90,58 @@ class QuadratureSpec:
             raise ValueError(f"rule must be 'trapezoid' or 'simpson', got {self.rule!r}")
 
     def validate(self, ops: LiouvilleOperatorSet) -> None:
-        eta_min = float(ops.eta.min())
-        if self.cutoff < 10.0 / eta_min:
-            raise ValueError(
-                f"cutoff {self.cutoff} fs too small: damped correlators need "
-                f">= {10.0 / eta_min:.3g} fs to decay below 1e-5"
-            )
-        omega_max = float(ops.omega.max() - ops.omega.min())
-        if omega_max > 0 and self.step > 0.1 * 2.0 * np.pi / omega_max:
-            raise ValueError(
-                f"step {self.step} fs too coarse for the fastest coherence "
-                f"(need <= {0.1 * 2.0 * np.pi / omega_max:.4g} fs)"
-            )
+        """Refuse a cutoff or step outside `resolve_quadrature`'s bounds."""
+        resolve_quadrature(ops.system, self.step, self.cutoff, self.rule,
+                           eta_floor=ops.eta_floor)
 
     @property
     def n_nodes(self) -> int:
         return int(round(self.cutoff / self.step))
+
+
+def resolve_quadrature(system: ExcitonSystem, step: Optional[float] = None,
+                       cutoff: Optional[float] = None, rule: str = "trapezoid",
+                       t_ref: Optional[float] = None,
+                       eta_floor: float = ETA_FLOOR) -> QuadratureSpec:
+    """The spec of `system` (rates floored at `eta_floor`): the cutoff is by
+    default 12 / eta_min and at least 10 / eta_min, so that correlators
+    decay below 1e-5; the step resolves the fastest coherence.
+
+    With a reference time `t_ref` the spec is final, and one debug record
+    gives its cutoff and step, each with the formula that chose it (or
+    "given"), its rule and t_ref. Without one, cutoff and step are only
+    resolved and checked: the spec's t_ref is 0 and nothing is logged."""
+    eta_min = max(float(system.dephasing_matrix().min()), eta_floor)
+    omega_max = float(np.ptp(system.energies()))
+    finest = 0.1 * 2.0 * np.pi / omega_max if omega_max > 0 else None
+    q = QuadratureSpec(12.0 / eta_min if cutoff is None else cutoff,
+                       (finest or 0.5) if step is None else step, rule,
+                       0.0 if t_ref is None else t_ref)
+    if q.cutoff < (least := 10.0 / eta_min):
+        raise ValueError(f"cutoff {q.cutoff} fs too small: damped correlators "
+                         f"need >= {least:.3g} fs to decay below 1e-5")
+    if finest is not None and q.step > finest:
+        raise ValueError(f"step {q.step} fs too coarse for the fastest "
+                         f"coherence (need <= {finest:.4g} fs)")
+    if t_ref is not None:
+        chose_cutoff = ("given" if cutoff is not None
+                        else f"12/eta_min, eta_min {eta_min:.6g} /fs")
+        chose_step = ("given" if step is not None
+                      else "single level" if finest is None
+                      else f"0.1*2pi/omega_max, omega_max {omega_max:.6g} "
+                           f"rad/fs")
+        log.debug("quadrature: cutoff %.6g fs (%s), step %.6g fs (%s), "
+                  "rule %s, t_ref %.6g fs", q.cutoff, chose_cutoff, q.step,
+                  chose_step, q.rule, q.t_ref)
+    return q
+
+
+def check_nodes(count: int, q: QuadratureSpec) -> None:
+    """Refuse to allocate `count` quadrature nodes above `NODE_BUDGET`."""
+    if count > NODE_BUDGET:
+        raise ValueError(f"step {q.step:g} fs takes {count} quadrature nodes, "
+                         f"above the budget of {NODE_BUDGET}; use a coarser "
+                         f"quadrature step")
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:
@@ -202,9 +242,10 @@ def _segment_nodes(lo: np.ndarray, hi: np.ndarray, q: QuadratureSpec
                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Step-multiple nodes inside each [lo[k], hi[k]] with the exact
     endpoints included: one concatenation of runs, their offsets and their
-    lengths."""
+    lengths. Refuses more nodes than `check_nodes` allows."""
     j_lo, inner = _inner_nodes(lo, hi, q)
     off = _offsets(inner + 2)
+    check_nodes(int(off[-1]), q)
     nodes = np.empty(off[-1])
     nodes[off[:-1]] = lo
     nodes[off[1:] - 1] = hi

@@ -18,13 +18,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .biphoton import BiphotonAmplitude, LineAmplitude, to_time_domain
-from .model import LiouvilleOperatorSet
+from .model import ETA_FLOOR, ExcitonSystem, LiouvilleOperatorSet
 from .pathways import (HomSpec, PathwayTerm, complete_term_table,
                        detection_pathways, term_table)
-from .quadrature import QuadratureSpec, _weights, row_values
+from .quadrature import (QuadratureSpec, _weights, check_nodes,
+                         resolve_quadrature, row_values)
 
 __all__ = [
     "QuadratureSpec",
+    "resolve_quadrature",
     "SignalGrid",
     "reference_time",
     "default_quadrature",
@@ -36,6 +38,8 @@ __all__ = [
     "coincidence_short_Te",
     "short_te_terms",
     "check_lattice",
+    "check_splitter",
+    "check_damped",
     "scan",
     "pathway_probabilities",
     "system_hash",
@@ -61,19 +65,13 @@ def default_quadrature(ops: LiouvilleOperatorSet, amp=None, *,
                        rule: str = "trapezoid",
                        t_ref: Optional[float] = None,
                        t_ref_offset: float = 0.0) -> QuadratureSpec:
-    """Spec with cutoff tied to the slowest damping and a resolving step."""
-    eta_min = float(ops.eta.min())
-    if cutoff is None:
-        cutoff = 12.0 / eta_min
-    omega_max = float(ops.omega.max() - ops.omega.min())
-    if step is None:
-        step = 0.1 * 2.0 * np.pi / omega_max if omega_max > 0 else 0.5
+    """`resolve_quadrature` for the system of `ops`, with the reference time
+    `t_ref`, by default the amplitude's centroid plus `t_ref_offset`."""
     if t_ref is None:
         t_ref = (reference_time(amp, t_ref_offset)
                  if isinstance(amp, BiphotonAmplitude) else t_ref_offset)
-    q = QuadratureSpec(cutoff=cutoff, step=step, rule=rule, t_ref=t_ref)
-    q.validate(ops)
-    return q
+    return resolve_quadrature(ops.system, step, cutoff, rule, t_ref,
+                              ops.eta_floor)
 
 
 def _point(tau: float, T: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -239,6 +237,7 @@ def _kron(x: float, y: float) -> float:
 
 def _line_integral_F5(arg1: float, arg3: float, ops: LiouvilleOperatorSet,
                       q: QuadratureSpec) -> complex:
+    check_nodes(q.n_nodes + 1, q)
     tau3 = np.arange(0, q.n_nodes + 1) * q.step
     vals = ops.expansion(5).evaluate(np.full_like(tau3, arg1), tau3,
                                      np.full_like(tau3, arg3))
@@ -246,18 +245,21 @@ def _line_integral_F5(arg1: float, arg3: float, ops: LiouvilleOperatorSet,
     return complex((w * vals).sum())
 
 
-def _check_damped(ops: LiouvilleOperatorSet, q: QuadratureSpec) -> None:
-    """Refuse a system whose slowest pair rate is the dephasing floor.
-
-    Its validated cutoff (>= 10 / floor) gives the F5 line integral
-    millions of nodes, a complex vector of gigabytes at optical steps.
-    """
-    if ops.system.closed(ops.eta_floor):
+def check_damped(system: ExcitonSystem, q: QuadratureSpec,
+                 eta_floor: float = ETA_FLOOR) -> None:
+    """Refuse a system whose slowest pair rate is the dephasing floor: its
+    cutoff (>= 10 / floor) would give the F5 line integral millions of nodes."""
+    if float(system.dephasing_matrix().min()) <= eta_floor:
         raise ValueError(
             f"short_Te mode needs damped pairs: the slowest pair rate is the "
-            f"{ops.eta_floor:g} /fs dephasing floor, so the F5 line integral "
+            f"{eta_floor:g} /fs dephasing floor, so the F5 line integral "
             f"would take {q.n_nodes} nodes (cutoff {q.cutoff:g} fs, step "
             f"{q.step:g} fs); give every pair a nonzero dephasing rate")
+
+
+def _closed_form_rule(tau: float, T: float, s: float) -> Optional[str]:
+    """The closed form's first domain rule that (tau, T, s) breaks, or None."""
+    return "s >= 0" if s < 0 else "tau >= -T" if tau < -T else None
 
 
 def short_te_terms(tau: float, T: float, s: float, ops: LiouvilleOperatorSet,
@@ -275,12 +277,10 @@ def short_te_terms(tau: float, T: float, s: float, ops: LiouvilleOperatorSet,
     for comparison against the full quadrature. A closed system (slowest
     pair rate at the dephasing floor) is refused before any allocation.
     """
-    if s < 0:
-        raise ValueError(f"short entanglement-time form requires s >= 0, got s={s}")
-    if tau < -T:
-        raise ValueError(f"short entanglement-time form requires tau >= -T, "
-                         f"got tau={tau}, T={T}")
-    _check_damped(ops, q)
+    if (rule := _closed_form_rule(tau, T, s)) is not None:
+        raise ValueError(f"short entanglement-time form requires {rule}, got "
+                         f"tau={tau}, T={T}, s={s}")
+    check_damped(ops.system, q, ops.eta_floor)
     if hom is None:
         w_exchange = w_direct = 1.0
     else:
@@ -446,10 +446,18 @@ def check_lattice(tau_axis: Sequence[float], T_axis: Sequence[float],
         return
     _check_finite(tau=tau_axis, T=T_axis, s=s_axis)
     for tv, Tv, sv in itertools.product(tau_axis, T_axis, s_axis):
-        rule = "s > 0" if sv <= 0 else "tau >= -T" if tv < -Tv else None
+        rule = "s > 0" if sv <= 0 else _closed_form_rule(tv, Tv, sv)
         if rule is not None:
             raise ValueError(f"short_Te mode requires {rule}; offending "
                              f"point (tau={tv}, T={Tv}, s={sv})")
+
+
+def check_splitter(mode: str, hom: Optional[HomSpec]) -> None:
+    """Refuse a splitter that is not 50:50 in the modes that fix it."""
+    if (mode != "full" and hom is not None
+            and abs(hom.t_coeff ** 2 - hom.r_coeff ** 2) > 1e-12):
+        raise ValueError(f"mode {mode} ignores t_coeff and r_coeff; only a "
+                         f"50:50 splitter is allowed")
 
 
 def scan(tau_axis: Sequence[float], T_axis: Sequence[float],
@@ -464,20 +472,15 @@ def scan(tau_axis: Sequence[float], T_axis: Sequence[float],
     two-time envelope is held at a time. A point's value equals its own
     :func:`coincidence` bit for bit. ``workers`` is accepted for
     compatibility and ignored, so the output is the same for any worker
-    count. A lattice outside the mode's domain (see
-    `check_lattice`), or an undamped system in short_Te mode (see
-    `short_te_terms`), aborts before any point is evaluated. The short_Te
-    and bs_removed modes fix the splitter themselves, so they refuse a
-    ``hom`` that is not 50:50 (see `HomSpec.balanced`).
+    count. A lattice outside the mode's domain (`check_lattice`), a ``hom``
+    the mode ignores (`check_splitter`) or an undamped system in short_Te
+    mode (`check_damped`) aborts before any point is evaluated.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if mode != "full" and hom is not None and not hom.balanced:
-        raise ValueError(f"mode {mode} ignores t_coeff and r_coeff; only a "
-                         f"50:50 splitter is allowed")
-    tau_axis = np.asarray(tau_axis, dtype=float)
-    T_axis = np.asarray(T_axis, dtype=float)
-    s_axis = np.asarray(s_axis, dtype=float)
+    check_splitter(mode, hom)
+    tau_axis, T_axis, s_axis = (np.asarray(axis, dtype=float)
+                                for axis in (tau_axis, T_axis, s_axis))
     _check_axes(tau_axis, T_axis, s_axis)
     shape = (tau_axis.size, T_axis.size, s_axis.size)
     meta = {
@@ -492,7 +495,6 @@ def scan(tau_axis: Sequence[float], T_axis: Sequence[float],
 
     check_lattice(tau_axis, T_axis, s_axis, mode)
     if mode == "short_Te":
-        _check_damped(ops, q)
         # lattice order: tau slowest, s fastest (the order SignalGrid writes)
         values = np.reshape([coincidence_short_Te(tv, Tv, sv, ops, q) for
                              tv, Tv, sv in itertools.product(tau_axis, T_axis,

@@ -310,6 +310,28 @@ def golden_setup():
     return amp, reference_time(amp)
 
 
+class TestGridSizeBudget:
+    @pytest.mark.parametrize("n, theta, ok", [
+        (4096, 0.0, True), (4097, 0.0, False), (4096, np.pi, True),
+        (2896, 0.3, True), (2897, 0.3, False)])
+    def test_largest_set_up_lattice_against_the_budget(self, n, theta, ok):
+        # the doubled coverage lattice: 4 n^2 values, float64 for a real
+        # exchange factor, complex128 else; the envelope is smaller above
+        # n = 1024 (pad 1) and at most 2^24 values below it
+        if ok:
+            biphoton.check_grid_size(n, theta)
+        else:
+            with pytest.raises(ValueError, match=rf"^a {n}-sample grid plans "
+                               r".* GiB lattice, above the 512 MiB budget"):
+                biphoton.check_grid_size(n, theta)
+
+    def test_default_grid_refuses_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(biphoton, "pair_amplitude_point", None)
+        with pytest.raises(ValueError, match="100000-sample grid plans a 298 "
+                                             "GiB lattice"):
+            default_grid(PUMP, CRYSTAL, n=100000)
+
+
 class TestSetUp:
     def test_doubled_lattice_is_evaluated_once_per_grid(self, monkeypatch):
         # the first span is refused, the second accepted; build_jsa on the

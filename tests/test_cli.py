@@ -1,3 +1,7 @@
+import logging
+import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -53,10 +57,10 @@ README_CONFIG = {
 }
 
 
-def write_config(tmp_path, overrides=None, drop=None):
+def write_config(tmp_path, overrides=None, drop=None, base=BASE_CONFIG):
     import copy
 
-    data = copy.deepcopy(BASE_CONFIG)
+    data = copy.deepcopy(base)
     for path, value in (overrides or {}).items():
         node = data
         keys = path.split(".")
@@ -396,3 +400,93 @@ class TestMain:
         assert main(["run", "--config", str(cfg), "--mode", "bs_removed",
                      "--workers", "2"]) == 0
         assert SignalGrid.load(out).mode == "bs_removed"
+
+
+# README-config mutations that a run rule refuses, and the start of the
+# error that names it
+REFUSED = {
+    "step zero": ({"quadrature.step_fs": 0}, [],
+                  "quadrature: cutoff and step must be positive"),
+    "step coarse": ({"quadrature.step_fs": 5.0}, [],
+                    "quadrature: step 5.0 fs too coarse"),
+    "cutoff short": ({"quadrature.cutoff_fs": 1.0}, [],
+                     "quadrature: cutoff 1.0 fs too small"),
+    "short_Te s zero": ({"mode": "short_Te", "scan.s_fs": [0.0]}, [],
+                        "scan: short_Te mode requires s > 0"),
+    "short_Te unbalanced": ({"mode": "short_Te",
+                             "hom": {"t_coeff": 0.8, "r_coeff": 0.6}}, [],
+                            "hom: mode short_Te ignores t_coeff and r_coeff"),
+    "short_Te closed": ({"mode": "short_Te"}, ["system.dephasing"],
+                        "system.dephasing: short_Te mode needs damped pairs"),
+}
+
+# run both commands on a config in a process limited to 2 GB of address
+# space, so that a planned multi-GB allocation fails fast
+LIMITED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from homspec.cli import main
+for command in ("validate", "run"):
+    print("exit", command, main([command, "--config", sys.argv[1]]),
+          file=sys.stderr, flush=True)
+"""
+
+
+def run_limited(cfg):
+    src = os.path.dirname(os.path.dirname(homspec.cli.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", LIMITED, str(cfg)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert "Traceback" not in done.stderr, done.stderr
+    return done.stderr
+
+
+class TestRunRules:
+    @pytest.mark.parametrize("overrides, drop, start", REFUSED.values(),
+                             ids=list(REFUSED))
+    def test_validate_refuses_what_run_refuses(self, tmp_path, capsys,
+                                               overrides, drop, start):
+        out = tmp_path / "o.dat"
+        cfg = write_config(tmp_path, dict(overrides, output=str(out)), drop,
+                           base=README_CONFIG)
+        first = []
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(cfg)]) == 2
+            first.append(capsys.readouterr().err.splitlines()[0])
+        assert first[0] == first[1]
+        assert start in first[0]
+        assert not out.exists()
+
+    def test_grid_above_the_lattice_budget_refused_at_load(self, tmp_path):
+        cfg = write_config(tmp_path, {"grid.n": 100000,
+                                      "output": str(tmp_path / "o.dat")},
+                           base=README_CONFIG)
+        err = run_limited(cfg)
+        assert "exit validate 2" in err and "exit run 2" in err
+        assert "grid.n: a 100000-sample grid plans a 298 GiB lattice" in err
+        assert not (tmp_path / "o.dat").exists()
+
+    def test_step_above_the_node_budget_named_by_run(self, tmp_path):
+        # the nodes depend on the amplitude's support: validate cannot count
+        # them, run refuses them before allocating
+        cfg = write_config(tmp_path, {"quadrature.step_fs": 1e-6,
+                                      "output": str(tmp_path / "o.dat")},
+                           base=README_CONFIG)
+        err = run_limited(cfg)
+        assert "exit run 1" in err
+        assert "error: step 1e-06 fs takes 2687263538 quadrature nodes" in err
+        assert not (tmp_path / "o.dat").exists()
+
+    def test_run_logs_the_resolved_quadrature_once(self, tmp_path, caplog):
+        out = tmp_path / "o.dat"
+        cfg = write_config(tmp_path, {"output": str(out),
+                                      "scan.tau_fs": [1.0]})
+        caplog.set_level(logging.DEBUG, logger="homspec.quadrature")
+        assert main(["run", "--config", str(cfg)]) == 0
+        records = [r.getMessage() for r in caplog.records
+                   if r.name == "homspec.quadrature"]
+        t_ref = SignalGrid.load(out).meta["quadrature"].split("t_ref=")[1]
+        assert records == [
+            f"quadrature: cutoff 48 fs (12/eta_min, eta_min 0.25 /fs), "
+            f"step 0.5 fs (given), rule trapezoid, t_ref {float(t_ref):.6g} fs"]

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import threading
 import tracemalloc
 from types import SimpleNamespace
@@ -17,6 +18,7 @@ from homspec.quadrature import (LatticeFactor, _amplitude_factor,
                                 _batch_stencils, _boxes, _integral_keys,
                                 _intervals, _plan, _segment_nodes,
                                 _sub_term_values, _weights, row_values)
+from homspec.quadrature import resolve_quadrature
 from homspec.signal import (BLOCK_FACTOR, QuadratureSpec, SignalGrid,
                             coincidence, coincidence_short_Te,
                             coincidence_terms,
@@ -106,6 +108,43 @@ class TestQuadratureSpec:
         q = default_quadrature(slow_ladder, amp)
         assert q.cutoff >= 10.0 / slow_ladder.eta.min()
         assert q.step <= 0.1 * 2 * np.pi / 1.75
+
+
+class TestResolveQuadrature:
+    def test_logs_the_final_spec_with_the_rule_of_each_setting(
+            self, slow_ladder, caplog):
+        caplog.set_level(logging.DEBUG, logger="homspec.quadrature")
+        q = default_quadrature(slow_ladder, t_ref=2.5)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"quadrature: cutoff 150 fs (12/eta_min, eta_min 0.08 /fs), "
+            f"step {q.step:.6g} fs (0.1*2pi/omega_max, omega_max 1.75 "
+            f"rad/fs), rule trapezoid, t_ref 2.5 fs"]
+        caplog.clear()
+        default_quadrature(slow_ladder, step=0.2, cutoff=200.0, rule="simpson")
+        assert [r.getMessage() for r in caplog.records] == [
+            "quadrature: cutoff 200 fs (given), step 0.2 fs (given), rule "
+            "simpson, t_ref 0 fs"]
+
+    def test_checking_a_spec_logs_nothing(self, slow_ladder, quad, caplog):
+        caplog.set_level(logging.DEBUG, logger="homspec.quadrature")
+        quad.validate(slow_ladder)
+        q = resolve_quadrature(slow_ladder.system)
+        assert not caplog.records
+        assert q == default_quadrature(slow_ladder, t_ref=0.0)
+
+
+class TestNodeBudget:
+    def test_box_nodes_refused_before_allocation(self):
+        q = QuadratureSpec(cutoff=200.0, step=1e-6)
+        with pytest.raises(ValueError, match=r"^step 1e-06 fs takes 100000002 "
+                                             r"quadrature nodes, above the "
+                                             r"budget of 4194304"):
+            _segment_nodes(np.array([0.0]), np.array([100.0]), q)
+
+    def test_line_integral_nodes_refused_before_allocation(self, slow_ladder):
+        q = QuadratureSpec(cutoff=150.0, step=1e-5)
+        with pytest.raises(ValueError, match="15000001 quadrature nodes"):
+            short_te_terms(3.0, 5.0, 3.0, slow_ladder, q)  # tau = s: F5
 
 
 class TestWeights:
