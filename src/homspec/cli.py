@@ -21,6 +21,7 @@ import argparse
 import logging
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, make_dataclass
@@ -34,7 +35,7 @@ from .biphoton import (BiphotonAmplitude, CrystalSpec, FrequencyGrid, GridAxis,
                        PumpSpec, build_jsa, check_grid_size, default_grid)
 from .model import ExcitonSystem, Level, LiouvilleOperatorSet
 from .pathways import HomSpec, format_term_table
-from .signal import (MODES, check_damped, check_lattice, check_splitter,
+from .signal import (MODES, SCAN_BUDGET, check_lattice, check_splitter,
                      default_quadrature, resolve_quadrature, scan)
 
 log = logging.getLogger("homspec")
@@ -47,9 +48,21 @@ _REQUIRED = object()  # Field.default of a key that must be given
 # libyaml's safe loader and dumper where PyYAML was built with it (the same
 # documents, parsed and emitted in C), else the pure-Python ones
 if yaml.__with_libyaml__:
-    _Loader, _Dumper = yaml.CSafeLoader, yaml.CSafeDumper
+    _SafeLoader, _Dumper = yaml.CSafeLoader, yaml.CSafeDumper
 else:
-    _Loader, _Dumper = yaml.SafeLoader, yaml.SafeDumper
+    _SafeLoader, _Dumper = yaml.SafeLoader, yaml.SafeDumper
+
+
+class _Loader(_SafeLoader):
+    """The safe loader, also reading YAML 1.2's exponent floats that YAML
+    1.1 leaves strings (``1e-6``, ``1E3``, ``1.0e5``: no dot, or an unsigned
+    exponent); integers stay integers."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
 
 
 class ConfigError(ValueError):
@@ -154,15 +167,20 @@ def _axis(value: Any, path: str) -> np.ndarray:
         start, stop = _record(value, path, ("start", "stop"), ("num", "step"))
         start, stop = _number(start, f"{path}.start"), _number(stop, f"{path}.stop")
         if "num" in value:
-            axis = np.linspace(start, stop, _integer(1)(value["num"], f"{path}.num"))
+            count = _integer(1)(value["num"], f"{path}.num")
         elif "step" in value:
             step = _number(value["step"], f"{path}.step")
             if step <= 0:
                 raise ConfigError(f"{path}.step", "step must be positive")
-            n = int(np.floor((stop - start) / step + 1e-9)) + 1
-            axis = start + step * np.arange(n)
+            count = np.floor((stop - start) / step + 1e-9) + 1  # inf past overflow
         else:
             raise ConfigError(path, "axis range needs 'num' or 'step'")
+        # counted before anything is allocated
+        if count > SCAN_BUDGET:
+            raise ConfigError(path, f"the axis holds {count:.4g} points, above "
+                                    f"the scan lattice budget of {SCAN_BUDGET}")
+        axis = (np.linspace(start, stop, count) if "num" in value
+                else start + step * np.arange(int(max(count, 0))))
     else:
         axis = np.array([_real(value, path)])
     if axis.size == 0:
@@ -304,11 +322,9 @@ def load_config(path: str, overrides: Optional[Mapping[str, Any]] = None) -> Run
         values[name] = None if name in unused else _named(name, spec, **args)
     _named("hom", check_splitter, values["mode"], values["hom"])
     _named("scan", check_lattice, *(values[k] for k in ("tau_axis", "T_axis", "s_axis", "mode")))
-    q = _named("quadrature", resolve_quadrature, values["system"],
-               values["quad_step"], values["quad_cutoff"], values["quad_rule"])
-    if values["mode"] == "short_Te":
-        _named("system.dephasing", check_damped, values["system"], q)
-    else:  # the modes that build a joint spectral amplitude
+    _named("quadrature", resolve_quadrature, values["system"],
+           values["quad_step"], values["quad_cutoff"], values["quad_rule"])
+    if values["mode"] != "short_Te":  # the modes that build a joint amplitude
         _named("grid.n", check_grid_size, values["grid_n"], values["theta"])
     return RunConfig(**values)
 

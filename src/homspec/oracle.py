@@ -26,6 +26,7 @@ for near-resonant parameters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -142,16 +143,20 @@ class PerturbativeKet:
 
 def _filon_coeffs(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Exact integrals of e^{i z th}(1-th) and e^{i z th} th over th in [0,1],
-    for real or complex z (a real z is taken as float)."""
+    for real or complex z (a real z is taken as float): the closed form for
+    |z| >= 0.1, below it their 12-term Taylor series, E = sum (iz)^k / (k+1)!
+    and F = sum (iz)^k / (k! (k+2)) for the integrals of e^{i z th} and
+    e^{i z th} th, whose first dropped term is below 1e-20."""
     z = np.asarray(z, dtype=np.result_type(z, float))
     iz = 1j * z
-    small = np.abs(z) < 1e-2
-    zs = np.where(small, 1.0, z)
-    izs = 1j * zs
-    E = (np.exp(izs) - 1.0) / izs
-    F = np.exp(izs) / izs - (np.exp(izs) - 1.0) / izs ** 2
-    E_series = 1.0 + iz / 2.0 + iz ** 2 / 6.0 + iz ** 3 / 24.0
-    F_series = 0.5 + iz / 3.0 + iz ** 2 / 8.0 + iz ** 3 / 30.0
+    small = np.abs(z) < 0.1
+    izs = 1j * np.where(small, 1.0, z)
+    E = np.expm1(izs) / izs
+    F = np.exp(izs) / izs - E / izs
+    E_series = F_series = 0.0
+    for k in range(11, -1, -1):  # Horner
+        E_series = E_series * iz + 1.0 / math.factorial(k + 1)
+        F_series = F_series * iz + 1.0 / (math.factorial(k) * (k + 2))
     return np.where(small, E_series - F_series, E - F), np.where(small, F_series, F)
 
 

@@ -60,7 +60,9 @@ class HomSpec:
     r_coeff: float = 1.0 / np.sqrt(2.0)
 
     def __post_init__(self) -> None:
-        if abs(self.t_coeff ** 2 + self.r_coeff ** 2 - 1.0) > 1e-12:
+        # products, not powers: a huge float gives inf, not OverflowError
+        t, r = self.t_coeff, self.r_coeff
+        if abs(t * t + r * r - 1.0) > 1e-12:
             raise ValueError("t_coeff^2 + r_coeff^2 must equal 1 (within 1e-12)")
 
 

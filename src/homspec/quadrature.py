@@ -65,8 +65,9 @@ _BATCH_NODES = 1 << 12
 #: Rows per block of the sheared contraction; bounds its temporaries.
 _ROW_BLOCK = 64
 
-#: Most nodes that one allocation of quadrature nodes may hold (see
-#: `check_nodes`): 32 MiB of float64, before the complex values on them.
+#: Most nodes that one batch of boxes may hold (see `check_nodes`): 32 MiB
+#: of float64, before the complex values on them. The boxes are the only
+#: quadrature nodes; the closed form's F5 windows are integrated exactly.
 NODE_BUDGET = 1 << 22
 
 
@@ -93,10 +94,6 @@ class QuadratureSpec:
         """Refuse a cutoff or step outside `resolve_quadrature`'s bounds."""
         resolve_quadrature(ops.system, self.step, self.cutoff, self.rule,
                            eta_floor=ops.eta_floor)
-
-    @property
-    def n_nodes(self) -> int:
-        return int(round(self.cutoff / self.step))
 
 
 def resolve_quadrature(system: ExcitonSystem, step: Optional[float] = None,
@@ -137,7 +134,8 @@ def resolve_quadrature(system: ExcitonSystem, step: Optional[float] = None,
 
 
 def check_nodes(count: int, q: QuadratureSpec) -> None:
-    """Refuse to allocate `count` quadrature nodes above `NODE_BUDGET`."""
+    """Refuse to allocate `count` nodes for a batch of boxes
+    (`_segment_nodes`) above `NODE_BUDGET`."""
     if count > NODE_BUDGET:
         raise ValueError(f"step {q.step:g} fs takes {count} quadrature nodes, "
                          f"above the budget of {NODE_BUDGET}; use a coarser "

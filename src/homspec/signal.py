@@ -18,11 +18,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .biphoton import BiphotonAmplitude, LineAmplitude, to_time_domain
-from .model import ETA_FLOOR, ExcitonSystem, LiouvilleOperatorSet
+from .model import LiouvilleOperatorSet
 from .pathways import (HomSpec, PathwayTerm, complete_term_table,
                        detection_pathways, term_table)
-from .quadrature import (QuadratureSpec, _weights, check_nodes,
-                         resolve_quadrature, row_values)
+from .quadrature import QuadratureSpec, resolve_quadrature, row_values
 
 __all__ = [
     "QuadratureSpec",
@@ -39,7 +38,6 @@ __all__ = [
     "short_te_terms",
     "check_lattice",
     "check_splitter",
-    "check_damped",
     "scan",
     "pathway_probabilities",
     "system_hash",
@@ -237,24 +235,15 @@ def _kron(x: float, y: float) -> float:
 
 def _line_integral_F5(arg1: float, arg3: float, ops: LiouvilleOperatorSet,
                       q: QuadratureSpec) -> complex:
-    check_nodes(q.n_nodes + 1, q)
-    tau3 = np.arange(0, q.n_nodes + 1) * q.step
-    vals = ops.expansion(5).evaluate(np.full_like(tau3, arg1), tau3,
-                                     np.full_like(tau3, arg3))
-    w = _weights(tau3, q.step, q.rule)
-    return complex((w * vals).sum())
-
-
-def check_damped(system: ExcitonSystem, q: QuadratureSpec,
-                 eta_floor: float = ETA_FLOOR) -> None:
-    """Refuse a system whose slowest pair rate is the dephasing floor: its
-    cutoff (>= 10 / floor) would give the F5 line integral millions of nodes."""
-    if float(system.dephasing_matrix().min()) <= eta_floor:
-        raise ValueError(
-            f"short_Te mode needs damped pairs: the slowest pair rate is the "
-            f"{eta_floor:g} /fs dephasing floor, so the F5 line integral "
-            f"would take {q.n_nodes} nodes (cutoff {q.cutoff:g} fs, step "
-            f"{q.step:g} fs); give every pair a nonzero dephasing rate")
+    """The integral of F5(arg1, tau3, arg3) over tau3 in [0, cutoff], exact:
+    each term's exp(-z2 tau3) integrates to -expm1(-z2 L) / z2, or L where
+    z2 = 0."""
+    exp5, L = ops.expansion(5), q.cutoff
+    A, B = exp5.factors([arg1], [0.0], [arg3])
+    flat = exp5.z2 == 0
+    z2 = np.where(flat, 1.0, exp5.z2)
+    w = np.where(flat, L, -np.expm1(-z2 * L) / z2)
+    return complex((A[0] * B[0] * w).sum())
 
 
 def _closed_form_rule(tau: float, T: float, s: float) -> Optional[str]:
@@ -274,13 +263,14 @@ def short_te_terms(tau: float, T: float, s: float, ops: LiouvilleOperatorSet,
 
     The published closed form drops the detection-channel amplitudes (they
     are uniform for a 50:50 splitter); pass `hom` to reinstate them, e.g.
-    for comparison against the full quadrature. A closed system (slowest
-    pair rate at the dephasing floor) is refused before any allocation.
+    for comparison against the full quadrature. The two delta-gated F5
+    windows integrate F5 over its middle interval in closed form up to the
+    quadrature's cutoff, so a closed system (every pair rate at the
+    dephasing floor) costs no more than a damped one.
     """
     if (rule := _closed_form_rule(tau, T, s)) is not None:
         raise ValueError(f"short entanglement-time form requires {rule}, got "
                          f"tau={tau}, T={T}, s={s}")
-    check_damped(ops.system, q, ops.eta_floor)
     if hom is None:
         w_exchange = w_direct = 1.0
     else:
@@ -435,12 +425,22 @@ def _check_axes(*axes: np.ndarray) -> None:
             raise ValueError("scan axes must be strictly monotone")
 
 
+#: Most (tau, T, s) points that one scan lattice, or one of its axes, may
+#: hold (see `check_lattice`).
+SCAN_BUDGET = 1 << 20
+
+
 def check_lattice(tau_axis: Sequence[float], T_axis: Sequence[float],
                   s_axis: Sequence[float], mode: str) -> None:
-    """Refuse a lattice of non-empty axes with a point outside the mode's
-    domain: finite tau, T and s in every mode; in short_Te mode s > 0 and
-    tau >= -T, naming the first offending point in lattice order (tau
-    slowest, s fastest); else tau, T >= 0."""
+    """Refuse a lattice of non-empty axes with more points than
+    `SCAN_BUDGET`, or with a point outside the mode's domain: finite tau, T
+    and s in every mode; in short_Te mode s > 0 and tau >= -T, naming the
+    first offending point in lattice order (tau slowest, s fastest); else
+    tau, T >= 0."""
+    count = np.size(tau_axis) * np.size(T_axis) * np.size(s_axis)
+    if count > SCAN_BUDGET:
+        raise ValueError(f"the lattice holds {count} (tau, T, s) points, "
+                         f"above the scan lattice budget of {SCAN_BUDGET}")
     if mode != "short_Te":
         _check_domain(tau_axis, T_axis, s_axis)
         return
@@ -472,9 +472,9 @@ def scan(tau_axis: Sequence[float], T_axis: Sequence[float],
     two-time envelope is held at a time. A point's value equals its own
     :func:`coincidence` bit for bit. ``workers`` is accepted for
     compatibility and ignored, so the output is the same for any worker
-    count. A lattice outside the mode's domain (`check_lattice`), a ``hom``
-    the mode ignores (`check_splitter`) or an undamped system in short_Te
-    mode (`check_damped`) aborts before any point is evaluated.
+    count. A lattice above `SCAN_BUDGET` or outside the mode's domain
+    (`check_lattice`) or a ``hom`` the mode ignores (`check_splitter`)
+    aborts before any point is evaluated.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")

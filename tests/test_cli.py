@@ -1,8 +1,12 @@
+import json
 import logging
 import os
+import re
 import subprocess
 import sys
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,11 @@ import homspec.crosscheck
 import homspec.signal
 from homspec.cli import ConfigError, load_config, main, run, serialize_config
 from homspec.signal import SignalGrid
+
+# the pure-Python twin of the CLI loader: the same resolvers on PyYAML's
+# pure-Python safe loader
+PURE_LOADER = type("PureLoader", (yaml.SafeLoader,), {
+    "yaml_implicit_resolvers": homspec.cli._Loader.yaml_implicit_resolvers})
 
 BASE_CONFIG = {
     "system": {
@@ -153,18 +162,28 @@ class TestLoadConfig:
         assert "hom" in capsys.readouterr().err
         assert not (tmp_path / "o.dat").exists()
 
-    def test_short_te_closed_system_names_dephasing(self, tmp_path, capsys):
-        # no dephasing section: every pair rate sits at the dephasing floor
+    def test_short_te_closed_system_runs_the_closed_form(self, tmp_path):
+        # no dephasing section: every pair rate sits at the dephasing floor,
+        # and the F5 windows (tau = s, 2T + tau = s) integrate exactly
+        from homspec.model import LiouvilleOperatorSet
+        from homspec.signal import coincidence_short_Te, default_quadrature
+
         out = tmp_path / "o.dat"
-        cfg = write_config(tmp_path, {"output": str(out)},
+        cfg = write_config(tmp_path, {"output": str(out), "mode": "short_Te",
+                                      "scan.tau_fs": [1.0, 3.0],
+                                      "scan.T_fs": [1.0, 5.0],
+                                      "scan.s_fs": [3.0]},
                            drop=["system.dephasing"])
-        load_config(cfg)  # the full quadrature takes a closed system
-        with pytest.raises(ConfigError) as err:
-            load_config(cfg, {"mode": "short_Te"})
-        assert err.value.path == "system.dephasing"
-        assert main(["run", "--config", str(cfg), "--mode", "short_Te"]) == 2
-        assert "system.dephasing" in capsys.readouterr().err
-        assert not out.exists()
+        config = load_config(cfg)
+        assert main(["run", "--config", str(cfg)]) == 0
+        grid = SignalGrid.load(out)
+        ops = LiouvilleOperatorSet(config.system)
+        q = default_quadrature(ops, step=0.5)
+        for i, tau in enumerate((1.0, 3.0)):
+            for j, T in enumerate((1.0, 5.0)):
+                assert grid.values[i, j, 0] == coincidence_short_Te(
+                    tau, T, 3.0, ops, q)
+        assert grid.values[0, 0, 0] != 0 and grid.values[1, 1, 0] != 0
 
     def test_offset_with_explicit_reference_time_named(self, tmp_path):
         cfg = write_config(tmp_path, {"quadrature.t_ref_fs": 5.0,
@@ -416,8 +435,6 @@ REFUSED = {
     "short_Te unbalanced": ({"mode": "short_Te",
                              "hom": {"t_coeff": 0.8, "r_coeff": 0.6}}, [],
                             "hom: mode short_Te ignores t_coeff and r_coeff"),
-    "short_Te closed": ({"mode": "short_Te"}, ["system.dephasing"],
-                        "system.dephasing: short_Te mode needs damped pairs"),
 }
 
 # run both commands on a config in a process limited to 2 GB of address
@@ -432,12 +449,18 @@ for command in ("validate", "run"):
 """
 
 
-def run_limited(cfg):
+def run_script(script, *args):
+    """Run Python source in a new process that imports this package, with
+    these arguments."""
     src = os.path.dirname(os.path.dirname(homspec.cli.__file__))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", LIMITED, str(cfg)], env=env,
-                          capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+def run_limited(cfg):
+    done = run_script(LIMITED, cfg)
     assert "Traceback" not in done.stderr, done.stderr
     return done.stderr
 
@@ -458,6 +481,22 @@ class TestRunRules:
         assert start in first[0]
         assert not out.exists()
 
+    def test_short_te_closed_system_passes_both_commands(self, tmp_path):
+        # the README config without dephasing: every pair rate at the floor;
+        # tau = s and 2T + tau = s points take both F5 windows
+        out = tmp_path / "o.dat"
+        cfg = write_config(tmp_path, {"mode": "short_Te", "output": str(out),
+                                      "scan.tau_fs": [5.0, 10.0, 15.0],
+                                      "scan.T_fs": [5.0, 10.0],
+                                      "scan.s_fs": [15.0]},
+                           ["system.dephasing"], base=README_CONFIG)
+        for command in ("validate", "run"):
+            start = time.perf_counter()
+            assert main([command, "--config", str(cfg)]) == 0
+            assert time.perf_counter() - start < 1.0
+        values = SignalGrid.load(out).values
+        assert values.shape == (3, 2, 1) and np.all(np.isfinite(values))
+
     def test_grid_above_the_lattice_budget_refused_at_load(self, tmp_path):
         cfg = write_config(tmp_path, {"grid.n": 100000,
                                       "output": str(tmp_path / "o.dat")},
@@ -466,6 +505,32 @@ class TestRunRules:
         assert "exit validate 2" in err and "exit run 2" in err
         assert "grid.n: a 100000-sample grid plans a 298 GiB lattice" in err
         assert not (tmp_path / "o.dat").exists()
+
+    @pytest.mark.parametrize("axis, shown", [
+        ({"start": 0.0, "stop": 1.0e12, "step": 1.0e-3}, "1e+15"),
+        ({"start": 0.0, "stop": 1.0, "num": 10 ** 12}, "1e+12"),
+        ({"start": -1.0e308, "stop": 1.0e308, "step": 1.0}, "inf"),
+    ], ids=["step", "num", "overflow"])
+    def test_axis_above_the_scan_budget_refused_before_allocation(
+            self, tmp_path, axis, shown):
+        cfg = write_config(tmp_path, {"scan.tau_fs": axis,
+                                      "output": str(tmp_path / "o.dat")},
+                           base=README_CONFIG)
+        err = run_limited(cfg)
+        assert "exit validate 2" in err and "exit run 2" in err
+        assert (f"error: scan.tau_fs: the axis holds {shown} points, above "
+                f"the scan lattice budget of 1048576") in err
+        assert not (tmp_path / "o.dat").exists()
+
+    def test_lattice_above_the_scan_budget_named(self, tmp_path):
+        # each axis is inside the budget, their product is not
+        cfg = write_config(tmp_path, {
+            "scan.tau_fs": {"start": 0.0, "stop": 1.0, "num": 1024},
+            "scan.T_fs": {"start": 0.0, "stop": 1.0, "num": 1025}},
+            base=README_CONFIG)
+        with pytest.raises(ConfigError, match=r"^scan: the lattice holds "
+                                              r"1049600 \(tau, T, s\) points"):
+            load_config(cfg)
 
     def test_step_above_the_node_budget_named_by_run(self, tmp_path):
         # the nodes depend on the amplitude's support: validate cannot count
@@ -490,3 +555,103 @@ class TestRunRules:
         assert records == [
             f"quadrature: cutoff 48 fs (12/eta_min, eta_min 0.25 /fs), "
             f"step 0.5 fs (given), rule trapezoid, t_ref {float(t_ref):.6g} fs"]
+
+
+def readme_example():
+    """The YAML block under "Example config:" in the README."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return text.split("Example config:", 1)[1].split("```yaml\n", 1)[1] \
+        .split("```", 1)[0]
+
+
+def test_readme_example_config_loads(tmp_path):
+    cfg = tmp_path / "readme.yaml"
+    cfg.write_text(readme_example())
+    config = load_config(cfg)
+    assert config.mode == "full" and config.tau_axis.size == 16
+
+
+class TestExponentNumbers:
+    TEXT = "a: 1e-6\nb: 1E3\nc: -2e+1\nd: 1.5e3\nn: 256\nx: 1e\n"
+    WANT = {"a": 1e-6, "b": 1000.0, "c": -20.0, "d": 1500.0, "n": 256,
+            "x": "1e"}
+
+    @pytest.mark.parametrize("pure", [False, True], ids=["default", "pure"])
+    def test_loaded_as_floats_and_integers_stay_integers(self, pure):
+        loaded = yaml.load(self.TEXT, Loader=PURE_LOADER if pure
+                           else homspec.cli._Loader)
+        assert loaded == self.WANT
+        assert [type(loaded[k]) for k in "abcdn"] == [float] * 4 + [int]
+
+    def test_shared_loaders_untouched(self):
+        for loader in (yaml.SafeLoader, getattr(yaml, "CSafeLoader",
+                                                yaml.SafeLoader)):
+            assert yaml.load("a: 1e-6", Loader=loader) == {"a": "1e-6"}
+
+    def test_config_value(self, tmp_path):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(yaml.safe_dump(README_CONFIG).replace(
+            "step_fs: 0.2", "step_fs: 2e-1"))
+        config = load_config(cfg)
+        assert config.quad_step == 0.2 and config.grid_n == 256
+
+
+# every FIELDS value, and every key of the scan axes' range forms, set to
+# each of these on the README's example config
+EDGE_VALUES = [0, -1, float("nan"), float("inf"), float("-inf"), 1e308,
+               10 ** 30, "x", [], {}]
+
+# validate each config file in one process limited to 2 GB of address
+# space; print each one's exit status and output as JSON
+EDGE_SCRIPT = """
+import contextlib, io, json, logging, resource, sys, traceback
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+logging.basicConfig(level=logging.CRITICAL)
+from homspec.cli import main
+results = []
+for cfg in sys.argv[1:]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        try:
+            code = main(["validate", "--config", cfg])
+        except Exception:
+            code = None
+            traceback.print_exc()
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_validate_names_every_edge_value(tmp_path):
+    import copy
+
+    base = yaml.safe_load(readme_example())
+    cases = {}
+    for f in homspec.cli.FIELDS:
+        for value in EDGE_VALUES:
+            cases[f"{f.path}={value!r}"] = {f.path: value}
+    for axis in ("scan.tau_fs", "scan.T_fs", "scan.s_fs"):
+        for form in ({"start": 0.0, "stop": 30.0, "num": 16},
+                     {"start": 0.0, "stop": 30.0, "step": 2.0}):
+            for key in form:
+                for value in EDGE_VALUES:
+                    cases[f"{axis}.{key}={value!r} in {form}"] = {
+                        axis: dict(form, **{key: value})}
+    files = []
+    for n, changes in enumerate(cases.values()):
+        data = copy.deepcopy(base)
+        for path, value in changes.items():
+            homspec.cli._put(data, path, value)
+        files.append(tmp_path / f"case{n}.yaml")
+        files[-1].write_text(yaml.safe_dump(data))
+    done = run_script(EDGE_SCRIPT, *files)
+    assert done.returncode == 0, done.stderr
+    sections = {f.path.split(".")[0] for f in homspec.cli.FIELDS} | {"config"}
+    bad = []
+    for name, (code, out) in zip(cases, json.loads(done.stdout)):
+        first = (out.splitlines() or [""])[0]
+        named = (code == 2 and first.startswith("error: ") and
+                 re.split(r"[.\[:]", first[len("error: "):])[0] in sections)
+        if "Traceback" in out or not (code == 0 or named):
+            bad.append(f"{name}: exit {code}: {out.strip()[-300:]}")
+    assert not bad, "\n".join(bad)

@@ -93,6 +93,15 @@ class TestFilonCoefficients:
         for c, want in zip(got, self.exact(z)):
             assert (np.abs(c - want) <= bound).all()
 
+    def test_accurate_across_the_branch_threshold(self):
+        # |z| from 1e-4 to 8 at five phases of the closed upper half plane,
+        # where |e^{izth}| <= 1, so that an absolute bound means something
+        r = np.geomspace(1e-4, 8.0, 400)
+        z = np.concatenate([r * np.exp(1j * phase)
+                            for phase in np.linspace(0.0, np.pi, 5)])
+        for c, want in zip(homspec.oracle._filon_coeffs(z), self.exact(z)):
+            assert np.abs(c - want).max() < 1e-12
+
 
 class TestEvolution:
     def test_rejects_open_system(self, bench):
@@ -128,12 +137,13 @@ class TestEvolution:
             assert abs(got - ref) < 1e-4 * max(abs(ref), 1e-6)
 
     def test_benchmark_kets_keep_their_order_norms(self, bench_kets):
-        # (full, arm a, arm b) order norms recorded before the arm
-        # restriction became a coupling filter
-        expected = [1.0, 9583.335442615837, 103897667.10681386,
-                    140397267888.90747, 746998400245893.0,
-                    1.0, 4791.3089552987185, 44304006.10019455,
-                    1.0, 4792.026487317118, 51387561.28069688]
+        # (full, arm a, arm b) order norms with Filon coefficients exact to
+        # rounding: the norms from 40-node Gauss-Legendre coefficients
+        # agree with these to 7e-16
+        expected = [1.0, 9583.335442623555, 103897667.1069414,
+                    140397267889.20602, 746998400247722.5,
+                    1.0, 4791.3089553025775, 44304006.10024792,
+                    1.0, 4792.026487320977, 51387561.280758]
         norms = np.concatenate([k.order_norms() for k in bench_kets])
         assert np.allclose(norms, expected, rtol=1e-12, atol=0)
 

@@ -10,7 +10,9 @@ import pytest
 from conftest import GaussLine, gaussian_amplitude, non_square_gaussian
 from homspec.biphoton import (BiphotonAmplitude, CrystalSpec, DeltaAmplitude,
                               PumpSpec, build_jsa, default_grid)
-from homspec.model import ExcitonSystem, Level, LiouvilleOperatorSet
+from homspec.model import (CORRELATOR_SEQUENCES, ExcitonSystem, Level,
+                           LiouvilleOperatorSet, LiouvilleState,
+                           apply_dipole, propagate)
 from homspec import quadrature, signal
 from homspec.pathways import (Affine, HomSpec, complete_term_table,
                               term_table)
@@ -141,10 +143,14 @@ class TestNodeBudget:
                                              r"budget of 4194304"):
             _segment_nodes(np.array([0.0]), np.array([100.0]), q)
 
-    def test_line_integral_nodes_refused_before_allocation(self, slow_ladder):
-        q = QuadratureSpec(cutoff=150.0, step=1e-5)
-        with pytest.raises(ValueError, match="15000001 quadrature nodes"):
-            short_te_terms(3.0, 5.0, 3.0, slow_ladder, q)  # tau = s: F5
+    def test_line_integral_takes_no_nodes(self, slow_ladder):
+        # the F5 windows are exact, so a step that would give a trapezoid
+        # 15000001 nodes gives the same values as a coarse one
+        fine = QuadratureSpec(cutoff=150.0, step=1e-5)
+        coarse = QuadratureSpec(cutoff=150.0, step=0.1)
+        for tau, T, s in [(3.0, 5.0, 3.0), (1.0, 2.0, 5.0)]:  # both F5 windows
+            assert (short_te_terms(tau, T, s, slow_ladder, fine)
+                    == short_te_terms(tau, T, s, slow_ladder, coarse))
 
 
 class TestWeights:
@@ -927,6 +933,24 @@ class TestAmplitudeTypes:
                               box, q, {})
 
 
+def integrated_F5(a, b, ops, L):
+    """F5(a, tau3, b) integrated over tau3 in [0, L] on the dense route:
+    `model.apply_sequence` with its middle propagator -i exp(-z tau3)
+    replaced by its integral."""
+    seq = CORRELATOR_SEQUENCES[5]
+    z = 1j * ops.delta_omega + ops.eta
+    integral = -1j * np.where(z == 0, L, -np.expm1(-z * L)
+                              / np.where(z == 0, 1.0, z))
+
+    def dipole(state, k):
+        side, dagger = seq[k]
+        return apply_dipole(state, side, "raise" if dagger else "lower", ops)
+
+    state = propagate(dipole(ops.initial_state(), 3), b, ops)
+    state = LiouvilleState(integral * dipole(state, 2).coefficients)
+    return dipole(propagate(dipole(state, 1), a, ops), 0).trace()
+
+
 class TestShortTe:
     def test_domain_errors(self, slow_ladder, quad):
         with pytest.raises(ValueError, match="s >= 0"):
@@ -955,21 +979,46 @@ class TestShortTe:
             assert vals["F3a"] == expected
             assert all(v == 0 for name, v in vals.items() if name != "F3a")
 
-    def test_closed_system_names_the_dephasing_floor(self):
+    def test_closed_system_gets_the_exact_line_integral(self):
         # no dephasing: every pair rate sits at the 1e-6 /fs floor and the
-        # validated cutoff is 1.2e7 fs; the small level spacing keeps the
-        # step coarse (12.6 fs), so the line integral would take 954930 nodes
+        # validated cutoff is 1.2e7 fs; the F5 windows match the dense
+        # correlator with its middle propagator integrated over [0, cutoff]
         ops = LiouvilleOperatorSet(ExcitonSystem(
             levels=[Level("g0", "g", 0.0), Level("e0", "e", 0.03),
                     Level("f0", "f", 0.05)],
             dipoles_ge=[[1.0]], dipoles_ef=[[0.8]], dephasing_default=0.0))
         q = default_quadrature(ops)
-        assert q.n_nodes == 954930
-        message = r"1e-06 /fs dephasing floor.* 954930 nodes"
-        with pytest.raises(ValueError, match=message):
-            short_te_terms(3.0, 5.0, 3.0, ops, q)  # tau = s: F5 line integral
-        with pytest.raises(ValueError, match=message):
-            scan([3.0], [5.0], [3.0], "short_Te", None, ops, q, workers=1)
+        assert q.cutoff == pytest.approx(1.2e7)
+        vals = short_te_terms(3.0, 5.0, 3.0, ops, q)  # tau = s
+        want = 2.0 * integrated_F5(3.0, 3.0, ops, q.cutoff)
+        assert abs(vals["F5_direct"] - want) < 1e-12 * abs(want)
+        vals = short_te_terms(1.0, 2.0, 5.0, ops, q)  # 2T + tau = s
+        want = -2.0 * integrated_F5(1.0, 5.0, ops, q.cutoff)
+        assert abs(vals["F5_exchange"] - want) < 1e-12 * abs(want)
+        grid = scan([3.0], [5.0], [3.0], "short_Te", None, ops, q, workers=1)
+        assert grid.values[0, 0, 0] == coincidence_short_Te(3.0, 5.0, 3.0,
+                                                             ops, q)
+
+    def test_line_integrals_are_the_limit_of_the_trapezoid(self, slow_ladder):
+        # a trapezoid over F5's middle interval on [0, cutoff] converges to
+        # the exact windows, its error falling as the square of the step
+        F5 = slow_ladder.expansion(5)
+        cases = [((3.0, 5.0, 3.0), "F5_direct", 2.0, (3.0, 3.0)),
+                 ((1.0, 2.0, 5.0), "F5_exchange", -2.0, (1.0, 5.0))]
+        for (tau, T, s), name, sign, (a, b) in cases:
+            q = QuadratureSpec(cutoff=130.0, step=0.1)
+            exact = short_te_terms(tau, T, s, slow_ladder, q)[name]
+            errors = []
+            for step in (0.1, 0.05, 0.025):
+                tau3 = np.arange(round(q.cutoff / step) + 1) * step
+                vals = F5.evaluate(np.full_like(tau3, a), tau3,
+                                   np.full_like(tau3, b))
+                trapezoid = sign * step * (vals.sum() - 0.5 * (vals[0]
+                                                               + vals[-1]))
+                errors.append(abs(trapezoid - exact) / abs(exact))
+            assert errors[0] < 3e-3, (name, errors)
+            assert all(e0 >= 3.5 * e1 for e0, e1 in zip(errors, errors[1:])), \
+                (name, errors)
 
     def test_delta_gated_line_terms(self, slow_ladder, quad):
         vals = short_te_terms(3.0, 5.0, 3.0, slow_ladder, quad)
@@ -1067,6 +1116,15 @@ class TestScan:
         with pytest.raises(ValueError, match=f"delays must be finite; got "
                                              f"{name}"):
             scan(tau_axis, T_axis, [3.0], mode, amp, ops, q)
+
+    @pytest.mark.parametrize("mode", ["full", "short_Te"])
+    def test_lattice_above_the_scan_budget_refused(self, small_setup, mode):
+        ops, amp, q = small_setup
+        with pytest.raises(ValueError, match=r"^the lattice holds 1049600 "
+                                             r"\(tau, T, s\) points, above "
+                                             r"the scan lattice budget"):
+            scan(np.arange(1024.0), np.arange(1025.0), [3.0], mode, amp, ops,
+                 q)
 
     def test_bs_removed_mode_drops_exchange_terms(self, small_setup):
         ops, amp, q = small_setup
@@ -1251,7 +1309,7 @@ class TestBatch:
         lattice = ([0.0, 1.0, 2.5, 4.0], [0.5, 3.0], [3.0])
         whole = scan(*lattice, "full", amp, ops, q).serialize()
         # several batches of two or three points
-        monkeypatch.setattr(quadrature, "_BATCH_NODES", 2 * (q.n_nodes + 2))
+        monkeypatch.setattr(quadrature, "_BATCH_NODES", 2 * (round(q.cutoff / q.step) + 2))
         assert scan(*lattice, "full", amp, ops, q).serialize() == whole
 
     def test_boxes_are_tightened_once_per_call(self, small_setup,
@@ -1267,7 +1325,7 @@ class TestBatch:
                 return inner(*args)
 
             monkeypatch.setattr(quadrature, name, counting)
-        monkeypatch.setattr(quadrature, "_BATCH_NODES", 2 * (q.n_nodes + 2))
+        monkeypatch.setattr(quadrature, "_BATCH_NODES", 2 * (round(q.cutoff / q.step) + 2))
         assert np.array_equal(coincidence(tau, T, 3.0, amp, ops, q), whole)
         assert calls["_intervals"] == 1 and calls["_boxes"] > 1, calls
         calls.update(_intervals=0, _boxes=0)
@@ -1294,7 +1352,7 @@ class TestBatch:
 
         monkeypatch.setattr(quadrature, "_integral_keys", keying)
         monkeypatch.setattr(quadrature, "_batches", planning)
-        monkeypatch.setattr(quadrature, "_BATCH_NODES", 2 * (q.n_nodes + 2))
+        monkeypatch.setattr(quadrature, "_BATCH_NODES", 2 * (round(q.cutoff / q.step) + 2))
         assert np.array_equal(coincidence(tau, T, 3.0, amp, ops, q), whole)
         distinct = {id(sub) for term in term_table()
                     if ops.expansion(term.interaction).coeffs.size
