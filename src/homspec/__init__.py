@@ -25,7 +25,6 @@ from .model import (
     LiouvilleState,
     apply_dipole,
     correlator,
-    correlator_coherent,
     propagate,
 )
 from .oracle import (

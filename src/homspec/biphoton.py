@@ -35,7 +35,7 @@ __all__ = [
     "entanglement_time",
     "default_grid",
     "check_grid_size",
-    "export_intensity",
+    "check_aliasing",
 ]
 
 COVERAGE_TOLERANCE = 1e-3
@@ -146,8 +146,8 @@ class GridAxis:
     n: int
 
     def __post_init__(self) -> None:
-        if self.spacing <= 0 or self.n < 4:
-            raise ValueError("grid axis needs positive spacing and n >= 4")
+        if not 0 < self.spacing < np.inf or self.n < 4:
+            raise ValueError("grid axis needs finite positive spacing and n >= 4")
 
     def values(self) -> np.ndarray:
         return self.center + (np.arange(self.n) - self.n // 2) * self.spacing
@@ -165,21 +165,14 @@ def default_grid(pump: PumpSpec, crystal: CrystalSpec, n: int = 256,
     coverage check passes.
 
     Besides frequency coverage, the spacing must leave the conjugate time
-    lattice room for the amplitude's temporal extent (set by the group
-    delays and the pump duration); if both cannot be met at this n, the
-    error says how large a grid is needed.
+    lattice room for the amplitude's temporal extent (`check_aliasing`, at
+    every span tried).
     """
     center = 0.5 * (crystal.omega_a + crystal.omega_b)
-    t_half = 1.5 * (max(abs(crystal.T_a), abs(crystal.T_b)) + 6.0 / pump.sigma_p)
     half = 6.0 * pump.sigma_p
     for doublings in range(8):
+        check_aliasing(pump, crystal, n, half)
         spacing = 2 * half / n
-        if spacing > np.pi / t_half:
-            need = int(np.ceil(2 * half * t_half / np.pi))
-            raise GridCoverageError(
-                f"{n} samples cannot cover +-{half:.3g} rad/fs without "
-                f"aliasing the +-{t_half:.3g} fs time window; increase the "
-                f"grid to >= {need} samples per axis")
         axis = GridAxis(center, spacing, n)
         grid = FrequencyGrid(axis, axis)
         coverage = _coverage(pump, crystal, theta, grid)[0]
@@ -212,6 +205,21 @@ def check_grid_size(n: int, theta: float) -> None:
         raise ValueError(f"a {n}-sample grid plans a {planned / 2**30:.3g} GiB "
                          f"lattice, above the {LATTICE_BUDGET >> 20} MiB "
                          f"budget; lower grid.n")
+
+
+def check_aliasing(pump: PumpSpec, crystal: CrystalSpec, n: int,
+                   half: Optional[float] = None) -> None:
+    """Refuse n samples over +-`half` rad/fs (default: `default_grid`'s
+    first span, 6 sigma_p) too sparse for the amplitude's time window, 1.5
+    (max |T_a|, |T_b| + 6 / sigma_p), saying how many would do."""
+    half = 6.0 * pump.sigma_p if half is None else half
+    t_half = 1.5 * (max(abs(crystal.T_a), abs(crystal.T_b)) + 6.0 / pump.sigma_p)
+    if 2 * half / n > np.pi / t_half:
+        need = np.ceil(2 * half * t_half / np.pi)  # a float: inf past overflow
+        raise GridCoverageError(
+            f"{n} samples cannot cover +-{half:.3g} rad/fs without aliasing "
+            f"the +-{t_half:.3g} fs time window; increase the grid to >= "
+            f"{need:.0f} samples per axis")
 
 
 @functools.lru_cache(maxsize=1)
@@ -531,25 +539,18 @@ def build_jsa(pump: PumpSpec, crystal: CrystalSpec, theta: float,
                                  raw, theta=theta, s=s, delay_arm=delay_arm)
 
 
-def delta_limit_amplitude(t1, t2, s: float, grid_spacing: float,
-                          convention: str = "area_one") -> np.ndarray:
+def delta_limit_amplitude(t1, t2, s: float, grid_spacing: float) -> np.ndarray:
     """Discrete stand-in for the narrow two-time amplitude.
 
-    Nonzero on the band |t1 - t2 - s| < grid_spacing / 2; the `area_one`
-    convention returns 1/grid_spacing there (unit Riemann mass along t1),
-    `value_one` returns 1. Points within 1e-9 * grid_spacing of the band
-    edge count at half height, so a lattice whose nodes fall on both edges
-    keeps the band's Riemann mass, and rounding in how the arguments were
-    summed cannot move a node in or out of the band.
+    1/grid_spacing on the band |t1 - t2 - s| < grid_spacing / 2 (unit
+    Riemann mass along t1), zero off it. Points within 1e-9 * grid_spacing
+    of the band edge count at half height, so a lattice whose nodes fall on
+    both edges keeps the band's Riemann mass, and rounding in how the
+    arguments were summed cannot move a node in or out of the band.
     """
     if grid_spacing <= 0:
         raise ValueError("grid_spacing must be positive")
-    if convention == "area_one":
-        height = 1.0 / grid_spacing
-    elif convention == "value_one":
-        height = 1.0
-    else:
-        raise ValueError(f"unknown delta convention {convention!r}")
+    height = 1.0 / grid_spacing
     u = np.abs(np.asarray(t1, dtype=float) - np.asarray(t2, dtype=float) - s)
     edge, tol = grid_spacing / 2.0, 1e-9 * grid_spacing
     return np.where(u < edge - tol, height,
@@ -597,22 +598,3 @@ def entanglement_time(amp: BiphotonAmplitude) -> float:
     b = amp.t2 - amp.t2 @ cols / total
     var = (a * a @ rows + b * b @ cols - 2.0 * a @ (w @ b)) / total
     return float(np.sqrt(var))
-
-
-def export_intensity(amp: BiphotonAmplitude, path, domain: str = "frequency") -> None:
-    """Write |Phi|^2 as a tab-separated matrix with '#' header metadata."""
-    if domain == "frequency":
-        x, y, vals = amp.omega_a, amp.omega_b, np.abs(amp.values) ** 2
-        unit = "rad/fs"
-    elif domain == "time":
-        x, y, vals = amp.t1, amp.t2, np.abs(amp.time_values) ** 2
-        unit = "fs"
-    else:
-        raise ValueError(f"domain must be 'frequency' or 'time', got {domain!r}")
-    with open(path, "w") as fh:
-        fh.write(f"# biphoton intensity, {domain} domain, row axis first\n")
-        fh.write(f"# rows: axis a, {x[0]:.12g} .. {x[-1]:.12g} {unit}, n={x.size}\n")
-        fh.write(f"# cols: axis b, {y[0]:.12g} .. {y[-1]:.12g} {unit}, n={y.size}\n")
-        fh.write(f"# theta={amp.theta} s={amp.s} delay_arm={amp.delay_arm}\n")
-        for row in vals:
-            fh.write("\t".join(f"{v:.12g}" for v in row) + "\n")

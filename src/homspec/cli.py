@@ -9,8 +9,9 @@ units in the key names, each listed once, with its check and default, in
     simulate pathways dump
     simulate oracle [--benchmark three-level-converged|three-level]
 
-``--workers`` is accepted for compatibility and ignored: scans run on the
-calling thread.
+``--mode`` (full|short_Te) overrides ``mode``, which picks the signal; ``hom``
+alone picks the splitter. ``--workers`` is accepted for compatibility and
+ignored: scans run on the calling thread.
 
 The environment variable SIM_LOG (error|warn|info|debug) controls logging.
 """
@@ -32,7 +33,8 @@ import yaml
 
 from . import crosscheck
 from .biphoton import (BiphotonAmplitude, CrystalSpec, FrequencyGrid, GridAxis,
-                       PumpSpec, build_jsa, check_grid_size, default_grid)
+                       PumpSpec, build_jsa, check_aliasing, check_grid_size,
+                       default_grid)
 from .model import ExcitonSystem, Level, LiouvilleOperatorSet
 from .pathways import HomSpec, format_term_table
 from .signal import (MODES, SCAN_BUDGET, check_lattice, check_splitter,
@@ -253,7 +255,7 @@ SPECS: Dict[str, Callable[..., Any]] = {
 
 
 # one attribute per SPECS section and per undotted FIELDS target;
-# load_config folds hom.bs_removed into mode
+# load_config folds hom.bs_removed into hom
 RunConfig = make_dataclass(
     "RunConfig", list(SPECS) + [f.target for f in FIELDS
                                 if "." not in f.target and f.target != "bs_removed"],
@@ -311,8 +313,11 @@ def load_config(path: str, overrides: Optional[Mapping[str, Any]] = None) -> Run
     unused = ("pump", "crystal") if data.get("mode") == "short_Te" else ()
     values = {f.target: _parse(data, f) for f in FIELDS
               if f.target.partition(".")[0] not in unused}
-    if values.pop("bs_removed") and values["mode"] == "full":  # echoed as the mode
-        values["mode"] = "bs_removed"
+    if values.pop("bs_removed"):  # the unit splitter, echoed as its t and r
+        if any(data["hom"].get(k) is not None for k in ("t_coeff", "r_coeff")):
+            raise ConfigError("hom", "bs_removed sets t_coeff = 1 and r_coeff "
+                                     "= 0; it cannot go with either")
+        values["hom.t_coeff"], values["hom.r_coeff"] = 1.0, 0.0
     if values["t_ref"] is not None and values["t_ref_offset"] is not None:
         raise ConfigError("quadrature.t_ref_offset_fs", "shifts only the default "
                           "reference time; it cannot go with quadrature.t_ref_fs")
@@ -324,9 +329,21 @@ def load_config(path: str, overrides: Optional[Mapping[str, Any]] = None) -> Run
     _named("scan", check_lattice, *(values[k] for k in ("tau_axis", "T_axis", "s_axis", "mode")))
     _named("quadrature", resolve_quadrature, values["system"],
            values["quad_step"], values["quad_cutoff"], values["quad_rule"])
-    if values["mode"] != "short_Te":  # the modes that build a joint amplitude
+    if values["mode"] == "full":  # the mode that builds a joint amplitude
         _named("grid.n", check_grid_size, values["grid_n"], values["theta"])
+        if values["grid_half_span"] is None:
+            _named("grid.n", check_aliasing, values["pump"], values["crystal"],
+                   values["grid_n"])
+        else:
+            _named("grid.half_span_rad_per_fs", _span_grid, values["crystal"],
+                   values["grid_half_span"], values["grid_n"])
     return RunConfig(**values)
+
+
+def _span_grid(crystal: CrystalSpec, half: float, n: int) -> FrequencyGrid:
+    """n samples per axis over +-half about the mean of the beam centers."""
+    axis = GridAxis(0.5 * (crystal.omega_a + crystal.omega_b), 2 * half / n, n)
+    return FrequencyGrid(axis, axis)
 
 
 def _named(path: str, check: Callable[..., Any], *args, **kwargs) -> Any:
@@ -361,13 +378,9 @@ def _build_amplitude(config: RunConfig) -> Optional[BiphotonAmplitude]:
         grid = default_grid(config.pump, config.crystal, n=config.grid_n,
                             theta=config.theta)
     else:
-        half = config.grid_half_span
-        center = 0.5 * (config.crystal.omega_a + config.crystal.omega_b)
-        axis = GridAxis(center, 2 * half / config.grid_n, config.grid_n)
-        grid = FrequencyGrid(axis, axis)
-    s0 = float(config.s_axis[0])
-    return build_jsa(config.pump, config.crystal, config.theta, grid, s=s0,
-                     delay_arm=config.delay_arm)
+        grid = _span_grid(config.crystal, config.grid_half_span, config.grid_n)
+    return build_jsa(config.pump, config.crystal, config.theta, grid,
+                     s=float(config.s_axis[0]), delay_arm=config.delay_arm)
 
 
 def run(config: RunConfig) -> int:
@@ -408,7 +421,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_run = sub.add_parser("run", help="execute a configured scan")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--workers", type=int, default=None)
-    p_run.add_argument("--mode", choices=MODES)
+    p_run.add_argument("--mode", help=f"one of {MODES}")  # checked as `mode`
     p_run.add_argument("--out", default=None)
 
     p_val = sub.add_parser("validate", help="check a config file and exit")
@@ -426,8 +439,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if args.command == "run":
             flags = {"workers": args.workers, "output": args.out, "mode": args.mode}
-            if args.mode is not None:
-                flags["hom.bs_removed"] = False  # the flag names the mode outright
             return run(load_config(args.config, flags))
         if args.command == "validate":
             load_config(args.config)

@@ -339,24 +339,6 @@ def correlator(i: int, tau1: float, tau2: float, tau3: float,
     return apply_sequence(ops, CORRELATOR_SEQUENCES[i], (tau1, tau2, tau3))
 
 
-def correlator_coherent(tau1: float, tau2: float, tau3: float,
-                        ops: LiouvilleOperatorSet) -> complex:
-    """Reference third-order response <Vhat_+ G Vhat_- G Vhat_- G Vhat_->.
-
-    Vhat = V + V†; the +/- superoperators are the left/right sum and
-    difference. Used only as a comparison observable, not as part of the
-    coincidence signal.
-    """
-    if tau1 < 0 or tau2 < 0 or tau3 < 0:
-        return 0.0 + 0.0j
-    vhat = ops.V + ops.Vdag
-    rho = ops.initial_state().coefficients
-    for tau in (tau3, tau2, tau1):  # chronologically: Vhat_-, then G(tau)
-        rho = vhat @ rho - rho @ vhat
-        rho = propagate(LiouvilleState(rho), tau, ops).coefficients
-    return complex(np.trace(vhat @ rho + rho @ vhat))
-
-
 class CorrelatorExpansion:
     """Closed-form sum-over-states form of one four-point correlator.
 

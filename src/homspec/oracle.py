@@ -32,7 +32,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .biphoton import BiphotonAmplitude
 from .model import ExcitonSystem
 from .pathways import HomSpec
 
@@ -104,22 +103,6 @@ class DiscretizedField:
         if norm == 0:
             raise ValueError("field coefficients are identically zero")
         return cls(np.asarray(frequencies, dtype=float), values / norm)
-
-    @classmethod
-    def from_amplitude(cls, amp: BiphotonAmplitude, n_modes: int) -> "DiscretizedField":
-        """Sample a biphoton amplitude (with its delay phase) on n_modes."""
-        lo = min(amp.omega_a[0], amp.omega_b[0])
-        hi = max(amp.omega_a[-1], amp.omega_b[-1])
-        freqs = np.linspace(lo, hi, n_modes)
-        near_a = np.argmin(np.abs(amp.omega_a[:, None] - freqs[None, :]), axis=0)
-        near_b = np.argmin(np.abs(amp.omega_b[:, None] - freqs[None, :]), axis=0)
-        vals = amp.values[np.ix_(near_a, near_b)].astype(complex)
-        if amp.s != 0.0:
-            if amp.delay_arm == "a":
-                vals = vals * np.exp(1j * freqs * amp.s)[:, None]
-            else:
-                vals = vals * np.exp(1j * freqs * amp.s)[None, :]
-        return cls.from_values(freqs, vals)
 
 
 @dataclass

@@ -372,8 +372,10 @@ def _batches(subs: Sequence[Tuple[SubTerm, int]], keys: List[List[tuple]],
     the sub-terms' `_intervals` at the points."""
     I3, I4, live = intervals
     terms = np.array([[ops.expansion(i).coeffs.size] for _, i in subs])
-    cost = np.where(live, [(_inner_nodes(*I, q)[1] + 2) * terms
-                           for I in (I3, I4)], 0)
+    cost = np.zeros((2,) + live.shape, int)  # an empty box's ends may overflow
+    cost[:, live] = [_inner_nodes(lo[live], hi[live], q)[1] + 2
+                     for lo, hi in (I3, I4)]
+    cost *= terms
     out, start = [], 0
     held: List[set] = [set() for _ in subs]
     load = np.zeros((2, len(subs)), int)

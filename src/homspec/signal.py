@@ -43,7 +43,7 @@ __all__ = [
     "system_hash",
 ]
 
-MODES = ("full", "short_Te", "bs_removed")
+MODES = ("full", "short_Te")
 
 
 def reference_time(amp: BiphotonAmplitude, offset: float = 0.0) -> float:
@@ -453,8 +453,8 @@ def check_lattice(tau_axis: Sequence[float], T_axis: Sequence[float],
 
 
 def check_splitter(mode: str, hom: Optional[HomSpec]) -> None:
-    """Refuse a splitter that is not 50:50 in the modes that fix it."""
-    if (mode != "full" and hom is not None
+    """Refuse a splitter other than 50:50 in short_Te mode, which fixes it."""
+    if (mode == "short_Te" and hom is not None
             and abs(hom.t_coeff ** 2 - hom.r_coeff ** 2) > 1e-12):
         raise ValueError(f"mode {mode} ignores t_coeff and r_coeff; only a "
                          f"50:50 splitter is allowed")
@@ -470,11 +470,12 @@ def scan(tau_axis: Sequence[float], T_axis: Sequence[float],
     call on the calling thread (in batches, see `quadrature.row_values`),
     with the amplitude transformed to that s alone, so one s value's
     two-time envelope is held at a time. A point's value equals its own
-    :func:`coincidence` bit for bit. ``workers`` is accepted for
-    compatibility and ignored, so the output is the same for any worker
-    count. A lattice above `SCAN_BUDGET` or outside the mode's domain
-    (`check_lattice`) or a ``hom`` the mode ignores (`check_splitter`)
-    aborts before any point is evaluated.
+    :func:`coincidence` bit for bit. ``hom`` alone picks the splitter
+    (default 50:50), and the grid's meta records its t and r. ``workers`` is
+    accepted for compatibility and ignored, so the output is the same for
+    any worker count. A lattice above `SCAN_BUDGET` or outside the mode's
+    domain (`check_lattice`) or a ``hom`` the mode ignores
+    (`check_splitter`) aborts before any point is evaluated.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -483,10 +484,12 @@ def scan(tau_axis: Sequence[float], T_axis: Sequence[float],
                                 for axis in (tau_axis, T_axis, s_axis))
     _check_axes(tau_axis, T_axis, s_axis)
     shape = (tau_axis.size, T_axis.size, s_axis.size)
+    hom = hom or HomSpec()
     meta = {
         "system_hash": system_hash(ops),
         "quadrature": (f"cutoff={q.cutoff:.17g} step={q.step:.17g} "
                        f"rule={q.rule} t_ref={q.t_ref:.17g}"),
+        "splitter": f"t_coeff={hom.t_coeff:.17g} r_coeff={hom.r_coeff:.17g}",
     }
     if hasattr(amp, "content_hash"):
         meta["amplitude_hash"] = amp.content_hash()
@@ -500,8 +503,6 @@ def scan(tau_axis: Sequence[float], T_axis: Sequence[float],
                              tv, Tv, sv in itertools.product(tau_axis, T_axis,
                                                              s_axis)], shape)
     else:
-        if mode == "bs_removed":
-            hom = HomSpec(t_coeff=1.0, r_coeff=0.0)
         values = np.empty(shape)
         for k, sv in enumerate(s_axis):
             values[:, :, k] = coincidence(tau_axis[:, None], T_axis[None, :],

@@ -10,9 +10,8 @@ from homspec.biphoton import (BiphotonAmplitude, CrystalSpec, DeltaAmplitude,
                               FrequencyGrid, GridAxis, GridCoverageError,
                               PumpSpec, build_jsa, default_grid,
                               delta_limit_amplitude, entanglement_time,
-                              exchange_phase_factor, export_intensity,
-                              from_frequency_values, pair_amplitude_point,
-                              to_time_domain)
+                              exchange_phase_factor, from_frequency_values,
+                              pair_amplitude_point, to_time_domain)
 from homspec.signal import reference_time
 
 PUMP = PumpSpec(omega_p=2.9, sigma_p=0.5)
@@ -412,10 +411,6 @@ class TestDeltaLimit:
         total = delta_limit_amplitude(u, 0.0, 2.0, 0.5).sum() * 0.5
         assert total == pytest.approx(1.0, abs=1e-12)
 
-    def test_value_one_convention(self):
-        assert delta_limit_amplitude(1.0, 1.0, 0.0, 0.5,
-                                     convention="value_one") == 1.0
-
     def test_symmetric_only_without_delay(self):
         d0 = DeltaAmplitude(s=0.0, spacing=0.5)
         assert d0.time_value(1.2, 1.3) == d0.time_value(1.3, 1.2)
@@ -466,16 +461,6 @@ class TestEntanglementTime:
         a2 = build_jsa(pump, c2, 0.0, default_grid(pump, c2, n=256))
         ratio = entanglement_time(a2) / entanglement_time(a1)
         assert ratio == pytest.approx(2.0, rel=0.15)
-
-
-def test_export_intensity(tmp_path, jsa):
-    path = tmp_path / "jsi.dat"
-    export_intensity(jsa, path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("#")
-    data = np.loadtxt(path)
-    assert data.shape == jsa.values.shape
-    assert np.allclose(data, np.abs(jsa.values) ** 2, atol=1e-10)
 
 
 class TestShearedContraction:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -149,12 +150,14 @@ class TestLoadConfig:
             load_config(write_config(tmp_path, {key: value}))
         assert err.value.path == path
 
-    @pytest.mark.parametrize("mode", ["short_Te", "bs_removed"])
+    @pytest.mark.parametrize("overrides", [
+        {"mode": "short_Te", "hom": {"t_coeff": 0.8, "r_coeff": 0.6}},
+        {"hom": {"bs_removed": True, "t_coeff": 0.8, "r_coeff": 0.6}}],
+        ids=["short_Te", "bs_removed"])
     def test_mode_without_splitter_coefficients_refuses_them(self, tmp_path,
-                                                             capsys, mode):
-        cfg = write_config(tmp_path, {"mode": mode,
-                                      "hom": {"t_coeff": 0.8, "r_coeff": 0.6},
-                                      "output": str(tmp_path / "o.dat")})
+                                                             capsys, overrides):
+        cfg = write_config(tmp_path, dict(overrides,
+                                          output=str(tmp_path / "o.dat")))
         with pytest.raises(ConfigError) as err:
             load_config(cfg)
         assert err.value.path == "hom"
@@ -395,18 +398,30 @@ class TestMain:
     @pytest.mark.parametrize("file_mode", ["full", "bs_removed", "short_Te"])
     @pytest.mark.parametrize("bs_removed", [False, True])
     @pytest.mark.parametrize("flag", [None, "full", "bs_removed", "short_Te"])
-    def test_mode_agrees_in_grid_and_sidecar(self, tmp_path, file_mode,
-                                             bs_removed, flag):
+    def test_mode_agrees_in_grid_and_sidecar(self, tmp_path, capsys,
+                                             file_mode, bs_removed, flag):
+        # the flag replaces the file's mode before it is checked; the mode
+        # picks the signal and hom.bs_removed the splitter, so bs_removed is
+        # no mode, and short_Te, which fixes a 50:50 splitter, refuses it
         out = tmp_path / "o.dat"
         cfg = write_config(tmp_path, {"output": str(out), "mode": file_mode,
                                       "hom": {"bs_removed": bs_removed},
                                       "scan.tau_fs": [1.0]})
         argv = ["run", "--config", str(cfg)] + (["--mode", flag] if flag else [])
+        expected = flag or file_mode
+        if expected == "bs_removed" or (bs_removed and expected == "short_Te"):
+            assert main(argv) == 2
+            named = "mode" if expected == "bs_removed" else "hom"
+            assert f"error: {named}: " in capsys.readouterr().err
+            assert not out.exists()
+            return
         assert main(argv) == 0
-        expected = flag or ("bs_removed" if bs_removed and file_mode == "full"
-                            else file_mode)
         echo = (tmp_path / "o.dat.meta").read_text()
-        assert SignalGrid.load(out).mode == expected
+        grid = SignalGrid.load(out)
+        assert grid.mode == expected
+        half = f"{1 / np.sqrt(2):.17g}"
+        assert grid.meta["splitter"] == ("t_coeff=1 r_coeff=0" if bs_removed
+                                         else f"t_coeff={half} r_coeff={half}")
         assert yaml.safe_load(echo)["config"]["mode"] == expected
         config = yaml.safe_load(echo)["config"]
         (tmp_path / "echo.yaml").write_text(yaml.safe_dump(config))
@@ -416,9 +431,21 @@ class TestMain:
     def test_run_mode_override(self, tmp_path):
         out = tmp_path / "o.dat"
         cfg = write_config(tmp_path, {"output": str(out)})
-        assert main(["run", "--config", str(cfg), "--mode", "bs_removed",
+        assert main(["run", "--config", str(cfg), "--mode", "short_Te",
                      "--workers", "2"]) == 0
-        assert SignalGrid.load(out).mode == "bs_removed"
+        assert SignalGrid.load(out).mode == "short_Te"
+
+    def test_bs_removed_is_the_unit_splitter(self, tmp_path):
+        # hom.bs_removed: true and an explicit t = 1, r = 0 give one grid
+        written = []
+        for hom in ({"bs_removed": True}, {"t_coeff": 1.0, "r_coeff": 0.0}):
+            out = tmp_path / "o.dat"
+            cfg = write_config(tmp_path, {"output": str(out), "hom": hom,
+                                          "scan.tau_fs": [0.0, 1.0, 2.0]})
+            assert main(["run", "--config", str(cfg)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        assert SignalGrid.load(out).meta["splitter"] == "t_coeff=1 r_coeff=0"
 
 
 # README-config mutations that a run rule refuses, and the start of the
@@ -435,6 +462,20 @@ REFUSED = {
     "short_Te unbalanced": ({"mode": "short_Te",
                              "hom": {"t_coeff": 0.8, "r_coeff": 0.6}}, [],
                             "hom: mode short_Te ignores t_coeff and r_coeff"),
+    "short_Te bs_removed": ({"mode": "short_Te", "hom": {"bs_removed": True}},
+                            [], "hom: mode short_Te ignores t_coeff and r_coeff"),
+    "bs_removed mode": ({"mode": "bs_removed"}, [], "mode: must be one of "
+                        "('full', 'short_Te'), got 'bs_removed'"),
+    # the default grid's first span aliases a time window of 1.5e308 fs
+    "group delay huge": ({"crystal.T_a_fs": 1.0e308}, [],
+                         "grid.n: 256 samples cannot cover +-3 rad/fs without "
+                         "aliasing the +-1.5e+308 fs time window; increase "
+                         "the grid to >= inf samples"),
+    **{f"half span {name}": ({"grid.half_span_rad_per_fs": value}, [],
+                             "grid.half_span_rad_per_fs: grid axis needs "
+                             "finite positive spacing and n >= 4")
+       for name, value in (("zero", 0), ("negative", -1),
+                           ("overflow", 1.0e308))},
 }
 
 # run both commands on a config in a process limited to 2 GB of address
@@ -496,6 +537,19 @@ class TestRunRules:
             assert time.perf_counter() - start < 1.0
         values = SignalGrid.load(out).values
         assert values.shape == (3, 2, 1) and np.all(np.isfinite(values))
+
+    @pytest.mark.parametrize("t_ref", [1.0e308, -1.0e308])
+    def test_reference_time_far_from_the_pair_gives_zeros(self, tmp_path,
+                                                          t_ref):
+        # detection far from the pair: every box is empty, and the value is
+        # an exact zero, with no overflow on the way
+        out = tmp_path / "o.dat"
+        cfg = write_config(tmp_path, {"quadrature.t_ref_fs": t_ref,
+                                      "output": str(out)}, base=README_CONFIG)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(cfg)]) == 0
+        assert np.all(SignalGrid.load(out).values == 0.0)
 
     def test_grid_above_the_lattice_budget_refused_at_load(self, tmp_path):
         cfg = write_config(tmp_path, {"grid.n": 100000,

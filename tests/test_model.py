@@ -6,7 +6,7 @@ import pytest
 from homspec.model import (CORRELATOR_SEQUENCES, ExcitonSystem, Level,
                            LiouvilleOperatorSet, LiouvilleState, apply_dipole,
                            apply_sequence, conjugate_partner, correlator,
-                           correlator_coherent, propagate, sequence_tokens)
+                           propagate, sequence_tokens)
 
 
 def coherence(n, i, j, dim=None):
@@ -265,26 +265,6 @@ class TestCorrelator:
             w = apply_sequence(ladder_ops, conjugate_partner(seq), taus)
             total = z + (-1.0) ** 3 * w
             assert abs(total.imag) < 1e-12 * abs(total.real) + 1e-15
-
-
-class TestCoherentReference:
-    def test_causality(self, ladder_ops):
-        assert correlator_coherent(-0.1, 1.0, 1.0, ladder_ops) == 0
-
-    def test_zero_delay_matches_commutator_expansion(self, two_level):
-        # direct expansion into the eight orderings at zero delay
-        ops = LiouvilleOperatorSet(two_level, eta_floor=0.0)
-        vhat = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        rho = np.diag([1.0, 0.0]).astype(complex)
-        m = vhat @ rho - rho @ vhat
-        m = vhat @ m - m @ vhat
-        m = vhat @ m - m @ vhat
-        expected = (-1j) ** 3 * np.trace(vhat @ m + m @ vhat)
-        got = correlator_coherent(0.0, 0.0, 0.0, ops)
-        assert abs(got - expected) < 1e-12
-
-    def test_long_time_decay(self, ladder_ops):
-        assert abs(correlator_coherent(1.0, 1.0, 500.0, ladder_ops)) < 1e-10
 
 
 def test_sequence_tokens_render():

@@ -59,12 +59,6 @@ class TestDiscretizedField:
         with pytest.raises(ValueError, match="uniform"):
             DiscretizedField(freqs, vals)
 
-    def test_from_amplitude_carries_delay(self):
-        from conftest import gaussian_amplitude
-        amp = gaussian_amplitude(s=2.0, n=96)
-        field = DiscretizedField.from_amplitude(amp, 16)
-        assert abs(np.sum(np.abs(field.coefficients) ** 2) - 1.0) < 1e-9
-
 
 class TestFilonCoefficients:
     """`_filon_coeffs(z)` are the integrals of e^{izth}(1 - th) and

@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import itertools
 import logging
 import threading
 import tracemalloc
@@ -47,6 +49,9 @@ def quad(slow_ladder):
 
 
 TABLE = {(t.detection, t.interaction): t for t in term_table()}
+
+# the unit splitter: the beam splitter removed, only the O_I rows survive
+UNIT = HomSpec(t_coeff=1.0, r_coeff=0.0)
 
 
 def point_box(sub, tau, T, amp, q):
@@ -951,7 +956,59 @@ def integrated_F5(a, b, ops, L):
     return dipole(propagate(dipole(state, 1), a, ops), 0).trace()
 
 
+def ledger_delta_limit(term, tau, T, s, ops):
+    """A ledger row under the value-one delta Phi(x, y) = delta(x - y - s):
+    each sub-term's two deltas fix (tau3, tau4), their integral giving
+    1 / |det|, and where both are >= 0 the sub-term takes F(first
+    interval, tau3, tau4); signed by the row's detection pattern."""
+    total = 0j
+    for sub in term.sub_terms:
+        # x - y of each amplitude's arguments: c3 tau3 + c4 tau4 + shift
+        (a3, a4, ra), (b3, b4, rb) = (
+            (d.t3, d.t4, s - d.shift(0.0, tau, T))
+            for d in (sub.conj_args[0] - sub.conj_args[1],
+                      sub.args[0] - sub.args[1]))
+        det = a3 * b4 - a4 * b3
+        assert det != 0 and not sub.symmetrize, term.label
+        tau3, tau4 = (ra * b4 - a4 * rb) / det, (a3 * rb - ra * b3) / det
+        if tau3 >= 0 and tau4 >= 0:
+            first = sub.first_interval.shift(0.0, tau, T) \
+                + sub.first_interval.t3 * tau3 + sub.first_interval.t4 * tau4
+            total += complex(ops.expansion(term.interaction).evaluate(
+                first, tau3, tau4)) / abs(det)
+    return term.pattern.sign * total
+
+
 class TestShortTe:
+    #: the closed-form term that each ledger row of pathways 1-3 becomes in
+    #: the delta limit; every other such row vanishes
+    DELTA_LIMIT = {"III-1": "F1", "III-2": "F2", "III-3": "F3a",
+                   "IV-3": "F3b"}
+
+    @pytest.mark.parametrize("system", ["ladder", "random"])
+    def test_pathways_1_to_3_are_the_ledger_delta_limit(self, slow_ladder,
+                                                        quad, system):
+        # half-step delays keep every sum exact; tau = s (where II-2 keeps
+        # a term) and tau = T = 0 (where IV-1 does) are left out
+        ops = (slow_ladder if system == "ladder"
+               else random_ladder(np.random.default_rng(11), 2, 2, 0.15))
+        rows = [t for t in term_table() if t.interaction <= 3]
+        nonzero = collections.Counter()
+        for tau, T, s in itertools.product(np.arange(0.0, 15.6, 1.5),
+                                           [0.0, 2.0, 4.5, 7.0, 9.5],
+                                           [0.5, 4.0, 7.5, 11.0, 15.5]):
+            if tau == s or tau == T == 0.0:
+                continue
+            closed = short_te_terms(tau, T, s, ops, quad)
+            for term in rows:
+                name = self.DELTA_LIMIT.get(term.label)
+                got = ledger_delta_limit(term, tau, T, s, ops)
+                want = closed[name] if name else 0.0
+                assert abs(got - want) <= 1e-13 * abs(want), (term.label, tau,
+                                                             T, s)
+                nonzero[name] += want != 0
+        assert min(nonzero[n] for n in self.DELTA_LIMIT.values()) >= 10, nonzero
+
     def test_domain_errors(self, slow_ladder, quad):
         with pytest.raises(ValueError, match="s >= 0"):
             coincidence_short_Te(1.0, 2.0, -1.0, slow_ladder, quad)
@@ -1099,23 +1156,26 @@ class TestScan:
                                              r"\(tau=-3\.0, T=1\.0, s=0\.0\)"):
             scan([-3.0, 1.0], [1.0], [0.0, 1.0], "short_Te", amp, ops, q)
 
-    @pytest.mark.parametrize("mode", ["full", "bs_removed"])
-    def test_ledger_modes_refuse_negative_delays(self, small_setup, mode):
+    @pytest.mark.parametrize("hom", [None, UNIT], ids=["full", "bs_removed"])
+    def test_ledger_modes_refuse_negative_delays(self, small_setup, hom):
         ops, amp, q = small_setup
         for tau_axis, T_axis in (([-1.0, 1.0], [2.0]), ([1.0], [2.0, -2.0])):
             with pytest.raises(ValueError, match="tau >= 0 and T >= 0"):
-                scan(tau_axis, T_axis, [3.0], mode, amp, ops, q, workers=1)
+                scan(tau_axis, T_axis, [3.0], "full", amp, ops, q, hom=hom,
+                     workers=1)
 
-    @pytest.mark.parametrize("mode", ["full", "bs_removed", "short_Te"])
+    @pytest.mark.parametrize("mode, hom", [
+        ("full", None), ("full", UNIT), ("short_Te", None)],
+        ids=["full", "bs_removed", "short_Te"])
     @pytest.mark.parametrize("tau_axis, T_axis, name", [
         ([np.nan], [2.0], "tau=nan"), ([np.inf], [2.0], "tau=inf"),
         ([0.0, np.inf], [2.0], "tau=inf"), ([1.0], [np.nan], "T=nan")])
-    def test_refuses_delays_that_are_not_finite(self, small_setup, mode,
+    def test_refuses_delays_that_are_not_finite(self, small_setup, mode, hom,
                                                 tau_axis, T_axis, name):
         ops, amp, q = small_setup
         with pytest.raises(ValueError, match=f"delays must be finite; got "
                                              f"{name}"):
-            scan(tau_axis, T_axis, [3.0], mode, amp, ops, q)
+            scan(tau_axis, T_axis, [3.0], mode, amp, ops, q, hom=hom)
 
     @pytest.mark.parametrize("mode", ["full", "short_Te"])
     def test_lattice_above_the_scan_budget_refused(self, small_setup, mode):
@@ -1132,23 +1192,24 @@ class TestScan:
                                  hom=HomSpec(t_coeff=1.0, r_coeff=0.0))
         assert all(nu == "I" for nu, _ in vals)
 
-    @pytest.mark.parametrize("mode", ["short_Te", "bs_removed"])
-    def test_modes_refuse_a_splitter_they_ignore(self, small_setup, mode):
+    @pytest.mark.parametrize("hom", [HomSpec(t_coeff=0.8, r_coeff=0.6),
+                                     UNIT], ids=["short_Te", "bs_removed"])
+    def test_modes_refuse_a_splitter_they_ignore(self, small_setup, hom):
+        # only short_Te fixes the splitter (50:50)
         ops, amp, q = small_setup
-        with pytest.raises(ValueError, match=f"mode {mode} ignores"):
-            scan([1.0], [2.0], [3.0], mode, amp, ops, q,
-                 hom=HomSpec(t_coeff=0.8, r_coeff=0.6), workers=1)
+        with pytest.raises(ValueError, match="mode short_Te ignores"):
+            scan([1.0], [2.0], [3.0], "short_Te", amp, ops, q, hom=hom,
+                 workers=1)
         # the 50:50 splitter a config resolves to is accepted
-        grid = scan([1.0], [2.0], [3.0], mode, amp, ops, q,
+        grid = scan([1.0], [2.0], [3.0], "short_Te", amp, ops, q,
                     hom=HomSpec(T=2.0), workers=1)
         assert grid.values[0, 0, 0] != 0
-
-    def test_bs_removed_mode_is_the_unit_splitter(self, small_setup):
-        ops, amp, q = small_setup
-        unit = HomSpec(t_coeff=1.0, r_coeff=0.0)
-        grid = scan([1.0], [2.0], [3.0], "bs_removed", amp, ops, q, workers=1)
+        # the full signal weighs the splitter's channels, and says which
+        grid = scan([1.0], [2.0], [3.0], "full", amp, ops, q, hom=hom)
         assert grid.values[0, 0, 0] == coincidence(1.0, 2.0, 3.0, amp, ops, q,
-                                                   hom=unit)
+                                                   hom=hom)
+        assert grid.meta["splitter"] == (f"t_coeff={hom.t_coeff:.17g} "
+                                         f"r_coeff={hom.r_coeff:.17g}")
 
 
 class TestEmptyCorrelator:
@@ -1276,11 +1337,11 @@ class TestBatch:
     def ladder(self):
         return random_ladder(np.random.default_rng(3), 2, 2, 0.25)
 
-    @pytest.mark.parametrize("mode", ["full", "bs_removed"])
+    @pytest.mark.parametrize("hom", [None, UNIT], ids=["full", "bs_removed"])
     @pytest.mark.parametrize("rule", ["trapezoid", "simpson"])
     @pytest.mark.parametrize("kind", ["biphoton", "delta"])
     def test_scan_equals_coincidence_bit_for_bit(self, ladder, kind, rule,
-                                                 mode):
+                                                 hom):
         s = 3.0
         if kind == "biphoton":
             amp = gaussian_amplitude(center=0.4, sigma_sum=0.3,
@@ -1297,8 +1358,7 @@ class TestBatch:
                     for tv, Tv in points)
                 for term in term_table() for sub in term.sub_terms]
         assert any(0 < n < len(points) for n in live)
-        hom = HomSpec(t_coeff=1.0, r_coeff=0.0) if mode == "bs_removed" else None
-        grid = scan(tau_axis, T_axis, [s], mode, amp, ladder, q)
+        grid = scan(tau_axis, T_axis, [s], "full", amp, ladder, q, hom=hom)
         for i, tv in enumerate(tau_axis):
             for j, Tv in enumerate(T_axis):
                 assert grid.values[i, j, 0] == coincidence(
