@@ -21,7 +21,14 @@ response-function factorization of the signal pipeline:
 
 Time integration uses exact per-step integrals of the interaction phases
 against linearly interpolated state values, keeping coarse grids accurate
-for near-resonant parameters.
+for near-resonant parameters. Per step and coupling these are two Filon
+kernels, K0 for the input block's value at the step's start and K1 for its
+value at the step's end. Stacked as [K0, K1] and set against the stacked
+[start, end] values, they give the coupling's contribution as one matrix
+product. Couplings that read one input block through the same kernel share
+that product: an e level emits into the a' and b' registers alike. All
+kernels sit in one buffer. Per step, one multiply gives its copy scaled by
+the step's factor -i h and one more advances it by the step's phases.
 """
 
 from __future__ import annotations
@@ -83,6 +90,8 @@ class DiscretizedField:
         object.__setattr__(self, "coefficients", c)
         if c.shape != (f.size, f.size):
             raise ValueError("coefficients must be (n_modes, n_modes)")
+        if not np.isfinite(c).all():
+            raise ValueError("coefficients must be finite")
         if f.size >= 2:
             d = np.diff(f)
             if not np.allclose(d, d[0], rtol=1e-9, atol=1e-12):
@@ -99,6 +108,8 @@ class DiscretizedField:
     def from_values(cls, frequencies: np.ndarray,
                     values: np.ndarray) -> "DiscretizedField":
         values = np.asarray(values, dtype=complex)
+        if not np.isfinite(values).all():
+            raise ValueError("field values must be finite")
         norm = np.sqrt(np.sum(np.abs(values) ** 2))
         if norm == 0:
             raise ValueError("field coefficients are identically zero")
@@ -143,31 +154,67 @@ def _filon_coeffs(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.where(small, E_series - F_series, E - F), np.where(small, F_series, F)
 
 
-class _Coupling:
-    """One block-to-block transition of the interaction Hamiltonian."""
+def _emission(kernel: np.ndarray, pair: np.ndarray,
+              emitted_first: bool) -> np.ndarray:
+    # an emission into a [lower level, mode, mode] block: the kernel's
+    # (emitted) mode in the first or second mode slot, the input block's
+    # photon in the other; either way the product comes out in the block's
+    # mode order, so that adding it reads no transposed array
+    upper, lower, M = kernel.shape[1:]
+    k = kernel.reshape(2 * upper, lower * M)
+    p = pair.reshape(2 * upper, -1)
+    if emitted_first:
+        return (k.T @ p).reshape(lower, M, -1)
+    return (p.T @ k).reshape(-1, lower, M).transpose(1, 0, 2)
 
-    def __init__(self, out_key: str, in_key: str, subscript: str,
-                 coeff: np.ndarray, delta: np.ndarray, t0: float, h: float):
-        self.out_key = out_key
+
+#: each coupling's contraction of its stacked kernel `kernel` ([K0, K1] on a
+#: slot axis) with its input block's `pair` ([step-start value, step-end
+#: value] on a leading slot axis), as one matrix product on reshaped views,
+#: keyed by the subscript of the contraction it stands for ("mlj,ljk->mk"
+#: reads: kernel [m, l, j], input [l, j, k], output [m, k]). The slot axis
+#: sits just before the kernel's input-level axis, so that it flattens
+#: together with the input's (slot, level) axes. Absorbing the b-slot photon
+#: of g_ab, which does not follow them, is one product per (slot, level),
+#: summed.
+_PRODUCTS: Dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
+    "mlj,ljk->mk": lambda kernel, pair: (
+        kernel.reshape(kernel.shape[0], -1) @ pair.reshape(-1, pair.shape[-1])),
+    "mlk,ljk->mj": lambda kernel, pair: np.matmul(
+        pair.reshape(-1, *pair.shape[-2:]),
+        kernel.reshape(kernel.shape[0], -1, kernel.shape[-1]).transpose(1, 2, 0)
+    ).sum(axis=0).T,
+    "pmj,mj->p": lambda kernel, pair: (
+        kernel.reshape(kernel.shape[0], -1) @ pair.reshape(-1)),
+    "pmj,p->mj": lambda kernel, pair: (
+        pair.reshape(-1) @ kernel.reshape(pair.size, -1)).reshape(kernel.shape[2:]),
+    "mlj,mk->ljk": lambda kernel, pair: _emission(kernel, pair, True),
+    "mlj,mk->lkj": lambda kernel, pair: _emission(kernel, pair, False),
+    "mlk,mj->ljk": lambda kernel, pair: _emission(kernel, pair, False),
+}
+
+
+class _Coupling:
+    """The transitions of the interaction Hamiltonian that read one input
+    block through one contraction (`_PRODUCTS[subscript]`) and add its
+    result to each block of `outputs`. `kernel` is one of `_Kernels.views`:
+    it holds the step's kernels times the step's factor."""
+
+    def __init__(self, in_key: str, subscript: str, kernel: np.ndarray,
+                 outputs: Tuple[str, ...]):
         self.in_key = in_key
         self.subscript = subscript
-        c0, c1 = _filon_coeffs(delta * h)
-        phase0 = np.exp(1j * delta * t0)
-        self.K0 = coeff * c0 * phase0
-        self.K1 = coeff * c1 * phase0
-        self.step_phase = np.exp(1j * delta * h)
-        self.h = h
+        self.kernel = kernel
+        self.outputs = outputs
 
-    def apply(self, out_blocks, in_old, in_new, scale: float = 1.0) -> None:
-        contribution = (np.einsum(self.subscript, self.K0, in_old[self.in_key])
-                        + np.einsum(self.subscript, self.K1, in_new[self.in_key]))
-        if self.out_key in _SYMMETRIC:
-            contribution = 0.5 * (contribution + contribution.transpose(0, 2, 1))
-        out_blocks[self.out_key] += -1j * self.h * scale * contribution
-
-    def advance(self) -> None:
-        self.K0 = self.K0 * self.step_phase
-        self.K1 = self.K1 * self.step_phase
+    def apply(self, out_blocks: Dict[str, np.ndarray], pair: np.ndarray
+              ) -> None:
+        """Add the contraction with the input's `pair` to every output
+        block, symmetrized in the symmetric ones."""
+        x = _PRODUCTS[self.subscript](self.kernel, pair)
+        for key in self.outputs:
+            out_blocks[key] += (0.5 * (x + x.transpose(0, 2, 1))
+                                if key in _SYMMETRIC else x)
 
 
 def _band_energies(system: ExcitonSystem, manifold: str) -> np.ndarray:
@@ -183,57 +230,102 @@ def _zero_blocks(n_g: int, n_e: int, n_f: int, M: int) -> Dict[str, np.ndarray]:
     return out
 
 
+class _Kernels:
+    """The Filon kernels of every coupling, one step of length `h` at a
+    time from `t0`.
+
+    Each (coefficient, delta, slot axis) of `terms` gives the kernels
+    [K0, K1] of a step, stacked on the slot axis. `views` holds one view
+    per term into a single buffer, which `step(factor)` fills with the next
+    step's kernels times `factor` before it advances all kernels by one
+    step with one multiply by their phases.
+    """
+
+    def __init__(self, terms, t0: float, h: float):
+        kernels, phases = [], []
+        for coeff, delta, axis in terms:
+            c0, c1 = _filon_coeffs(delta * h)
+            phase0 = np.exp(1j * delta * t0)
+            kernels.append(np.stack([coeff * c0 * phase0, coeff * c1 * phase0],
+                                    axis))
+            step_phase = np.exp(1j * delta * h)
+            phases.append(np.stack([step_phase, step_phase], axis))
+        self._kernels = np.concatenate([k.ravel() for k in kernels])
+        self._phases = np.concatenate([p.ravel() for p in phases])
+        self._scaled = np.empty_like(self._kernels)
+        ends = np.cumsum([k.size for k in kernels])
+        self.views = [self._scaled[end - k.size:end].reshape(k.shape)
+                      for k, end in zip(kernels, ends)]
+
+    def step(self, factor: complex) -> None:
+        np.multiply(self._kernels, factor, out=self._scaled)
+        self._kernels *= self._phases
+
+
 def _build_couplings(system: ExcitonSystem, field: DiscretizedField,
                      t0: float, h: float,
-                     mode_coupling: Optional[np.ndarray] = None) -> List[_Coupling]:
+                     mode_coupling: Optional[np.ndarray] = None,
+                     keep: Optional[Callable[[str, str], bool]] = None
+                     ) -> Tuple[List[_Coupling], _Kernels]:
+    """The couplings of the interaction Hamiltonian, each with only the
+    outputs that `keep` (see `evolve_perturbative`) accepts, and the
+    kernels they read, at the window start `t0`."""
     wg = _band_energies(system, "g")
     we = _band_energies(system, "e")
     wf = _band_energies(system, "f")
     wm = field.frequencies
     dge = system.dipoles_ge          # (n_e, n_g)
     def_ = system.dipoles_ef         # (n_f, n_e)
-    cs: List[_Coupling] = []
 
     ones3 = (np.ones((1, 1, wm.size)) if mode_coupling is None
              else np.asarray(mode_coupling, dtype=float)[None, None, :])
-    # g <-> e transition deltas; the photon mode rides along
+    # coefficients and deltas are [upper level, lower level, photon mode];
+    # the slot axis goes just before the input level's axis: axis 1 on
+    # absorption (from the lower level), axis 0 on emission
     d_abs_ge = we[:, None, None] - wg[None, :, None] - wm[None, None, :]
-    d_em_ge = -d_abs_ge
-    k_abs_ge = np.conj(dge)[:, :, None] * ones3
-    k_em_ge = dge[:, :, None] * ones3
+    terms = [(np.conj(dge)[:, :, None] * ones3, d_abs_ge, 1),
+             (dge[:, :, None] * ones3, -d_abs_ge, 0)]
+    if wf.size:
+        d_abs_ef = wf[:, None, None] - we[None, :, None] - wm[None, None, :]
+        terms += [(np.conj(def_)[:, :, None] * ones3, d_abs_ef, 1),
+                  (def_[:, :, None] * ones3,
+                   we[None, :, None] + wm[None, None, :] - wf[:, None, None], 0)]
+    kernels = _Kernels(terms, t0, h)
+    abs_ge, em_ge, *ef = kernels.views
+    cs: List[_Coupling] = []
+
+    def add(in_key: str, subscript: str, kernel: np.ndarray,
+            *outputs: str) -> None:
+        kept = tuple(key for key in outputs
+                     if keep is None or keep(key, in_key))
+        if kept:
+            cs.append(_Coupling(in_key, subscript, kernel, kept))
 
     # absorptions act on the incident register only; contraction index j is
     # always the absorbed incident mode
-    cs.append(_Coupling("e_b", "g_ab", "mlj,ljk->mk", k_abs_ge, d_abs_ge, t0, h))
-    cs.append(_Coupling("e_a", "g_ab", "mlk,ljk->mj", k_abs_ge, d_abs_ge, t0, h))
+    add("g_ab", "mlj,ljk->mk", abs_ge, "e_b")
+    add("g_ab", "mlk,ljk->mj", abs_ge, "e_a")
     for em in ("ea", "eb"):
         # mixed blocks are [level, incident, emitted]; absorb the incident
-        cs.append(_Coupling(f"e_{em}", f"g_a_{em}", "mlj,ljk->mk",
-                            k_abs_ge, d_abs_ge, t0, h))
-        cs.append(_Coupling(f"e_{em}", f"g_b_{em}", "mlj,ljk->mk",
-                            k_abs_ge, d_abs_ge, t0, h))
+        add(f"g_a_{em}", "mlj,ljk->mk", abs_ge, f"e_{em}")
+        add(f"g_b_{em}", "mlj,ljk->mk", abs_ge, f"e_{em}")
     if wf.size:
-        d_abs_ef = wf[:, None, None] - we[None, :, None] - wm[None, None, :]
-        k_abs_ef = np.conj(def_)[:, :, None] * ones3
-        cs.append(_Coupling("f_vac", "e_a", "pmj,mj->p", k_abs_ef, d_abs_ef, t0, h))
-        cs.append(_Coupling("f_vac", "e_b", "pmj,mj->p", k_abs_ef, d_abs_ef, t0, h))
+        add("e_a", "pmj,mj->p", ef[0], "f_vac")
+        add("e_b", "pmj,mj->p", ef[0], "f_vac")
 
     # emissions create in the emitted register; mixed blocks are laid out
-    # [level, incident mode, emitted mode], emitted pairs [level, a', b']
-    cs.append(_Coupling("g_b_ea", "e_b", "mlj,mk->lkj", k_em_ge, d_em_ge, t0, h))
-    cs.append(_Coupling("g_b_eb", "e_b", "mlj,mk->lkj", k_em_ge, d_em_ge, t0, h))
-    cs.append(_Coupling("g_a_ea", "e_a", "mlk,mj->ljk", k_em_ge, d_em_ge, t0, h))
-    cs.append(_Coupling("g_a_eb", "e_a", "mlk,mj->ljk", k_em_ge, d_em_ge, t0, h))
-    cs.append(_Coupling("g_eaa", "e_ea", "mlj,mk->ljk", k_em_ge, d_em_ge, t0, h))
-    cs.append(_Coupling("g_eab", "e_ea", "mlj,mk->lkj", k_em_ge, d_em_ge, t0, h))
-    cs.append(_Coupling("g_eab", "e_eb", "mlj,mk->ljk", k_em_ge, d_em_ge, t0, h))
-    cs.append(_Coupling("g_ebb", "e_eb", "mlj,mk->ljk", k_em_ge, d_em_ge, t0, h))
+    # [level, incident mode, emitted mode], emitted pairs [level, a', b'].
+    # An e level emits into a' and b' alike, so each e block feeds two
+    # blocks from one contraction; g_eaa and g_ebb take it symmetrized, in
+    # either orientation
+    add("e_b", "mlj,mk->lkj", em_ge, "g_b_ea", "g_b_eb")
+    add("e_a", "mlk,mj->ljk", em_ge, "g_a_ea", "g_a_eb")
+    add("e_ea", "mlj,mk->lkj", em_ge, "g_eaa", "g_eab")
+    add("e_eb", "mlj,mk->ljk", em_ge, "g_eab", "g_ebb")
     if wf.size:
-        d_em_ef = we[None, :, None] + wm[None, None, :] - wf[:, None, None]
-        k_em_ef = def_[:, :, None] * ones3
-        cs.append(_Coupling("e_ea", "f_vac", "pmj,p->mj", k_em_ef, d_em_ef, t0, h))
-        cs.append(_Coupling("e_eb", "f_vac", "pmj,p->mj", k_em_ef, d_em_ef, t0, h))
-    return cs
+        add("f_vac", "pmj,p->mj", ef[1], "e_ea")
+        add("f_vac", "pmj,p->mj", ef[1], "e_eb")
+    return cs, kernels
 
 
 def _reachable(couplings: Sequence[_Coupling], order_max: int
@@ -246,7 +338,7 @@ def _reachable(couplings: Sequence[_Coupling], order_max: int
     reach, out = {"g_ab"}, []
     for _ in range(order_max):
         out.append([c for c in couplings if c.in_key in reach])
-        reach = {c.out_key for c in out[-1]}
+        reach = {key for c in out[-1] for key in c.outputs}
     return out
 
 
@@ -280,14 +372,19 @@ def evolve_perturbative(system: ExcitonSystem, field: DiscretizedField,
     leaks that emission into every detection time through the sidelobes of
     the band-limited detection kernel, while a smooth one does not.
 
-    `mode_coupling` scales the coupling to each lattice mode (default 1).
+    `mode_coupling` scales the coupling to each lattice mode (real, default 1).
     A smooth roll-off towards the lattice edges replaces the sinc-shaped
     detection kernel of a hard band edge, whose slowly decaying sidelobes
     smear the ordering of emissions a few fs apart, by a compact one.
 
-    Each step applies, at each order, only the couplings whose input block
-    is reachable at the order below (see `_reachable`), and copies only
-    those input blocks as the step's start values.
+    Each step sets every kernel to the step's [K0, K1] times -i h (and the
+    switch-off weight), then copies each input block that some order reads
+    into its preallocated step-start slot. Order by order, it applies only
+    the couplings whose input block is reachable at the order below (see
+    `_reachable`): one matrix product of the stacked kernels against the
+    input's [start, end] pair, added to each of the coupling's output
+    blocks. A full three-level step makes 14 products, a step restricted to
+    one arm's first absorption 3.
     """
     if system.dephasing_default != 0.0 or any(system.dephasing_pairs.values()):
         raise ValueError("the brute-force route is bath-free: dephasing must be zero")
@@ -305,33 +402,39 @@ def evolve_perturbative(system: ExcitonSystem, field: DiscretizedField,
         raise ValueError("switch_off must lie in [0, t - t_start]")
     n_g, n_e, n_f = system.n_g, system.n_e, system.n_f
     M = field.frequencies.size
-    if mode_coupling is not None and np.shape(mode_coupling) != (M,):
-        raise ValueError(f"mode_coupling must have one entry per mode ({M})")
+    if mode_coupling is not None:
+        if np.shape(mode_coupling) != (M,):
+            raise ValueError(f"mode_coupling must have one entry per mode ({M})")
+        if (np.iscomplexobj(mode_coupling)
+                or not np.isfinite(mode_coupling).all()):
+            raise ValueError("mode_coupling must be real and finite")
     h = (t - t_start) / n_steps
 
     orders = [_zero_blocks(n_g, n_e, n_f, M) for _ in range(order_max + 1)]
     g_index = system.indices("g").index(system.initial_index())
     orders[0]["g_ab"][g_index] = field.coefficients
 
-    couplings = _build_couplings(system, field, t_start, h, mode_coupling)
-    if keep is not None:
-        couplings = [c for c in couplings if keep(c.out_key, c.in_key)]
+    couplings, kernels = _build_couplings(system, field, t_start, h,
+                                          mode_coupling, keep)
     plan = _reachable(couplings, order_max)
-    # order k's couplings read order k - 1 at the step's start ("old"); no
-    # coupling writes order 0, so its blocks serve as their own old values
-    read = [{c.in_key for c in used} for used in plan]
-    live = [c for c in couplings if any(c in used for used in plan)]
+    # order k's couplings read order k - 1 as a pair [step start, step end]
+    # whose slot 1 is the block itself; no coupling writes order 0, so both
+    # of its slots keep the field
+    pairs = [{c.in_key: np.stack([orders[k][c.in_key]] * 2) for c in used}
+             for k, used in enumerate(plan)]
+    for blocks, read in zip(orders, pairs):
+        blocks.update((key, pair[1]) for key, pair in read.items())
+    starts = [pair for written in pairs[1:] for pair in written.values()]
     mid = t_start + h * (np.arange(n_steps) + 0.5)
     ramp = np.clip((mid - (t - switch_off)) / max(switch_off, h), 0.0, 1.0)
-    scales = np.cos(0.5 * np.pi * ramp) ** 2
-    for n in range(n_steps):
-        olds = [{key: orders[k][key].copy() for key in keys} if k else orders[0]
-                for k, keys in enumerate(read)]
+    factors = -1j * h * np.cos(0.5 * np.pi * ramp) ** 2
+    for factor in factors:
+        kernels.step(factor)
+        for pair in starts:
+            pair[0] = pair[1]
         for k, used in enumerate(plan, start=1):
             for c in used:
-                c.apply(orders[k], olds[k - 1], orders[k - 1], scales[n])
-        for c in live:
-            c.advance()
+                c.apply(orders[k], pairs[k - 1][c.in_key])
     return PerturbativeKet(orders, field.frequencies.copy(),
                            _band_energies(system, "g"))
 
@@ -363,7 +466,12 @@ def detection_amplitudes(ket: PerturbativeKet, hom: HomSpec, t_a: float,
     couple.
     """
     w = ket.frequencies
-    orders = range(len(ket.orders)) if orders is None else sorted(set(orders))
+    top = len(ket.orders) - 1
+    orders = range(top + 1) if orders is None else sorted(set(orders))
+    for k in orders:
+        if not 0 <= k <= top:
+            raise ValueError(f"order {k} asked for, but the ket's highest "
+                             f"order is {top}")
 
     def chi(x: float, y: float) -> Dict[int, np.ndarray]:
         pa = np.exp(-1j * w * x)

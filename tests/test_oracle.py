@@ -15,10 +15,10 @@ from homspec.crosscheck import (CONVERGED_STEPS, CONVERGED_WINDOW, RESTRICTIONS,
                                 normalized_deviation, row_group_blocks,
                                 run_benchmark, three_level_benchmark)
 from homspec.model import ExcitonSystem, Level, LiouvilleOperatorSet
-from homspec.oracle import (DiscretizedField, _build_couplings, _zero_blocks,
-                            coincidence_probability, detection_amplitudes,
-                            evolve_perturbative, exchange_pair_product,
-                            fourth_order_coincidence)
+from homspec.oracle import (DiscretizedField, _build_couplings, _reachable,
+                            _zero_blocks, coincidence_probability,
+                            detection_amplitudes, evolve_perturbative,
+                            exchange_pair_product, fourth_order_coincidence)
 from homspec.pathways import HomSpec, term_table
 from homspec.signal import (coincidence, complete_coincidence,
                             complete_coincidence_terms, term_value)
@@ -58,6 +58,16 @@ class TestDiscretizedField:
         vals = np.ones((3, 3)) / 3.0
         with pytest.raises(ValueError, match="uniform"):
             DiscretizedField(freqs, vals)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_refused(self, bad):
+        freqs = np.linspace(0.5, 1.5, 8)
+        vals = np.full((8, 8), 1.0 / 8.0, dtype=complex)
+        vals[2, 3] = bad
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            DiscretizedField(freqs, vals)
+        with pytest.raises(ValueError, match="field values must be finite"):
+            DiscretizedField.from_values(freqs, vals)
 
 
 class TestFilonCoefficients:
@@ -141,6 +151,21 @@ class TestEvolution:
         norms = np.concatenate([k.order_norms() for k in bench_kets])
         assert np.allclose(norms, expected, rtol=1e-12, atol=0)
 
+    def test_benchmark_curves_keep_their_values(self, bench, bench_kets,
+                                                converged, converged_kets):
+        # both brute-force curves; reordering the step loop's arithmetic
+        # moves them by rounding only, which reached 1.5e-13 relative on
+        # the three-level values (what is left after blocks cancel)
+        three_level = [-7825125.062587857, 388362.0720103085, 8519476.90115127,
+                       7115798.39094463, -1832979.6239905357]
+        converged_curve = [1494096760.005921, 1459980393.4037886,
+                           1357068390.41869, 2259379689.1991434,
+                           872465406.3342044]
+        assert np.allclose(brute_force_curve(bench, bench_kets[0]),
+                           three_level, rtol=1e-12, atol=0)
+        assert np.allclose(brute_force_curve(converged, converged_kets["full"]),
+                           converged_curve, rtol=1e-12, atol=0)
+
     def test_restrictions_partition_the_state(self, bench, bench_kets):
         ket, ket_a, ket_b = bench_kets
         for key in ("g_a_eb", "g_b_ea"):
@@ -214,19 +239,18 @@ def every_coupling_every_step(system, field, t, order_max=4, *, t_start=None,
               for _ in range(order_max + 1)]
     orders[0]["g_ab"][system.indices("g").index(system.initial_index())] = (
         field.coefficients)
-    couplings = _build_couplings(system, field, t_start, h, mode_coupling)
-    if keep is not None:
-        couplings = [c for c in couplings if keep(c.out_key, c.in_key)]
+    couplings, kernels = _build_couplings(system, field, t_start, h,
+                                          mode_coupling, keep)
     mid = t_start + h * (np.arange(n_steps) + 0.5)
     ramp = np.clip((mid - (t - switch_off)) / max(switch_off, h), 0.0, 1.0)
-    scales = np.cos(0.5 * np.pi * ramp) ** 2
-    for n in range(n_steps):
+    factors = -1j * h * np.cos(0.5 * np.pi * ramp) ** 2
+    for factor in factors:
+        kernels.step(factor)
         olds = [{k: v.copy() for k, v in blocks.items()} for blocks in orders]
         for k in range(1, order_max + 1):
             for c in couplings:
-                c.apply(orders[k], olds[k - 1], orders[k - 1], scales[n])
-        for c in couplings:
-            c.advance()
+                pair = np.stack([olds[k - 1][c.in_key], orders[k - 1][c.in_key]])
+                c.apply(orders[k], pair)
     return orders
 
 
@@ -279,6 +303,22 @@ class TestReachableCouplings:
         self.assert_same(evolve_perturbative(system, field, 30.0, **kw),
                          every_coupling_every_step(system, field, 30.0, **kw))
 
+    def test_twin_outputs_share_one_contraction(self, bench, bench_kets):
+        # an e level emits into a' and b' alike: each twin pair of blocks
+        # receives the same contraction at every step
+        ket = bench_kets[0]
+        for twins in (("g_b_ea", "g_b_eb"), ("g_a_ea", "g_a_eb")):
+            first, second = (ket.orders[2][key] for key in twins)
+            assert np.abs(first).max() > 0
+            assert np.array_equal(first, second)
+        h = (bench.t_end - bench.t_start) / bench.n_steps
+        for name, order_max, count in (("full", 4, 14), ("a", 2, 3),
+                                       ("b", 2, 3)):
+            couplings, _ = _build_couplings(bench.system, bench.field,
+                                            bench.t_start, h,
+                                            keep=RESTRICTIONS.get(name))
+            assert sum(map(len, _reachable(couplings, order_max))) == count
+
     def test_memory_of_one_evolution(self, bench):
         # one three-level full evolution peaks at 0.86 MB (2.07 MB when every
         # block was copied at every step); a step history or operator
@@ -304,6 +344,13 @@ class TestNamedErrors:
         "infinite t": (dict(t=np.inf), "t must be finite"),
         "NaN t": (dict(t=np.nan), "t must be finite"),
         "infinite t_start": (dict(t_start=-np.inf), "t_start must be finite"),
+        "NaN mode_coupling": (dict(mode_coupling=np.r_[1.0, np.nan, [1.0] * 30]),
+                              "mode_coupling must be real and finite"),
+        "infinite mode_coupling": (dict(mode_coupling=np.r_[[1.0] * 31, np.inf]),
+                                   "mode_coupling must be real and finite"),
+        # a cast to float would drop it, leaving a silent zero
+        "complex mode_coupling": (dict(mode_coupling=np.full(32, 1j)),
+                                  "mode_coupling must be real and finite"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -610,6 +657,17 @@ class TestDetectionProbability:
         ket, _, _ = bench_kets
         with pytest.raises(ValueError, match="ordered"):
             coincidence_probability(ket, HomSpec(T=1.0), 0.0, 1.0)
+
+    def test_missing_orders_refused_by_name(self, bench_kets):
+        ket = bench_kets[1]  # an arm restriction, evolved to second order
+        hom = HomSpec(T=2.0)
+        message = "order 4 asked for, but the ket's highest order is 2"
+        with pytest.raises(ValueError, match=message):
+            fourth_order_coincidence(ket, hom, 0.0, 1.0)
+        with pytest.raises(ValueError, match=message):
+            coincidence_probability(ket, hom, 1.0, 0.0, order_pairs=[(4, 0)])
+        with pytest.raises(ValueError, match="order -1 asked for"):
+            detection_amplitudes(ket, hom, 0.0, 1.0, [-1])
 
     def test_zeroth_order_hom_dip(self, bench):
         # symmetric pair (no delay): coincidences vanish at zero splitter
